@@ -22,6 +22,8 @@ from gaussmart import (
     poisson_family,
     standard_battery,
 )
+from gaussmart.cli import SCHEMA
+from gaussmart.sampler import STREAM_LAYOUT
 
 FAMILIES = {
     "poisson": lambda: calibrate(poisson_family()),
@@ -48,7 +50,8 @@ def main() -> int:
             make(), args.seed, n_paths=args.paths, threads=args.threads
         )
         payload = {
-            "schema": "gaussmart/1",
+            "schema": SCHEMA,
+            "stream_layout": STREAM_LAYOUT,
             "family": name,
             "seed": args.seed,
             "reports": [r.to_dict() for r in reports],
@@ -63,7 +66,10 @@ def main() -> int:
     t0 = time.time()
     counts = null_calibration(seed=args.seed, reps=100)
     (outdir / "null_calibration.json").write_text(
-        json.dumps({"schema": "gaussmart/1", "counts": counts}, indent=2, sort_keys=True)
+        json.dumps(
+            {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT, "counts": counts},
+            indent=2, sort_keys=True,
+        )
     )
     reps = counts.pop("repetitions")
     for test, n_ok in sorted(counts.items()):

@@ -6,8 +6,9 @@ Subcommands: ``simulate``, ``kernel``, ``generator-check``, ``verify``,
 are rejected.  Exit codes: 0 success / all gated checks pass, 1 gated test
 failure, 2 usage error, 3 numeric failure.
 
-Report files carry ``"schema": "gaussmart/1"`` at top level; bulk paths go
-to CSV in the formats declared by the path simulator.
+Report files and sidecars carry ``"schema": "gaussmart/2"`` and the random
+stream layout (``"stream_layout": 2``) at top level; bulk paths go to CSV in
+the formats declared by the path simulator.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from .pathsim import (
     write_event_csv,
     write_grid_csv,
 )
-from .sampler import RandomStream, path_bundle
+from .sampler import STREAM_LAYOUT, RandomStream, path_bundle
 from .semigroup import calibrate, family_from_config
 from .verify import derive_seed, standard_battery, test_jump_times
 
-SCHEMA = "gaussmart/1"
+SCHEMA = "gaussmart/2"
+#: top-level fields of every JSON report and sidecar
+_HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
 
 _F_TAGS = {
     "x": (0.0, 1.0),
@@ -160,9 +163,7 @@ def _family_from_options(opts: dict):
                 spec["beta"] = opts["beta"]
             atoms = opts.get("atoms")
             if isinstance(atoms, str):
-                spec["atoms"] = [
-                    [float(p) for p in pair.split(":")] for pair in atoms.split(",")
-                ]
+                spec["atoms"] = [pair.split(":") for pair in atoms.split(",")]
             elif atoms is not None:
                 spec["atoms"] = atoms
     else:
@@ -170,11 +171,22 @@ def _family_from_options(opts: dict):
     return calibrate(family_from_config(spec))
 
 
+def _value(opts: dict, key: str, kind, default):
+    """Option ``key`` converted by ``kind``; a malformed value is a usage error."""
+    raw = opts.get(key, default)
+    if raw is None:
+        return None
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad value for {key}: {raw!r}") from exc
+
+
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, end, steps = text.split(":")
         start, end, steps = float(start), float(end), int(steps)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise DomainError(f"bad grid spec {text!r}; expected start:end:steps") from exc
     if start != 0.0:
         raise DomainError("simulated paths start at time 0; grid must use start = 0")
@@ -208,14 +220,16 @@ _JMP_KEYS = {"family", "c", "a", "b", "beta", "atoms", "s", "n", "seed", "out", 
 def _cmd_simulate(args) -> int:
     opts = _merge_config(args, _SIM_KEYS)
     family = _family_from_options(opts)
-    seed = int(opts.get("seed", 0))
-    n_paths = int(opts.get("paths", 100))
+    seed = _value(opts, "seed", int, 0)
+    n_paths = _value(opts, "paths", int, 100)
     out = opts.get("out", "paths.csv")
     mode = opts.get("mode", "grid")
+    if mode not in ("grid", "event"):
+        raise DomainError(f"bad value for mode: {mode!r}")
     if mode == "grid":
         times = _parse_grid(opts.get("grid", "0:1:64"))
         values = simulate_grid_ensemble(
-            family, times, seed, n_paths, threads=opts.get("threads")
+            family, times, seed, n_paths, threads=_value(opts, "threads", int, None)
         )
         write_grid_csv(out, times, values)
         print(
@@ -223,9 +237,9 @@ def _cmd_simulate(args) -> int:
             f"(seed {seed}) -> {out}"
         )
         return 0
-    s0 = float(opts.get("start", 1.0))
-    horizon = float(opts.get("horizon", 2.0))
-    x0 = float(opts.get("x0", 0.0))
+    s0 = _value(opts, "start", float, 1.0)
+    horizon = _value(opts, "horizon", float, 2.0)
+    x0 = _value(opts, "x0", float, 0.0)
     paths = [
         simulate_event(family, s0, x0, horizon, RandomStream(seed, k))
         for k in range(n_paths)
@@ -242,14 +256,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_kernel(args) -> int:
     opts = _merge_config(args, _KER_KEYS)
     family = _family_from_options(opts)
-    s = float(opts.get("s", 0.5))
-    t = float(opts.get("t", 2.0))
-    x = float(opts.get("x", 0.0))
+    s = _value(opts, "s", float, 0.5)
+    t = _value(opts, "t", float, 2.0)
+    x = _value(opts, "x", float, 0.0)
     out = opts.get("out", "density.csv")
     ev = kernel_eval(family, s, t, x)
     if opts.get("y"):
-        lo, hi, n = opts["y"].split(":")
-        ygrid = np.linspace(float(lo), float(hi), int(n))
+        try:
+            lo, hi, n = opts["y"].split(":")
+            ygrid = np.linspace(float(lo), float(hi), int(n))
+        except (AttributeError, ValueError) as exc:
+            raise DomainError(f"bad grid spec {opts['y']!r}; expected lo:hi:n") from exc
     else:
         center = 0.0 if math.isnan(ev.atom_location) else ev.atom_location
         ygrid = np.linspace(center - 10 * math.sqrt(t), center + 10 * math.sqrt(t), 2001)
@@ -273,7 +290,7 @@ def _cmd_kernel(args) -> int:
             "abs_error": abs(mk - references[k]),
         }
     sidecar = {
-        "schema": SCHEMA,
+        **_HEADER,
         "atom_weight": ev.atom_weight,
         "atom_location": None if math.isnan(ev.atom_location) else ev.atom_location,
         "mass_check": mass,
@@ -292,7 +309,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_generator_check(args) -> int:
     opts = _merge_config(args, _GEN_KEYS)
     family = _family_from_options(opts)
-    f_spec = opts.get("f", "x2")
+    f_spec = _value(opts, "f", str, "x2")
     if f_spec in _F_TAGS:
         poly = Polynomial(_F_TAGS[f_spec])
     else:
@@ -300,12 +317,12 @@ def _cmd_generator_check(args) -> int:
             poly = Polynomial(tuple(float(c) for c in f_spec.split(",")))
         except ValueError as exc:
             raise DomainError(f"bad polynomial spec {f_spec!r}") from exc
-    s = float(opts.get("s", 1.0))
-    x = float(opts.get("x", 0.8))
-    h = float(opts.get("h", 0.02))
+    s = _value(opts, "s", float, 1.0)
+    x = _value(opts, "x", float, 0.8)
+    h = _value(opts, "h", float, 0.02)
     result = generator_check(family, poly, s, x, h=h)
     payload = {
-        "schema": SCHEMA,
+        **_HEADER,
         "family": family.kind,
         "f": f_spec,
         "s": s,
@@ -324,18 +341,18 @@ def _cmd_generator_check(args) -> int:
 def _cmd_verify(args) -> int:
     opts = _merge_config(args, _VER_KEYS)
     family = _family_from_options(opts)
-    seed = int(opts.get("seed", 0))
+    seed = _value(opts, "seed", int, 0)
     reports = standard_battery(
         family,
         seed,
-        n_paths=int(opts.get("paths", 200_000)),
-        n_qv=int(opts.get("qv-paths", 10_000)),
-        n_jumps=int(opts.get("jumps", 100_000)),
-        n_mode=int(opts.get("mode-paths", 10_000)),
-        threads=opts.get("threads"),
+        n_paths=_value(opts, "paths", int, 200_000),
+        n_qv=_value(opts, "qv-paths", int, 10_000),
+        n_jumps=_value(opts, "jumps", int, 100_000),
+        n_mode=_value(opts, "mode-paths", int, 10_000),
+        threads=_value(opts, "threads", int, None),
     )
     payload = {
-        "schema": SCHEMA,
+        **_HEADER,
         "family": family.kind,
         "seed": seed,
         "reports": [r.to_dict() for r in reports],
@@ -352,9 +369,9 @@ def _cmd_verify(args) -> int:
 def _cmd_jump_times(args) -> int:
     opts = _merge_config(args, _JMP_KEYS)
     family = _family_from_options(opts)
-    seed = int(opts.get("seed", 0))
-    s = float(opts.get("s", 1.0))
-    n = int(opts.get("n", 100_000))
+    seed = _value(opts, "seed", int, 0)
+    s = _value(opts, "s", float, 1.0)
+    n = _value(opts, "n", int, 100_000)
     times = first_jump_times(family, s, path_bundle(derive_seed(seed, "jump-times"), n))
     if opts.get("out"):
         with open(opts["out"], "w", encoding="ascii") as fh:
@@ -362,7 +379,7 @@ def _cmd_jump_times(args) -> int:
             for i, tv in enumerate(times):
                 fh.write(f"{i},{float(tv)!r}\n")
     report = test_jump_times(times, s, family, seed=seed)
-    _write_json(opts.get("report"), {"schema": SCHEMA, "report": report.to_dict()})
+    _write_json(opts.get("report"), {**_HEADER, "report": report.to_dict()})
     print(
         f"{report.status.upper():6s} jump_times: KS p={report.p_value:.4g} "
         f"median={report.details['median']:.6g} "

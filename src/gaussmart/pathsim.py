@@ -154,9 +154,16 @@ def simulate_grid(
     return PathGrid(times=times, values=values)
 
 
+#: fewest paths a worker thread is given; smaller chunks cost more to
+#: schedule than they save
+_MIN_CHUNK = 4096
+
+
 def _chunks(n: int, threads) -> list[tuple[int, int]]:
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers <= 1 or n < 8192:
+    """Path ranges, one per worker: at most one worker per CPU, none short."""
+    cpus = os.cpu_count() or 1
+    workers = min(threads if threads and threads > 0 else cpus, cpus, n // _MIN_CHUNK)
+    if workers <= 1:
         return [(0, n)]
     size = -(-n // workers)
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
@@ -271,11 +278,11 @@ def simulate_event(
 ) -> EventPath:
     """Simulate one event-driven path from (s0, x0) up to the horizon.
 
-    Per candidate jump one block supplies both the waiting-time uniform
-    (open interval, so the next jump is strictly after the current time)
-    and the jump-size normal; the block of the first candidate beyond the
-    horizon is consumed as well, keeping lane-for-lane agreement with
-    :func:`simulate_event_terminals`.
+    The path is one site of its stream, and candidate jump j is attempt j:
+    one block supplies both the waiting-time uniform (open interval, so the
+    next jump is strictly after the current time) and the jump-size normal.
+    The block of the first candidate beyond the horizon is consumed as well,
+    keeping lane-for-lane agreement with :func:`simulate_event_terminals`.
     """
     _require_poisson(family)
     if s0 <= 0:
@@ -286,8 +293,10 @@ def simulate_event(
     c = family.c
     t, x = float(s0), float(x0)
     jt, pre, post = [], [], []
+    bundle.new_site()
+    lane = np.zeros(1, dtype=np.intp)
     while True:
-        uu = bundle.uniforms(2)
+        uu = bundle.uniforms(2, lane)
         # numpy's pow, not float.__pow__: keeps lane-exact agreement with
         # the vectorised simulator (libm pow can differ in the last ulp)
         big_t = t * float((uu[0] ** (-2.0 / c))[0])
@@ -319,7 +328,10 @@ def simulate_event_terminals(
     horizon: float,
     bundle: StreamBundle,
 ) -> np.ndarray:
-    """Terminal values at the horizon for one event-driven path per lane."""
+    """Terminal values at the horizon for one event-driven path per lane.
+
+    All paths share one site; each lane's candidate jumps are its attempts.
+    """
     _require_poisson(family)
     if s0 <= 0:
         raise DomainError("s0 must be > 0")
@@ -330,6 +342,7 @@ def simulate_event_terminals(
     t = np.full(n, float(s0))
     x = np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy()
     live = np.ones(n, dtype=bool)
+    bundle.new_site()
     while np.any(live):
         idx = np.nonzero(live)[0]
         uu = bundle.uniforms(2, idx)

@@ -1,17 +1,31 @@
 """Deterministic random streams and the distribution samplers built on them.
 
-The generator is a vectorised Philox-4x64-10 counter-based PRNG: every
-``(seed, stream_id)`` pair names an independent stream whose n-th block is a
-pure function of ``(seed, stream_id, n)``.  This makes ensemble simulation
-bit-reproducible no matter how paths are chunked across threads, because
-lane k of a bundle *is* stream k, not a slice of a shared sequence.
+The generator is Philox-4x64-10, a counter-based PRNG (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011): each 4-word block
+is a pure function of a 2-word key and a 4-word counter.  Stream layout 2
+uses key ``(seed, 0)`` and counter ``(stream_id + 1, site, attempt, 0)``:
+
+- ``stream_id`` is the lane: lane k of a bundle *is* stream k, not a slice
+  of a shared sequence;
+- ``site`` counts the draw calls every lane of a bundle sees (a draw or a
+  sampler call over the whole bundle), so it is the same under any chunking;
+- ``attempt`` counts one lane's own blocks within a site: rejection retries
+  and per-jump draws.
+
+Every draw is therefore a pure function of ``(seed, stream_id, site,
+attempt)``, and ensemble output does not depend on how paths are chunked
+across threads.  The first block of every lane at a site is one call to
+numpy's C Philox over the contiguous lane range; sparse retries and
+non-contiguous lanes go through a vectorised numpy copy of the network.
 
 Stream assignment policy
 ------------------------
 - simulation path ``k`` uses ``stream_id = stream_base + k`` (base 0 for the
   primary run of a subcommand);
 - verification-internal randomness (bootstrap resampling, reference draws)
-  uses ``stream_id >= VERIFY_STREAM_BASE = 2**63``.
+  uses ``stream_id >= VERIFY_STREAM_BASE = 2**63``;
+- ``stream_id = 2**64 - 1`` is refused: its counter word would wrap into
+  ``site``.
 
 Sampling algorithms are chosen for stream determinism:
 
@@ -41,14 +55,17 @@ from .semigroup import (
 
 #: stream ids at or above this are reserved for verification-internal draws
 VERIFY_STREAM_BASE = 2**63
+#: the version of the (key, counter) layout above, recorded in every report
+STREAM_LAYOUT = 2
 
+_MAX_STREAM_ID = 2**64 - 2
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+_W0 = 0x9E3779B97F4A7C15
+_W1 = 0xBB67AE8584CAA73B
+_MASK64 = 2**64 - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
-_U64 = np.uint64(1)
 _INV53 = float(2.0**-53)
 
 
@@ -64,28 +81,49 @@ def _mulhilo(a: np.uint64, b: np.ndarray):
     return hi, lo
 
 
-def philox_block(key0, key1, counter):
-    """One Philox-4x64-10 block per counter entry; returns shape (4, n).
+def _philox_network(key, counter) -> np.ndarray:
+    """Philox-4x64-10 on per-entry 4-word counters; returns shape (4, n).
 
-    Matches the reference network: numpy's Philox bit generator with key
-    ``(key0, key1)`` emits this block for counter word ``n + 1`` as its n-th
-    output block (numpy advances the counter before generating).
+    ``key`` is the 2-word key; each counter word broadcasts to the common
+    length.  This is the block numpy's ``Philox(key=key, counter=c)``
+    emits first when ``counter`` is ``c`` advanced by one.
     """
-    k0 = np.uint64(key0)
-    k1 = np.asarray(key1, dtype=np.uint64)
-    x0 = np.asarray(counter, dtype=np.uint64).copy()
-    x1 = np.zeros_like(x0)
-    x2 = np.zeros_like(x0)
-    x3 = np.zeros_like(x0)
-    k0 = np.broadcast_to(k0, x0.shape).copy()
-    k1 = np.broadcast_to(k1, x0.shape).copy()
+    x0, x1, x2, x3 = (
+        np.array(w)
+        for w in np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in counter))
+    )
+    k0, k1 = int(key[0]), int(key[1])
     for _ in range(10):
         hi0, lo0 = _mulhilo(_M0, x0)
         hi1, lo1 = _mulhilo(_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        k0 = k0 + _W0
-        k1 = k1 + _W1
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _W0) & _MASK64
+        k1 = (k1 + _W1) & _MASK64
     return np.stack([x0, x1, x2, x3])
+
+
+def _is_run(ids: np.ndarray) -> bool:
+    """Whether ``ids`` is one run of consecutive integers, ascending."""
+    return ids.shape[0] > 0 and bool(np.all(np.diff(ids) == 1))
+
+
+def philox_block(seed, stream_ids, site, attempt) -> np.ndarray:
+    """The block at counter ``(stream_id + 1, site, attempt, 0)`` for each id.
+
+    Key ``(seed, 0)``; returns shape (4, n).  ``attempt`` is a scalar or one
+    value per id.  A run of consecutive ids sharing one attempt is a single
+    call to numpy's C Philox, which advances its counter before each block;
+    any other request goes through the vectorised network.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    att = np.asarray(attempt, dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    if _is_run(ids) and (att.ndim == 0 or np.all(att == att[0])):
+        first = att if att.ndim == 0 else att[0]
+        counter = np.array([ids[0], site, first, 0], dtype=np.uint64)
+        n = ids.shape[0]
+        return np.random.Philox(key=key, counter=counter).random_raw(4 * n).reshape(n, 4).T
+    return _philox_network(key, (ids + np.uint64(1), site, att, 0))
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
@@ -96,33 +134,47 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
 class StreamBundle:
     """A vector of independent streams advanced in lockstep.
 
-    Lane ``i`` owns stream ``stream_ids[i]`` and its private block counter;
-    partial draws (rejection rounds touching only unaccepted lanes) advance
-    only the counters of the lanes involved.
+    Lane ``i`` owns stream ``stream_ids[i]``.  A draw over the whole bundle
+    (``idx=None``) opens a new site for every lane; a draw over selected
+    lanes stays at the current site and advances only those lanes' attempt
+    counters, so a lane's draws never depend on which other lanes draw.
     """
 
     def __init__(self, seed: int, stream_ids):
         self.seed = int(seed) & (2**64 - 1)
-        self._key0 = np.uint64(self.seed)
-        self._key1 = np.asarray(stream_ids, dtype=np.uint64)
-        if self._key1.ndim != 1:
+        self._ids = np.asarray(stream_ids, dtype=np.uint64)
+        if self._ids.ndim != 1:
             raise ValueError("stream_ids must be one-dimensional")
-        self._counter = np.zeros(self._key1.shape, dtype=np.uint64)
+        if self._ids.size and int(self._ids.max()) > _MAX_STREAM_ID:
+            raise DomainError(f"stream ids must be <= 2**64 - 2, got {int(self._ids.max())}")
+        self._site = 0
+        self._attempt = np.zeros(self._ids.shape, dtype=np.uint64)
 
     def __len__(self) -> int:
-        return self._key1.shape[0]
+        return self._ids.shape[0]
 
     @property
     def stream_ids(self) -> np.ndarray:
-        return self._key1.copy()
+        return self._ids.copy()
+
+    def new_site(self) -> None:
+        """Open the next site: every lane's attempt counter restarts at 0."""
+        self._site += 1
+        self._attempt.fill(0)
 
     def blocks(self, idx=None) -> np.ndarray:
-        """Next 4-word block for each selected lane; advances their counters."""
+        """Next 4-word block for each selected lane, shape (4, m).
+
+        ``idx=None`` opens a new site and draws attempt 0 of every lane;
+        otherwise the selected lanes draw their next attempt at this site.
+        """
         if idx is None:
-            self._counter += _U64
-            return philox_block(self._key0, self._key1, self._counter)
-        self._counter[idx] += _U64
-        return philox_block(self._key0, self._key1[idx], self._counter[idx])
+            self.new_site()
+            self._attempt.fill(1)
+            return philox_block(self.seed, self._ids, self._site, 0)
+        attempt = self._attempt[idx]
+        self._attempt[idx] += np.uint64(1)
+        return philox_block(self.seed, self._ids[idx], self._site, attempt)
 
     def uniforms(self, n_words: int = 1, idx=None) -> np.ndarray:
         """(n_words, m) uniforms in (0,1); one block per lane, n_words <= 4."""
@@ -174,8 +226,10 @@ def verify_bundle(seed: int, n: int, offset: int = 0) -> StreamBundle:
 # ---------------------------------------------------------------------------
 
 
-def _lane_indices(bundle: StreamBundle, idx) -> np.ndarray:
+def _site_lanes(bundle: StreamBundle, idx) -> np.ndarray:
+    """Lanes of a sampler call; a call over the whole bundle opens a new site."""
     if idx is None:
+        bundle.new_site()
         return np.arange(len(bundle))
     return np.asarray(idx)
 
@@ -229,7 +283,7 @@ def _poisson_ptrs(bundle: StreamBundle, mean: np.ndarray, idx: np.ndarray) -> np
 
 def poisson_draw(bundle: StreamBundle, mean, idx=None) -> np.ndarray:
     """Poisson deviates, one per selected lane; mean may be scalar or per-lane."""
-    lanes = _lane_indices(bundle, idx)
+    lanes = _site_lanes(bundle, idx)
     mean = np.broadcast_to(np.asarray(mean, dtype=float), lanes.shape).copy()
     if np.any(mean < 0):
         raise DomainError("poisson mean must be >= 0")
@@ -249,7 +303,7 @@ def gamma_draw(bundle: StreamBundle, shape, rate=1.0, idx=None) -> np.ndarray:
     Word 0 feeds the inversion normal, word 1 the acceptance test, word 2
     the ``U**(1/shape)`` boost used when shape < 1.
     """
-    lanes = _lane_indices(bundle, idx)
+    lanes = _site_lanes(bundle, idx)
     shape = np.broadcast_to(np.asarray(shape, dtype=float), lanes.shape).copy()
     rate = np.broadcast_to(np.asarray(rate, dtype=float), lanes.shape).copy()
     if np.any(shape <= 0) or np.any(rate <= 0):
@@ -281,7 +335,9 @@ def gamma_draw(bundle: StreamBundle, shape, rate=1.0, idx=None) -> np.ndarray:
     return out
 
 
-def _compound_increment(bundle, family, log_sigma, lanes) -> np.ndarray:
+def _compound_increment(bundle, family, log_sigma) -> np.ndarray:
+    """Drift plus a compound Poisson sum of atoms; jumps are per-lane attempts."""
+    lanes = _site_lanes(bundle, None)
     total = np.full(lanes.shape[0], family.beta * log_sigma, dtype=float)
     if not family.atoms:
         return total
@@ -324,7 +380,7 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, stream):
     elif family.kind == GAMMA:
         out = gamma_draw(bundle, family.a * log_sigma, family.b)
     else:
-        out = _compound_increment(bundle, family, log_sigma, np.arange(n))
+        out = _compound_increment(bundle, family, log_sigma)
     return float(out[0]) if scalar else out
 
 

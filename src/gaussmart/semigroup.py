@@ -208,17 +208,21 @@ def family_from_config(spec: dict) -> SubordinatorFamily:
         if spec:
             raise FamilyError(f"unknown family keys: {sorted(spec)}")
         return brownian_family()
-    if kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise FamilyError(f"unknown family kind: {kind!r}")
     unknown = set(spec) - _FAMILY_KEYS[kind]
     if unknown:
         raise FamilyError(f"unknown family keys: {sorted(unknown)}")
+    try:
+        num = {k: float(spec[k]) for k in ("c", "a", "b", "beta") if k in spec}
+        atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"malformed {kind} family parameters: {exc}") from exc
     if kind == POISSON:
-        return poisson_family(c=float(spec.get("c", 1.0)))
+        return poisson_family(c=num.get("c", 1.0))
     if kind == GAMMA:
-        return gamma_family(a=float(spec.get("a", 1.0)), b=float(spec.get("b", 1.0)))
-    atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
-    beta = float(spec.get("beta", 0.0))
+        return gamma_family(a=num.get("a", 1.0), b=num.get("b", 1.0))
+    beta = num.get("beta", 0.0)
     if spec.get("degenerate", False):
         fam = SubordinatorFamily(kind=COMPOUND, beta=beta, atoms=(), degenerate=True)
         return fam

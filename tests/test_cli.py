@@ -73,6 +73,26 @@ class TestUsageErrors:
         assert execute([command, "--help"]) == 0
         assert "--family" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("atoms", ["bad", "1:2:3", "0.5:x"])
+    def test_malformed_atoms_exit_two(self, tmp_path, capsys, atoms):
+        code = execute(["simulate", "--family", "compound", "--atoms", atoms,
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"paths": "abc"}, {"paths": [1]}, {"threads": "two"}, {"mode": "jump"},
+         {"family": {"kind": "poisson", "c": "abc"}}, {"family": {"kind": []}}],
+    )
+    def test_malformed_config_values_exit_two(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = execute(["simulate", "--config", str(cfg), "--grid", "0:1:2",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numeric_failure_exit_code(self, monkeypatch):
         from gaussmart import QuadratureError
         from gaussmart import cli as cli_mod
@@ -124,7 +144,8 @@ class TestKernel:
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "dens.csv.json").read_text())
-        assert sidecar["schema"] == "gaussmart/1"
+        assert sidecar["schema"] == "gaussmart/2"
+        assert sidecar["stream_layout"] == 2
         assert sidecar["mass_check"] == pytest.approx(1.0, abs=1e-8)
         assert sidecar["moment_checks"]["k1"]["abs_error"] < 1e-8
         assert sidecar["moment_checks"]["k2"]["abs_error"] < 1e-8
@@ -176,7 +197,8 @@ class TestVerifyAndJumpTimes:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "gaussmart/1"
+        assert payload["schema"] == "gaussmart/2"
+        assert payload["stream_layout"] == 2
         names = {r["test_name"] for r in payload["reports"]}
         assert {
             "gaussian_marginal", "martingale_binned", "cross_moment",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gaussmart import (
     simulate_grid_ensemble,
     transition_pairs,
 )
-from gaussmart.pathsim import write_event_csv, write_grid_csv
+from gaussmart.pathsim import _MIN_CHUNK, _chunks, write_event_csv, write_grid_csv
 from gaussmart.sampler import sample_subordinator_increment
 
 
@@ -60,11 +61,31 @@ class TestGrid:
         vals = simulate_grid_ensemble(gamma_fam, times, 9, 5, stream_base=0)
         assert np.array_equal(path.values, vals[3])
 
-    def test_threading_does_not_change_values(self, poisson_fam):
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
+    def test_threading_does_not_change_values(self, kind, monkeypatch, request):
+        # four chunks whatever the host; gamma and compound retry per lane
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fam = request.getfixturevalue(f"{kind}_fam")
         times = np.linspace(0.0, 1.0, 11)
-        a = simulate_grid_ensemble(poisson_fam, times, 7, 20_000, threads=1)
-        b = simulate_grid_ensemble(poisson_fam, times, 7, 20_000, threads=4)
+        n = 20_000
+        assert len(_chunks(n, 4)) == 4
+        a = simulate_grid_ensemble(fam, times, 7, n, threads=1)
+        b = simulate_grid_ensemble(fam, times, 7, n, threads=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_chunks_cap_workers_at_cpus(self, cpus, monkeypatch):
+        # checked through the chunk list alone: no thread is started
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cases = ((1_000_000, 100_000), (1_000_000, None), (100_000, 100_000), (9_000, 4), (100, 8))
+        for n, threads in cases:
+            parts = _chunks(n, threads)
+            assert len(parts) <= cpus
+            assert parts[0][0] == 0 and parts[-1][1] == n
+            assert all(lo < hi for lo, hi in parts)
+            assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
+            if len(parts) > 1:
+                assert min(hi - lo for lo, hi in parts) >= _MIN_CHUNK
 
     def test_refinement_leaves_marginal_unchanged(self, poisson_fam):
         coarse = simulate_grid_ensemble(

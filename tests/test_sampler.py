@@ -14,19 +14,66 @@ from gaussmart import (
     sample_subordinator_increment,
     verify_bundle,
 )
-from gaussmart.sampler import VERIFY_STREAM_BASE, gamma_draw, philox_block, poisson_draw
+from gaussmart.sampler import (
+    VERIFY_STREAM_BASE,
+    _philox_network,
+    gamma_draw,
+    philox_block,
+    poisson_draw,
+)
+
+
+def _numpy_blocks(seed, first_id, site, attempt, n):
+    """numpy's C Philox at counters (first_id + 1 + j, site, attempt, 0)."""
+    # uint64 arrays: a plain list holding 2**63 + 5 would become float64
+    key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.array([first_id, site, attempt, 0], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=counter).random_raw(4 * n).reshape(n, 4).T
 
 
 class TestPhiloxCore:
+    @pytest.mark.parametrize(
+        "seed, first_id, site, attempt",
+        [
+            (0, 0, 0, 0),
+            (12345, 7, 0, 0),
+            (2**64 - 1, 2**63, 1, 0),
+            (5, VERIFY_STREAM_BASE + 220_000, 2, 0),
+            (5, VERIFY_STREAM_BASE + 220_000, 3, 4),
+            (9, 2**64 - 4, 1, 1),
+            (9, 2**64 - 2, 7, 2**64 - 1),
+        ],
+    )
+    def test_network_matches_numpy_philox(self, seed, first_id, site, attempt):
+        n = min(3, 2**64 - 1 - first_id)
+        ref = _numpy_blocks(seed, first_id, site, attempt, n)
+        ids = np.arange(first_id, first_id + n, dtype=np.uint64)
+        key = np.array([seed, 0], dtype=np.uint64)
+        net = _philox_network(key, (ids + np.uint64(1), site, attempt, 0))
+        assert np.array_equal(net, ref)
+        assert np.array_equal(philox_block(seed, ids, site, attempt), ref)
+
     def test_matches_reference_implementation(self):
-        # numpy's Philox is the oracle; it advances the counter before
-        # generating, so its n-th block equals our counter value n + 1
-        for seed, sid in ((0, 0), (12345, 7), (2**64 - 1, 2**63)):
-            ref = np.random.Philox(counter=[0, 0, 0, 0], key=[seed, sid]).random_raw(12)
-            mine = np.concatenate(
-                [philox_block(seed, [sid], [n]).ravel() for n in (1, 2, 3)]
-            )
-            assert np.array_equal(ref, mine)
+        # numpy's Philox is the oracle whichever path philox_block takes:
+        # a run of ids with one attempt, reversed ids, and mixed attempts
+        ids = np.arange(2**63 + 5, 2**63 + 9, dtype=np.uint64)
+        ref = _numpy_blocks(3, 2**63 + 5, 2, 1, 4)
+        assert np.array_equal(philox_block(3, ids, 2, 1), ref)
+        assert np.array_equal(philox_block(3, ids[::-1], 2, 1), ref[:, ::-1])
+        attempts = np.array([1, 0, 1, 0], dtype=np.uint64)
+        mixed = philox_block(3, ids, 2, attempts)
+        assert np.array_equal(mixed[:, ::2], ref[:, ::2])
+        assert np.array_equal(mixed[:, 1], _numpy_blocks(3, 2**63 + 6, 2, 0, 1)[:, 0])
+
+    def test_neighbouring_verification_lanes_differ(self):
+        b = verify_bundle(1, 4, offset=220_000)
+        words = b.blocks()
+        assert len({tuple(col) for col in words.T}) == 4
+
+    def test_last_stream_id_rejected(self):
+        StreamBundle(0, [2**64 - 2])
+        with pytest.raises(DomainError):
+            StreamBundle(0, [2**64 - 1])
 
     def test_streams_reproducible(self):
         a = StreamBundle(42, [0, 1, 2]).uniforms(4)
@@ -43,12 +90,25 @@ class TestPhiloxCore:
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_partial_lane_draws_keep_other_lanes_intact(self):
-        full = StreamBundle(9, [0, 1])
-        partial = StreamBundle(9, [0, 1])
-        ref = full.uniforms(1)[0]
-        first = partial.uniforms(1, idx=np.array([0]))[0][0]
-        second = partial.uniforms(1, idx=np.array([1]))[0][0]
-        assert first == ref[0] and second == ref[1]
+        # a lane's draws do not depend on which other lanes draw with it
+        full = StreamBundle(9, [0, 1, 2])
+        partial = StreamBundle(9, [0, 1, 2])
+        for b in (full, partial):
+            b.new_site()
+        ref = [full.uniforms(1, idx=np.arange(3))[0] for _ in range(2)]
+        first = partial.uniforms(1, idx=np.array([1]))[0][0]
+        again = partial.uniforms(1, idx=np.array([1]))[0][0]
+        rest = partial.uniforms(1, idx=np.array([0, 2]))[0]
+        assert first == ref[0][1] and again == ref[1][1]
+        assert rest[0] == ref[0][0] and rest[1] == ref[0][2]
+        # the next whole-bundle draw opens a new site for every lane alike
+        assert np.array_equal(full.uniforms(1), partial.uniforms(1))
+
+    def test_sites_and_attempts_give_distinct_blocks(self):
+        b = StreamBundle(4, [0])
+        whole = [b.blocks()[:, 0] for _ in range(2)]
+        retries = [b.blocks(np.array([0]))[:, 0] for _ in range(2)]
+        assert len({tuple(w) for w in whole + retries}) == 4
 
     def test_verify_bundle_range(self):
         ids = verify_bundle(0, 3).stream_ids
@@ -166,6 +226,18 @@ class TestLowLevelSamplers:
         g = gamma_draw(path_bundle(46, 200_000), 25.0, 2.0)
         assert abs(g.mean() - 12.5) < 4.0 * math.sqrt(25.0 / 4.0 / g.size)
         assert stats.kstest(g[:100_000], "gamma", args=(25.0, 0, 0.5)).pvalue > 0.001
+
+    def test_lane_range_matches_full_bundle_after_gamma_retries(self):
+        # lanes [a, b) drawn as their own bundle equal the same lanes of the
+        # full bundle, through rejection retries and at the next site
+        a, b = 300, 1700
+        full = path_bundle(48, 2000)
+        part = StreamBundle(48, np.arange(a, b))
+        g_full = gamma_draw(full, 0.05)
+        g_part = gamma_draw(part, 0.05)
+        assert int(part._attempt.max()) > 1  # some lane retried
+        assert np.array_equal(g_full[a:b], g_part)
+        assert np.array_equal(full.normals()[a:b], part.normals())
 
     def test_mixed_mean_routing(self):
         # lanes mix inversion (mean <= 10) and PTRS (mean > 10) paths
