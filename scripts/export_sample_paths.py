@@ -16,12 +16,12 @@ import pathlib
 import numpy as np
 
 from gaussmart import (
-    RandomStream,
     brownian_family,
     calibrate,
     gamma_family,
+    path_bundle,
     poisson_family,
-    simulate_event,
+    simulate_events,
     simulate_grid_ensemble,
 )
 from gaussmart.pathsim import write_event_csv, write_grid_csv
@@ -49,10 +49,9 @@ def main() -> None:
         write_grid_csv(out, times, values)
         print(f"wrote {out} ({args.n_paths} paths, {times.size} times)")
 
-    events = [
-        simulate_event(families["poisson"], 0.05, 0.0, 1.0, RandomStream(args.seed, k))
-        for k in range(args.n_paths)
-    ]
+    events = simulate_events(
+        families["poisson"], 0.05, 0.0, 1.0, path_bundle(args.seed, args.n_paths)
+    )
     out = outdir / "poisson_events.csv"
     write_event_csv(out, events)
     print(f"wrote {out} ({sum(len(p.jumps) for p in events)} jumps)")

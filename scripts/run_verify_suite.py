@@ -8,6 +8,7 @@ any gated check fails.  Full-scale run; expect a few minutes.
 """
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -46,13 +47,14 @@ def main() -> int:
     all_pass = True
     for name, make in FAMILIES.items():
         t0 = time.time()
+        family = make()
         reports = standard_battery(
-            make(), args.seed, n_paths=args.paths, threads=args.threads
+            family, args.seed, n_paths=args.paths, threads=args.threads
         )
         payload = {
             "schema": SCHEMA,
             "stream_layout": STREAM_LAYOUT,
-            "family": name,
+            "family": dataclasses.asdict(family),
             "seed": args.seed,
             "reports": [r.to_dict() for r in reports],
         }

@@ -27,6 +27,7 @@ from .pathsim import (
     first_jump_times,
     simulate_event,
     simulate_event_terminals,
+    simulate_events,
     simulate_grid,
     simulate_grid_ensemble,
     transition_pairs,
@@ -45,6 +46,7 @@ from .semigroup import (
     brownian_family,
     calibrate,
     compound_family,
+    compound_poisson,
     delta,
     family_from_config,
     gamma_atom,

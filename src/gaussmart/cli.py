@@ -3,17 +3,20 @@
 Subcommands: ``simulate``, ``kernel``, ``generator-check``, ``verify``,
 ``jump-times``.  Options come from flags or a JSON config file
 (``--config``); explicit flags override file values, unknown config keys
-are rejected.  Exit codes: 0 success / all gated checks pass, 1 gated test
+are rejected, and so are family parameters that do not belong to the
+chosen kind.  Exit codes: 0 success / all gated checks pass, 1 gated test
 failure, 2 usage error, 3 numeric failure.
 
-Report files and sidecars carry ``"schema": "gaussmart/2"`` and the random
-stream layout (``"stream_layout": 2``) at top level; bulk paths go to CSV in
-the formats declared by the path simulator.
+Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
+stream layout (``"stream_layout": 2``) at top level; ``verify`` and
+``generator-check`` reports record the calibrated family parameters.  Bulk
+paths go to CSV in the formats declared by the path simulator.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,21 +27,24 @@ from scipy.integrate import simpson
 from .errors import DomainError, FamilyError, QuadratureError
 from .generator import Polynomial, generator_check
 from .kernel import kernel_eval, kernel_moment
-from .pathsim import (
+from .pathsim import (  # noqa: F401 (simulate_event: perfbench traces cli.simulate_event)
     conditional_moments,
     first_jump_times,
     simulate_event,
+    simulate_events,
     simulate_grid_ensemble,
     write_event_csv,
     write_grid_csv,
 )
-from .sampler import STREAM_LAYOUT, RandomStream, path_bundle
+from .sampler import STREAM_LAYOUT, path_bundle
 from .semigroup import calibrate, family_from_config
 from .verify import derive_seed, standard_battery, test_jump_times
 
-SCHEMA = "gaussmart/2"
+SCHEMA = "gaussmart/3"
 #: top-level fields of every JSON report and sidecar
 _HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
+#: family parameter flags; which belong to a kind is family_from_config's call
+_FAMILY_FLAGS = ("c", "a", "b", "beta", "atoms")
 
 _F_TAGS = {
     "x": (0.0, 1.0),
@@ -127,48 +133,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
-    """Overlay CLI flags on the optional config file; flags win."""
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Overlay CLI flags on the optional config file; flags win.
+
+    The allowed config keys are the subcommand's own flags (dashed, as on
+    the command line) plus the ``family`` object.
+    """
+    keys = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
     merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = set(cfg) - parser_keys - {"family"}
+        unknown = set(cfg) - keys
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         merged.update(cfg)
-    for key in parser_keys:
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in keys:
+        val = getattr(args, key.replace("-", "_"))
         if val is not None:
             merged[key] = val
     return merged
 
 
-def _family_from_options(opts: dict):
-    fam_cfg = opts.get("family")
-    if isinstance(fam_cfg, str) or fam_cfg is None:
-        kind = fam_cfg or "poisson"
-        spec: dict = {"kind": kind}
-        if kind == "poisson" and opts.get("c") is not None:
-            spec["c"] = opts["c"]
-        if kind == "gamma":
-            if opts.get("a") is not None:
-                spec["a"] = opts["a"]
-            if opts.get("b") is not None:
-                spec["b"] = opts["b"]
-        if kind == "compound":
-            if opts.get("beta") is not None:
-                spec["beta"] = opts["beta"]
-            atoms = opts.get("atoms")
-            if isinstance(atoms, str):
-                spec["atoms"] = [pair.split(":") for pair in atoms.split(",")]
-            elif atoms is not None:
-                spec["atoms"] = atoms
-    else:
-        spec = fam_cfg
-    return calibrate(family_from_config(spec))
+def _family_spec(opts: dict) -> dict:
+    """The family config object: the config's family object or the --family
+    kind (default poisson), overlaid with every family parameter given."""
+    fam = opts.get("family")
+    spec = dict(fam) if isinstance(fam, dict) else {"kind": fam or "poisson"}
+    spec.update({k: opts[k] for k in _FAMILY_FLAGS if opts.get(k) is not None})
+    if isinstance(spec.get("atoms"), str):
+        spec["atoms"] = [pair.split(":") for pair in spec["atoms"].split(",")]
+    return spec
+
+
+def _family(opts: dict):
+    return calibrate(family_from_config(_family_spec(opts)))
 
 
 def _value(opts: dict, key: str, kind, default):
@@ -204,22 +205,9 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-_SIM_KEYS = {
-    "family", "c", "a", "b", "beta", "atoms", "paths", "grid", "mode",
-    "start", "x0", "horizon", "seed", "threads", "out",
-}
-_KER_KEYS = {"family", "c", "a", "b", "beta", "atoms", "s", "t", "x", "y", "out"}
-_GEN_KEYS = {"family", "c", "a", "b", "beta", "atoms", "f", "s", "x", "h", "out"}
-_VER_KEYS = {
-    "family", "c", "a", "b", "beta", "atoms", "paths", "qv-paths", "jumps",
-    "mode-paths", "seed", "threads", "report",
-}
-_JMP_KEYS = {"family", "c", "a", "b", "beta", "atoms", "s", "n", "seed", "out", "report"}
-
-
 def _cmd_simulate(args) -> int:
-    opts = _merge_config(args, _SIM_KEYS)
-    family = _family_from_options(opts)
+    opts = _merge_config(args)
+    family = _family(opts)
     seed = _value(opts, "seed", int, 0)
     n_paths = _value(opts, "paths", int, 100)
     out = opts.get("out", "paths.csv")
@@ -240,10 +228,7 @@ def _cmd_simulate(args) -> int:
     s0 = _value(opts, "start", float, 1.0)
     horizon = _value(opts, "horizon", float, 2.0)
     x0 = _value(opts, "x0", float, 0.0)
-    paths = [
-        simulate_event(family, s0, x0, horizon, RandomStream(seed, k))
-        for k in range(n_paths)
-    ]
+    paths = simulate_events(family, s0, x0, horizon, path_bundle(seed, n_paths))
     write_event_csv(out, paths)
     n_jumps = sum(len(p.jumps) for p in paths)
     print(
@@ -254,8 +239,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    opts = _merge_config(args, _KER_KEYS)
-    family = _family_from_options(opts)
+    opts = _merge_config(args)
+    family = _family(opts)
     s = _value(opts, "s", float, 0.5)
     t = _value(opts, "t", float, 2.0)
     x = _value(opts, "x", float, 0.0)
@@ -307,8 +292,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_generator_check(args) -> int:
-    opts = _merge_config(args, _GEN_KEYS)
-    family = _family_from_options(opts)
+    opts = _merge_config(args)
+    family = _family(opts)
     f_spec = _value(opts, "f", str, "x2")
     if f_spec in _F_TAGS:
         poly = Polynomial(_F_TAGS[f_spec])
@@ -323,7 +308,7 @@ def _cmd_generator_check(args) -> int:
     result = generator_check(family, poly, s, x, h=h)
     payload = {
         **_HEADER,
-        "family": family.kind,
+        "family": dataclasses.asdict(family),
         "f": f_spec,
         "s": s,
         "x": x,
@@ -339,8 +324,8 @@ def _cmd_generator_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    opts = _merge_config(args, _VER_KEYS)
-    family = _family_from_options(opts)
+    opts = _merge_config(args)
+    family = _family(opts)
     seed = _value(opts, "seed", int, 0)
     reports = standard_battery(
         family,
@@ -353,7 +338,7 @@ def _cmd_verify(args) -> int:
     )
     payload = {
         **_HEADER,
-        "family": family.kind,
+        "family": dataclasses.asdict(family),
         "seed": seed,
         "reports": [r.to_dict() for r in reports],
     }
@@ -367,8 +352,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_jump_times(args) -> int:
-    opts = _merge_config(args, _JMP_KEYS)
-    family = _family_from_options(opts)
+    opts = _merge_config(args)
+    family = _family(opts)
     seed = _value(opts, "seed", int, 0)
     s = _value(opts, "s", float, 1.0)
     n = _value(opts, "n", int, 100_000)

@@ -8,8 +8,8 @@ For a drift-free family the generator at (s, x) acts on a polynomial f as
                ( E[f(x + Z_w)] - f(x) )  nu(dw),
 
 with Z_w Gaussian of mean ``(e^{-w/2} - 1) x`` and variance
-``s (1 - e^{-w})``.  The poisson and finite-atom kinds evaluate the jump
-measure as an exact finite sum; the gamma kind needs the full integral
+``s (1 - e^{-w})``.  Finite-atom families evaluate the jump measure as an
+exact finite sum; the gamma kind needs the full integral
 against ``a w^{-1} e^{-b w} dw``, whose infinite activity near 0 is handled
 by an exact small-jump reduction (exponential-integral closed forms for the
 quadratic part of the bracket) plus adaptive panel quadrature on the rest.
@@ -28,13 +28,7 @@ from scipy.special import exp1
 from .errors import DomainError, FamilyError
 from .kernel import kernel_moment
 from .quadrature import adaptive_panels, gamma_expectation
-from .semigroup import (
-    GAMMA,
-    POISSON,
-    SubordinatorFamily,
-    delta,
-    require_calibrated,
-)
+from .semigroup import GAMMA, SubordinatorFamily, delta, require_calibrated
 
 MAX_DEGREE = 8
 
@@ -160,9 +154,8 @@ def apply_generator(
         jump_total = _small_jump_closed_form(f, x, s, a, b) + float(tail)
         return drift + jump_total / (2.0 * s)
 
-    atoms = (((1.0, family.c),) if family.kind == POISSON else family.atoms)
     jump_total = 0.0
-    for omega, weight in atoms:
+    for omega, weight in family.atoms:
         mean, var = _jump_mean_var(omega, x, s)
         jump_total += weight * (float(f.gaussian_expectation(x + mean, var)) - fx)
     return drift + jump_total / (2.0 * s)
@@ -171,7 +164,7 @@ def apply_generator(
 def difference_quotient(
     family: SubordinatorFamily, f: Polynomial, s: float, x: float, h: float
 ) -> float:
-    """(E[f(X_{s+h}) | X_s = x] - f(x)) / h using kernel-moment quadratures.
+    """(E[f(X_{s+h}) | X_s = x] - f(x)) / h from the closed-form kernel moments.
 
     Degree is capped at 4 (the moment orders the kernel module exposes).
     Callers combine h and h/2 Richardson-style to kill the O(h) bias.

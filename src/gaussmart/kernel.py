@@ -1,21 +1,26 @@
 """Transition-law evaluation: atom plus absolutely continuous density.
 
 For a step from (s, x) to t > s with scale ``sigma = sqrt(t/s)``, the
-transition law is a mixture over the mixing variable R in [0, 1]::
+transition law is a mixture over the mixing variable R = exp(-U) in [0, 1]::
 
     P(dy) = gamma(sigma) * delta_{sigma x}(dy)
             + E[ phi(sigma sqrt(R) x, t (1 - R), y); R < 1 ] dy,
 
-and the step from s = 0 is exactly Gaussian.  Evaluation strategy per kind:
+and the step from s = 0 is exactly Gaussian.
 
-- *poisson*: R = exp(-N) with N Poisson, so the law is an exact discrete
-  mixture of Gaussians truncated when the residual tail mass drops below
-  1e-12 (no quadrature error at all);
-- *gamma*: the mixing density is integrated by adaptive Gauss-Kronrod
-  panels; shapes below one are handled by the exact ``w = u**shape``
-  substitution (see :func:`gaussmart.quadrature.gamma_expectation`);
-- *compound*: no closed mixture exists, so densities and moments fall back
-  to Monte Carlo over mixing draws with a reported standard error.
+- *moments*: given R the law is Gaussian, so every moment of order k <= 4
+  is a finite combination of ``E[R^lam] = sigma^-psi(lam)``; one closed
+  form serves every family;
+- *finite-atom densities*: ``U = beta ln sigma + sum_i x_i N_i`` with
+  independent ``N_i ~ Poisson(w_i ln sigma)``, so the law is an exact
+  Gaussian mixture over count vectors.  Components are enumerated
+  heaviest-first from the mode with log-space weights until the dropped
+  mass is at most 1e-12; a family that would need more than ``_MC_DRAWS``
+  components falls back to Monte Carlo over mixing draws;
+- *gamma densities*: the mixing density is integrated by adaptive
+  Gauss-Kronrod panels; shapes below one are handled by the exact
+  ``w = u**shape`` substitution (see
+  :func:`gaussmart.quadrature.gamma_expectation`).
 
 Densities returned everywhere are the absolutely continuous part only; the
 atom (weight, location) is reported separately.
@@ -23,6 +28,7 @@ atom (weight, location) is reported separately.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,24 +36,25 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .quadrature import gamma_expectation
 from .sampler import sample_subordinator_increment, verify_bundle
 from .semigroup import (
     GAMMA,
-    POISSON,
     SubordinatorFamily,
     gamma_atom,
+    laplace,
     require_calibrated,
 )
 
-#: mixture components are kept until the residual tail mass is below this
+#: mixture components are kept until the dropped mass is at most this
 POISSON_TAIL = 1e-12
 
-#: estimated quadrature error above this raises QuadratureError
-MOMENT_ERROR_LIMIT = 1e-6
-
+#: Monte Carlo mixing draws, and the most mixture components built exactly
 _MC_DRAWS = 20000
+
+#: E[Z^j] for a standard normal Z and even j = 0, 2, 4
+_NORMAL_EVEN_MOMENTS = {0: 1.0, 2: 1.0, 4: 3.0}
 
 
 @dataclass(frozen=True)
@@ -73,59 +80,78 @@ def _phi(mean, var, y):
     return np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
 
 
-def _gauss_moment(mean, var, k: int):
-    """E[Y^k] for Y ~ N(mean, var) via m_j = mean m_{j-1} + (j-1) var m_{j-2}."""
-    mean = np.asarray(mean, dtype=float)
-    var = np.asarray(var, dtype=float)
-    m_prev = np.ones(np.broadcast_shapes(mean.shape, var.shape))
-    if k == 0:
-        return m_prev
-    m = mean * m_prev
-    for j in range(2, k + 1):
-        m, m_prev = mean * m + (j - 1) * var * m_prev, m
-    return m
-
-
-def _check_step(s: float, t: float, x: float) -> None:
+def _check_step(s: float, t: float) -> None:
     if s < 0:
         raise DomainError("s must be >= 0")
     if t <= s:
         raise DomainError("need t > s")
-    if s == 0 and x != 0:
-        # supported for testing only; the process itself starts at 0
-        pass
 
 
-def _poisson_mixture(family: SubordinatorFamily, s: float, t: float, x: float):
-    """Exact Gaussian-mixture decomposition for the poisson kind.
+def _count_mixture(family: SubordinatorFamily, log_sigma: float, budget: int):
+    """Count vectors of the atoms' Poisson counts, heaviest first.
 
-    Returns (atom_weight, atom_location, weights, means, variances, tail).
-    Component j >= 1 corresponds to j unit jumps of the subordinator:
-    weight Poisson(c ln sigma) at j, mean sigma e^{-j/2} x, variance
-    t (1 - e^{-j}).
+    Returns ``(weights, jump_sums, dropped_mass)`` once the kept weights
+    reach ``1 - POISSON_TAIL``, or None as soon as more than ``budget``
+    components would be needed.  The counts are independent Poisson, so
+    the joint weight is log-concave and a best-first walk from the mode
+    visits count vectors in decreasing weight.
     """
-    sigma = math.sqrt(t / s)
-    mean_jumps = family.c * math.log(sigma)
-    atom = math.exp(-mean_jumps)
-    weights, means, variances = [], [], []
-    p = atom
-    cumulative = atom
-    j = 0
-    while 1.0 - cumulative > POISSON_TAIL:
-        j += 1
-        p *= mean_jumps / j
-        cumulative += p
-        weights.append(p)
-        means.append(sigma * math.exp(-0.5 * j) * x)
-        variances.append(t * -math.expm1(-j))
-    return (
-        atom,
-        sigma * x,
-        np.array(weights),
-        np.array(means),
-        np.array(variances),
-        max(1.0 - cumulative, 0.0),
-    )
+    locs = [x for x, _ in family.atoms]
+    means = [w * log_sigma for _, w in family.atoms]
+
+    def log_pmf(i: int, n: int) -> float:
+        return (n * math.log(means[i]) if n else 0.0) - means[i] - math.lgamma(n + 1.0)
+
+    start = tuple(int(m) for m in means)
+    heap = [(-sum(log_pmf(i, n) for i, n in enumerate(start)), start)]
+    seen = {start}
+    weights, jump_sums = [], []
+    mass = 0.0
+    while heap and 1.0 - mass > POISSON_TAIL:
+        if len(weights) == budget:
+            return None
+        neg_logw, counts = heapq.heappop(heap)
+        weight = math.exp(-neg_logw)
+        weights.append(weight)
+        jump_sums.append(sum(x * n for x, n in zip(locs, counts)))
+        mass += weight
+        for i, n in enumerate(counts):
+            for m in (n - 1, n + 1):
+                if m < 0 or means[i] == 0.0:
+                    continue
+                nxt = counts[:i] + (m,) + counts[i + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    logw = -neg_logw - log_pmf(i, n) + log_pmf(i, m)
+                    heapq.heappush(heap, (-logw, nxt))
+    return np.array(weights), np.array(jump_sums), max(1.0 - mass, 0.0)
+
+
+def _finite_mixture(
+    family: SubordinatorFamily, sigma: float, mc_draws: int = _MC_DRAWS, mc_seed: int = 0
+):
+    """Absolutely continuous components of a finite-atom step at scale sigma.
+
+    Returns ``(weights, u, meta)``: component j has weight ``weights[j]``
+    and mixing increment ``u[j] > 0``, i.e. mean ``sigma e^{-u/2} x`` and
+    variance ``t (1 - e^{-u})``.  The ``u = 0`` component is the atom and
+    is left out.  Past ``_MC_DRAWS`` exact components, the components are
+    ``mc_draws`` equally weighted mixing draws instead.
+    """
+    log_sigma = math.log(sigma)
+    exact = _count_mixture(family, log_sigma, _MC_DRAWS)
+    if exact is None:
+        bundle = verify_bundle(mc_seed, mc_draws)
+        u = sample_subordinator_increment(family, sigma, bundle)
+        weights = np.full(u.shape, 1.0 / mc_draws)
+        meta = {"method": "monte-carlo", "draws": mc_draws, "seed": mc_seed}
+    else:
+        weights, jump_sums, tail = exact
+        u = family.beta * log_sigma + jump_sums
+        meta = {"method": "finite-atom-mixture", "components": int(np.sum(u > 0.0)),
+                "tail": tail}
+    ac = u > 0.0
+    return weights[ac], u[ac], meta
 
 
 def kernel_eval(
@@ -137,7 +163,7 @@ def kernel_eval(
     mc_seed: int = 0,
 ) -> KernelEval:
     """Build the transition law of the step (s, x) -> t as a KernelEval."""
-    _check_step(s, t, x)
+    _check_step(s, t)
     if s == 0.0:
         def density(y):
             return _phi(x, t, np.asarray(y, dtype=float))
@@ -146,16 +172,6 @@ def kernel_eval(
 
     require_calibrated(family)
     sigma = math.sqrt(t / s)
-    if family.kind == POISSON:
-        atom, loc, w, mu, var, tail = _poisson_mixture(family, s, t, x)
-
-        def density(y):
-            y = np.asarray(y, dtype=float)
-            return _phi(mu, var, y[..., None]) @ w
-
-        meta = {"method": "poisson-mixture", "components": int(w.size), "tail": tail}
-        return KernelEval(atom, loc, density, meta)
-
     if family.kind == GAMMA:
         alpha = family.a * math.log(sigma)
         abs_tol = 1e-13 / math.sqrt(t)
@@ -181,22 +197,15 @@ def kernel_eval(
         }
         return KernelEval(0.0, sigma * x, density, meta)
 
-    # compound: Monte Carlo over mixing draws (reported standard error)
-    bundle = verify_bundle(mc_seed, mc_draws)
-    u_draws = sample_subordinator_increment(family, sigma, bundle)
-    ac = u_draws > 0.0
-    r = np.exp(-u_draws[ac])
-    mu = sigma * np.sqrt(r) * x
-    var = t * -np.expm1(-u_draws[ac])
-    atom = gamma_atom(family, sigma)
+    w, u, meta = _finite_mixture(family, sigma, mc_draws, mc_seed)
+    mu = sigma * np.exp(-0.5 * u) * x
+    var = t * -np.expm1(-u)
 
     def density(y):
         y = np.asarray(y, dtype=float)
-        vals = _phi(mu, var, y[..., None])
-        return vals.sum(axis=-1) / mc_draws
+        return _phi(mu, var, y[..., None]) @ w
 
-    meta = {"method": "monte-carlo", "draws": mc_draws, "seed": mc_seed}
-    return KernelEval(atom, sigma * x, density, meta)
+    return KernelEval(gamma_atom(family, sigma), sigma * x, density, meta)
 
 
 def transition_density(family: SubordinatorFamily, s: float, t: float, x: float, y):
@@ -213,62 +222,44 @@ def transition_density(family: SubordinatorFamily, s: float, t: float, x: float,
     return ev.atom_weight, ev.atom_location, dens
 
 
-def kernel_moment(
-    family: SubordinatorFamily,
-    s: float,
-    t: float,
-    x: float,
-    k: int,
-    mc_draws: int = _MC_DRAWS,
-    mc_seed: int = 0,
-) -> float:
-    """k-th moment of the full transition law (atom included), k in 0..4."""
+def kernel_moment(family: SubordinatorFamily, s: float, t: float, x: float, k: int) -> float:
+    """k-th moment of the full transition law (atom included), k in 0..4.
+
+    Given R the step lands at ``N(loc sqrt(R), t (1 - R))`` with ``loc =
+    sigma x``, so with Z standard normal::
+
+        E[Y^k] = sum over even j of C(k, j) E[Z^j] loc^(k-j) t^(j/2)
+                 * E[R^((k-j)/2) (1 - R)^(j/2)],
+
+    and each mixed moment expands binomially into ``E[R^lam] =
+    laplace(family, sigma, lam)``.  From s = 0 the law is N(x, t): the same
+    sum with ``loc = x`` and both mixing factors equal to one.
+    """
     if not isinstance(k, (int, np.integer)) or not 0 <= k <= 4:
         raise DomainError("moment order k must be an integer in 0..4")
-    _check_step(s, t, x)
+    _check_step(s, t)
     if s == 0.0:
-        return float(_gauss_moment(x, t, k))
+        loc = x
 
-    require_calibrated(family)
-    sigma = math.sqrt(t / s)
-    if family.kind == POISSON:
-        atom, loc, w, mu, var, tail = _poisson_mixture(family, s, t, x)
-        total = atom * loc**k + float(w @ _gauss_moment(mu, var, k))
-        # truncated tail components are bounded by the atom location scale
-        err = tail * max(1.0, abs(loc)) ** k
-        if err > MOMENT_ERROR_LIMIT:
-            raise QuadratureError(
-                "mixture truncation too coarse", estimate=total, error_bound=err
+        def mixed(lam: float, n: int) -> float:
+            return 1.0
+    else:
+        require_calibrated(family)
+        sigma = math.sqrt(t / s)
+        loc = sigma * x
+
+        def mixed(lam: float, n: int) -> float:
+            # E[R^lam (1 - R)^n]
+            return sum(
+                math.comb(n, i) * (-1) ** i * laplace(family, sigma, lam + i)
+                for i in range(n + 1)
             )
-        return total
 
-    if family.kind == GAMMA:
-        alpha = family.a * math.log(sigma)
-
-        def g(u):
-            mean = sigma * np.exp(-0.5 * u) * x
-            var = t * -np.expm1(-u)
-            return _gauss_moment(mean, var, k)
-
-        val, err = gamma_expectation(
-            alpha, family.b, g, rel_tol=1e-10, abs_tol=1e-12, max_panels=4096
-        )
-        if float(np.max(err)) > MOMENT_ERROR_LIMIT:
-            raise QuadratureError(
-                "kernel moment quadrature above error limit",
-                estimate=float(val),
-                error_bound=float(np.max(err)),
-            )
-        return float(val)
-
-    # compound: Monte Carlo with exact atom term
-    bundle = verify_bundle(mc_seed, mc_draws)
-    u_draws = sample_subordinator_increment(family, sigma, bundle)
-    ac = u_draws > 0.0
-    r = np.exp(-u_draws[ac])
-    contrib = _gauss_moment(sigma * np.sqrt(r) * x, t * -np.expm1(-u_draws[ac]), k)
-    atom = gamma_atom(family, sigma)
-    return atom * (sigma * x) ** k + float(contrib.sum()) / mc_draws
+    return float(sum(
+        math.comb(k, j) * _NORMAL_EVEN_MOMENTS[j] * loc ** (k - j) * t ** (j // 2)
+        * mixed(0.5 * (k - j), j // 2)
+        for j in range(0, k + 1, 2)
+    ))
 
 
 def _density_matrix(family, s: float, t: float, ygrid, zgrid, chunk: int = 64):
@@ -276,32 +267,29 @@ def _density_matrix(family, s: float, t: float, ygrid, zgrid, chunk: int = 64):
     require_calibrated(family)
     ny, nz = ygrid.size, zgrid.size
     sigma = math.sqrt(t / s)
-    if family.kind == POISSON:
-        _, _, w, _, var, _ = _poisson_mixture(family, s, t, 1.0)
-        scale = sigma * np.exp(-0.5 * np.arange(1, w.size + 1))
+    if family.kind != GAMMA:
+        w, u, _ = _finite_mixture(family, sigma)
+        scale = sigma * np.exp(-0.5 * u)
+        var = t * -np.expm1(-u)
         out = np.zeros((ny, nz))
         for j in range(w.size):
             out += w[j] * _phi(scale[j] * ygrid[:, None], var[j], zgrid[None, :])
         return out
+    alpha = family.a * math.log(sigma)
     out = np.empty((ny, nz))
     for lo in range(0, ny, chunk):
         hi = min(lo + chunk, ny)
         block = ygrid[lo:hi]
-        if family.kind == GAMMA:
-            alpha = family.a * math.log(sigma)
 
-            def g(u):
-                mean = sigma * np.exp(-0.5 * u) * block[:, None, None]
-                var = t * -np.expm1(-u)
-                return _phi(mean, var, zgrid[None, :, None])
+        def g(u):
+            mean = sigma * np.exp(-0.5 * u) * block[:, None, None]
+            var = t * -np.expm1(-u)
+            return _phi(mean, var, zgrid[None, :, None])
 
-            val, _ = gamma_expectation(
-                alpha, family.b, g, rel_tol=1e-8, abs_tol=1e-12, max_panels=4096
-            )
-            out[lo:hi] = val
-        else:
-            for i in range(lo, hi):
-                out[i] = kernel_eval(family, s, t, float(ygrid[i])).density(zgrid)
+        val, _ = gamma_expectation(
+            alpha, family.b, g, rel_tol=1e-8, abs_tol=1e-12, max_panels=4096
+        )
+        out[lo:hi] = val
     return out
 
 

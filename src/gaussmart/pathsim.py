@@ -6,12 +6,13 @@ Two simulation modes:
   ``X_t = sqrt(t/s) * (sqrt(R) X_s + sqrt(s) sqrt(1-R) xi)`` applied step by
   step, with an exact Gaussian first step out of the origin (the recursion's
   scale ratio is undefined at s = 0);
-- *event-driven*: exact piecewise-deterministic simulation for the Poisson
-  kind only.  Between jumps the path follows the deterministic flow
-  ``x(u) = x(s) * sqrt(u/s)``; waiting times are drawn by exact inversion of
-  the power-law survival ``(s/t)**(c/2)`` (no thinning, no rate bound), and
-  a jump at time T moves the pre-jump value x to
-  ``x + N((e^{-1/2}-1) x, T (1 - e^{-1}))``.
+- *event-driven*: exact piecewise-deterministic simulation for every
+  drift-free finite-atom family (total jump mass ``nu``).  Between jumps the
+  path follows the deterministic flow ``x(u) = x(s) * sqrt(u/s)``; waiting
+  times are drawn by exact inversion of the power-law survival
+  ``(s/t)**(nu/2)`` (no thinning, no rate bound); a jump picks atom ``x_i``
+  with probability ``w_i / nu`` and at time T moves the pre-jump value x to
+  ``x + N((e^{-x_i/2}-1) x, T (1 - e^{-x_i}))``.
 
 The joint law of (jump time, jump size) beyond the first jump follows the
 generator reading of the dynamics; multi-jump horizons are cross-validated
@@ -34,7 +35,13 @@ from scipy.special import ndtri
 
 from .errors import DomainError, FamilyError
 from .sampler import RandomStream, StreamBundle, sample_subordinator_increment
-from .semigroup import POISSON, SubordinatorFamily, delta, require_calibrated
+from .semigroup import (
+    SubordinatorFamily,
+    compound_poisson,
+    delta,
+    nu_total,
+    require_calibrated,
+)
 
 
 @dataclass(frozen=True)
@@ -245,28 +252,106 @@ def conditional_moments(family: SubordinatorFamily, s, t, x):
 
 
 # ---------------------------------------------------------------------------
-# event-driven mode (Poisson kind only)
+# event-driven mode (drift-free finite-atom families)
 # ---------------------------------------------------------------------------
 
-_JUMP_MEAN_FACTOR = math.exp(-0.5) - 1.0  # relative mean of a jump, = -1/c
-_JUMP_VAR_FACTOR = -math.expm1(-1.0)  # 1 - e^{-1}
 
-
-def _require_poisson(family: SubordinatorFamily) -> None:
+def _require_event_family(family: SubordinatorFamily) -> None:
     require_calibrated(family)
-    if family.kind != POISSON:
-        raise FamilyError("event-driven simulation is exact for the poisson kind only")
+    if not compound_poisson(family):
+        raise FamilyError(
+            "event-driven simulation is exact for drift-free finite-atom families only"
+        )
 
 
 def first_jump_times(family: SubordinatorFamily, s0: float, stream) -> np.ndarray:
     """Exact draws of the first jump time after s0 (power-law survival)."""
-    _require_poisson(family)
+    _require_event_family(family)
     if s0 <= 0:
         raise DomainError("s0 must be > 0")
     bundle = stream.bundle if isinstance(stream, RandomStream) else stream
     u = bundle.uniforms(1)[0]
-    t = s0 * u ** (-2.0 / family.c)
+    t = s0 * u ** (-2.0 / nu_total(family))
     return float(t[0]) if isinstance(stream, RandomStream) else t
+
+
+def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, record: bool):
+    """One event-driven path per lane; returns (jump time, value) after the last jump.
+
+    All paths share one site, and each lane's candidate jump j is its
+    attempt j: word 0 of the block gives the waiting time (open interval,
+    so the next jump is strictly after the current time), word 1 the jump
+    normal and word 2 the atom.  The block of the first candidate beyond
+    the horizon is consumed as well.  With ``record`` the jumps come back
+    too, as arrays (lane, time, pre-value, post-value) in time order per
+    lane.
+    """
+    _require_event_family(family)
+    if s0 <= 0:
+        raise DomainError("s0 must be > 0")
+    if horizon <= s0:
+        raise DomainError("horizon must exceed s0")
+    nu = nu_total(family)
+    # scalar libm factors, not numpy's vector exp, which may round another
+    # way: they keep unit-atom event paths bit-identical to schema 2
+    mean_factor = np.array([math.exp(-0.5 * x) - 1.0 for x, _ in family.atoms])
+    var_factor = np.array([-math.expm1(-x) for x, _ in family.atoms])
+    atom_edges = np.cumsum([w for _, w in family.atoms])[:-1] / nu
+    n = len(bundle)
+    t = np.full(n, float(s0))
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy()
+    live = np.ones(n, dtype=bool)
+    rounds = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
+    bundle.new_site()
+    while np.any(live):
+        idx = np.nonzero(live)[0]
+        uu = bundle.uniforms(3, idx)
+        big_t = t[idx] * uu[0] ** (-2.0 / nu)
+        jumped = big_t <= horizon
+        ji = idx[jumped]
+        if ji.size:
+            tj = big_t[jumped]
+            atom = np.searchsorted(atom_edges, uu[2][jumped])
+            x_pre = x[ji] * np.sqrt(tj / t[ji])
+            z = mean_factor[atom] * x_pre + np.sqrt(
+                tj * var_factor[atom]
+            ) * ndtri(uu[1][jumped])
+            x[ji] = x_pre + z
+            t[ji] = tj
+            if record:
+                rounds.append((ji, tj, x_pre, x[ji]))
+        live[idx[~jumped]] = False
+    if not record:
+        return t, x, None
+    columns = [np.concatenate(col) for col in zip(*rounds)]
+    order = np.argsort(columns[0], kind="stable")
+    return t, x, tuple(col[order] for col in columns)
+
+
+def simulate_events(
+    family: SubordinatorFamily,
+    s0: float,
+    x0,
+    horizon: float,
+    bundle: StreamBundle,
+) -> list[EventPath]:
+    """One event-driven path per lane from (s0, x0) up to the horizon, with its jumps."""
+    t, x, (lanes, times, pre, post) = _run_events(family, s0, x0, horizon, bundle, True)
+    starts = np.broadcast_to(np.asarray(x0, dtype=float), (len(bundle),))
+    cuts = np.searchsorted(lanes, np.arange(len(bundle) + 1))
+    terminal = x * np.sqrt(horizon / t)
+    return [
+        EventPath(
+            start_time=s0,
+            start_value=float(starts[k]),
+            horizon=horizon,
+            jump_times=times[lo:hi],
+            pre_values=pre[lo:hi],
+            post_values=post[lo:hi],
+            terminal_value=float(terminal[k]),
+        )
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+    ]
 
 
 def simulate_event(
@@ -278,47 +363,10 @@ def simulate_event(
 ) -> EventPath:
     """Simulate one event-driven path from (s0, x0) up to the horizon.
 
-    The path is one site of its stream, and candidate jump j is attempt j:
-    one block supplies both the waiting-time uniform (open interval, so the
-    next jump is strictly after the current time) and the jump-size normal.
-    The block of the first candidate beyond the horizon is consumed as well,
-    keeping lane-for-lane agreement with :func:`simulate_event_terminals`.
+    The one-lane case of :func:`simulate_events`, so it agrees lane for
+    lane with :func:`simulate_event_terminals`.
     """
-    _require_poisson(family)
-    if s0 <= 0:
-        raise DomainError("s0 must be > 0")
-    if horizon <= s0:
-        raise DomainError("horizon must exceed s0")
-    bundle = stream.bundle
-    c = family.c
-    t, x = float(s0), float(x0)
-    jt, pre, post = [], [], []
-    bundle.new_site()
-    lane = np.zeros(1, dtype=np.intp)
-    while True:
-        uu = bundle.uniforms(2, lane)
-        # numpy's pow, not float.__pow__: keeps lane-exact agreement with
-        # the vectorised simulator (libm pow can differ in the last ulp)
-        big_t = t * float((uu[0] ** (-2.0 / c))[0])
-        if big_t > horizon:
-            break
-        x_pre = x * math.sqrt(big_t / t)
-        z = _JUMP_MEAN_FACTOR * x_pre + math.sqrt(
-            big_t * _JUMP_VAR_FACTOR
-        ) * float(ndtri(uu[1, 0]))
-        jt.append(big_t)
-        pre.append(x_pre)
-        post.append(x_pre + z)
-        t, x = big_t, x_pre + z
-    return EventPath(
-        start_time=s0,
-        start_value=x0,
-        horizon=horizon,
-        jump_times=np.array(jt),
-        pre_values=np.array(pre),
-        post_values=np.array(post),
-        terminal_value=x * math.sqrt(horizon / t),
-    )
+    return simulate_events(family, s0, x0, horizon, stream.bundle)[0]
 
 
 def simulate_event_terminals(
@@ -328,36 +376,8 @@ def simulate_event_terminals(
     horizon: float,
     bundle: StreamBundle,
 ) -> np.ndarray:
-    """Terminal values at the horizon for one event-driven path per lane.
-
-    All paths share one site; each lane's candidate jumps are its attempts.
-    """
-    _require_poisson(family)
-    if s0 <= 0:
-        raise DomainError("s0 must be > 0")
-    if horizon <= s0:
-        raise DomainError("horizon must exceed s0")
-    c = family.c
-    n = len(bundle)
-    t = np.full(n, float(s0))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy()
-    live = np.ones(n, dtype=bool)
-    bundle.new_site()
-    while np.any(live):
-        idx = np.nonzero(live)[0]
-        uu = bundle.uniforms(2, idx)
-        big_t = t[idx] * uu[0] ** (-2.0 / c)
-        jumped = big_t <= horizon
-        ji = idx[jumped]
-        if ji.size:
-            tj = big_t[jumped]
-            x_pre = x[ji] * np.sqrt(tj / t[ji])
-            z = _JUMP_MEAN_FACTOR * x_pre + np.sqrt(
-                tj * _JUMP_VAR_FACTOR
-            ) * ndtri(uu[1][jumped])
-            x[ji] = x_pre + z
-            t[ji] = tj
-        live[idx[~jumped]] = False
+    """Terminal values at the horizon for one event-driven path per lane."""
+    t, x, _ = _run_events(family, s0, x0, horizon, bundle, False)
     return x * np.sqrt(horizon / t)
 
 

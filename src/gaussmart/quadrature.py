@@ -123,12 +123,6 @@ def adaptive_panels(
         n_panels += 1
 
 
-def gauss_kronrod_nodes(a: float, b: float):
-    """Nodes of one K15 panel on [a, b] (all strictly interior)."""
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * _XK
-
-
 def gamma_expectation(
     alpha: float,
     rate: float,

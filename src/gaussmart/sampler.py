@@ -10,7 +10,7 @@ uses key ``(seed, 0)`` and counter ``(stream_id + 1, site, attempt, 0)``:
 - ``site`` counts the draw calls every lane of a bundle sees (a draw or a
   sampler call over the whole bundle), so it is the same under any chunking;
 - ``attempt`` counts one lane's own blocks within a site: rejection retries
-  and per-jump draws.
+  and the candidate jumps of an event-driven path.
 
 Every draw is therefore a pure function of ``(seed, stream_id, site,
 attempt)``, and ensemble output does not depend on how paths are chunked
@@ -29,6 +29,8 @@ Stream assignment policy
 
 Sampling algorithms are chosen for stream determinism:
 
+- finite-atom increments ``beta ln sigma + sum_i x_i N_i`` with independent
+  ``N_i ~ Poisson(w_i ln sigma)``, one whole-bundle Poisson draw per atom;
 - Gaussians by inversion of the normal CDF (one uniform per deviate);
 - Poisson by sequential-search inversion for mean <= 10 and by Hormann's
   transformed-rejection (PTRS) above;
@@ -46,12 +48,7 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from .errors import DomainError
-from .semigroup import (
-    GAMMA,
-    POISSON,
-    SubordinatorFamily,
-    require_calibrated,
-)
+from .semigroup import GAMMA, SubordinatorFamily, require_calibrated
 
 #: stream ids at or above this are reserved for verification-internal draws
 VERIFY_STREAM_BASE = 2**63
@@ -335,28 +332,6 @@ def gamma_draw(bundle: StreamBundle, shape, rate=1.0, idx=None) -> np.ndarray:
     return out
 
 
-def _compound_increment(bundle, family, log_sigma) -> np.ndarray:
-    """Drift plus a compound Poisson sum of atoms; jumps are per-lane attempts."""
-    lanes = _site_lanes(bundle, None)
-    total = np.full(lanes.shape[0], family.beta * log_sigma, dtype=float)
-    if not family.atoms:
-        return total
-    locs = np.array([x for x, _ in family.atoms])
-    weights = np.array([w for _, w in family.atoms])
-    wtot = weights.sum()
-    cumw = np.cumsum(weights) / wtot
-    n_jumps = poisson_draw(bundle, wtot * log_sigma, lanes)
-    j = 0
-    while True:
-        live = n_jumps > j
-        if not np.any(live):
-            break
-        u = bundle.uniforms(1, lanes[live])[0]
-        total[live] += locs[np.searchsorted(cumw, u)]
-        j += 1
-    return total
-
-
 def sample_subordinator_increment(family: SubordinatorFamily, sigma, stream):
     """Draw U_sigma = -ln R_sigma for the given family and scale sigma >= 1.
 
@@ -375,12 +350,16 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, stream):
         out = np.zeros(n)
         return 0.0 if scalar else out
     log_sigma = np.log(sig)
-    if family.kind == POISSON:
-        out = poisson_draw(bundle, family.c * log_sigma).astype(float)
-    elif family.kind == GAMMA:
+    if family.kind == GAMMA:
         out = gamma_draw(bundle, family.a * log_sigma, family.b)
     else:
-        out = _compound_increment(bundle, family, log_sigma)
+        out = np.full(n, family.beta * log_sigma)
+        if not family.atoms:
+            # pure drift draws nothing but still takes one site per step, so
+            # Brownian output at a given seed is the same as in schema 2
+            bundle.new_site()
+        for x, w in family.atoms:
+            out += x * poisson_draw(bundle, w * log_sigma)
     return float(out[0]) if scalar else out
 
 

@@ -8,10 +8,11 @@ R_sigma``::
     E[R_sigma ** lam] = sigma ** (-psi(lam)),
     psi(lam) = beta * lam + integral (1 - exp(-lam * x)) nu(dx),
 
-with drift ``beta >= 0`` and jump measure ``nu``.  Three representations are
-supported: a unit atom with intensity ``c`` (Poisson increments), the
-``a * x**-1 * exp(-b*x)`` density (gamma increments), and a finite atom list
-with optional drift.  A family is *calibrated* when ``psi(1/2) = 1``, the
+with drift ``beta >= 0`` and jump measure ``nu``.  Two representations are
+supported: a finite atom list with optional drift (``compound``; the unit
+atom with intensity ``c`` is the ``poisson`` shorthand, pure drift 2 is the
+Brownian baseline), and the ``a * x**-1 * exp(-b*x)`` density (``gamma``,
+infinite activity).  A family is *calibrated* when ``psi(1/2) = 1``, the
 condition that makes the associated mixing recursion a martingale with
 exactly Gaussian marginals.
 """
@@ -23,7 +24,6 @@ from dataclasses import dataclass, replace
 
 from .errors import CalibrationError, DomainError, FamilyError
 
-POISSON = "poisson"
 GAMMA = "gamma"
 COMPOUND = "compound"
 
@@ -37,7 +37,6 @@ class SubordinatorFamily:
 
     Exactly one parameter group is meaningful per ``kind``:
 
-    - ``poisson``: jump intensity ``c`` per unit of log scale (unit atom).
     - ``gamma``: shape rate ``a`` per unit of log scale, inverse scale ``b``.
     - ``compound``: drift ``beta >= 0`` plus atoms ``(location, weight)``.
 
@@ -47,7 +46,6 @@ class SubordinatorFamily:
     """
 
     kind: str
-    c: float = 0.0
     a: float = 0.0
     b: float = 0.0
     beta: float = 0.0
@@ -56,10 +54,8 @@ class SubordinatorFamily:
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.kind not in (POISSON, GAMMA, COMPOUND):
+        if self.kind not in (GAMMA, COMPOUND):
             raise FamilyError(f"unknown family kind: {self.kind!r}")
-        if self.kind == POISSON and self.c <= 0:
-            raise FamilyError("poisson kind needs intensity c > 0")
         if self.kind == GAMMA and (self.a <= 0 or self.b <= 0):
             raise FamilyError("gamma kind needs a > 0 and b > 0")
         if self.kind == COMPOUND:
@@ -80,7 +76,8 @@ class SubordinatorFamily:
 
 
 def poisson_family(c: float = 1.0) -> SubordinatorFamily:
-    return SubordinatorFamily(kind=POISSON, c=c)
+    """Unit atom with intensity ``c``: Poisson increments with mean c ln sigma."""
+    return compound_family([(1.0, c)])
 
 
 def gamma_family(a: float = 1.0, b: float = 1.0) -> SubordinatorFamily:
@@ -102,8 +99,6 @@ def brownian_family() -> SubordinatorFamily:
 
 def nu_total(family: SubordinatorFamily) -> float:
     """Total jump-measure mass; inf for the gamma kind."""
-    if family.kind == POISSON:
-        return family.c
     if family.kind == GAMMA:
         return math.inf
     return sum(w for _, w in family.atoms)
@@ -113,8 +108,6 @@ def psi(family: SubordinatorFamily, lam: float) -> float:
     """Laplace exponent at ``lam >= 0``; nondecreasing, concave, psi(0) = 0."""
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    if family.kind == POISSON:
-        return family.c * -math.expm1(-lam)
     if family.kind == GAMMA:
         return family.a * math.log1p(lam / family.b)
     return family.beta * lam + sum(
@@ -126,7 +119,7 @@ def calibrate(family: SubordinatorFamily) -> SubordinatorFamily:
     """Rescale the family so that psi(1/2) = 1.
 
     psi is linear in (beta, nu), so a single scale factor applied to the
-    intensity parameters (c, or a, or beta and every atom weight) calibrates
+    intensity parameters (a, or beta and every atom weight) calibrates
     any valid family.  Families already within CALIBRATION_TOL are returned
     unchanged apart from the flag, which makes the operation idempotent.
     """
@@ -136,8 +129,6 @@ def calibrate(family: SubordinatorFamily) -> SubordinatorFamily:
     if abs(raw - 1.0) <= CALIBRATION_TOL:
         return family if family.calibrated else replace(family, calibrated=True)
     scale = 1.0 / raw
-    if family.kind == POISSON:
-        return replace(family, c=family.c * scale, calibrated=True)
     if family.kind == GAMMA:
         return replace(family, a=family.a * scale, calibrated=True)
     return replace(
@@ -163,6 +154,15 @@ def delta(family: SubordinatorFamily) -> float:
     return psi(family, 1.0) / 2.0
 
 
+def compound_poisson(family: SubordinatorFamily) -> bool:
+    """Whether U is a compound Poisson process: no drift, finite jump measure.
+
+    These are the families with a no-jump atom, exact event-driven paths
+    and the power-law first-jump law.
+    """
+    return family.kind == COMPOUND and family.beta == 0 and bool(family.atoms)
+
+
 def gamma_atom(family: SubordinatorFamily, sigma: float) -> float:
     """Probability that the mixing variable sticks at 1 over scale ``sigma``.
 
@@ -174,7 +174,7 @@ def gamma_atom(family: SubordinatorFamily, sigma: float) -> float:
     require_calibrated(family)
     if sigma == 1.0:
         return 1.0
-    if family.beta > 0 or family.kind == GAMMA:
+    if not compound_poisson(family):
         return 0.0
     return sigma ** -nu_total(family)
 
@@ -187,43 +187,41 @@ def laplace(family: SubordinatorFamily, sigma: float, lam: float) -> float:
 
 
 _FAMILY_KEYS = {
-    POISSON: {"c"},
+    "poisson": {"c"},
     GAMMA: {"a", "b"},
     COMPOUND: {"beta", "atoms", "degenerate"},
+    "brownian": set(),
 }
 
 
 def family_from_config(spec: dict) -> SubordinatorFamily:
     """Build an uncalibrated family from the CLI config object.
 
-    Schema: ``{"kind": "poisson"|"gamma"|"compound", ...parameters}``.
-    "brownian" is accepted as shorthand for the degenerate compound family.
-    Unknown keys are rejected.
+    Schema: ``{"kind": "poisson"|"gamma"|"compound"|"brownian", ...parameters}``.
+    "poisson" is shorthand for the unit-atom compound family and "brownian"
+    for the degenerate one.  Keys that do not belong to the kind are rejected.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FamilyError("family spec must be an object with a 'kind' key")
     spec = dict(spec)
     kind = spec.pop("kind")
-    if kind == "brownian":
-        if spec:
-            raise FamilyError(f"unknown family keys: {sorted(spec)}")
-        return brownian_family()
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise FamilyError(f"unknown family kind: {kind!r}")
     unknown = set(spec) - _FAMILY_KEYS[kind]
     if unknown:
-        raise FamilyError(f"unknown family keys: {sorted(unknown)}")
+        raise FamilyError(f"keys {sorted(unknown)} do not belong to the {kind} kind")
+    if kind == "brownian":
+        return brownian_family()
     try:
         num = {k: float(spec[k]) for k in ("c", "a", "b", "beta") if k in spec}
         atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
     except (TypeError, ValueError) as exc:
         raise FamilyError(f"malformed {kind} family parameters: {exc}") from exc
-    if kind == POISSON:
+    if kind == "poisson":
         return poisson_family(c=num.get("c", 1.0))
     if kind == GAMMA:
         return gamma_family(a=num.get("a", 1.0), b=num.get("b", 1.0))
     beta = num.get("beta", 0.0)
     if spec.get("degenerate", False):
-        fam = SubordinatorFamily(kind=COMPOUND, beta=beta, atoms=(), degenerate=True)
-        return fam
+        return SubordinatorFamily(kind=COMPOUND, beta=beta, atoms=(), degenerate=True)
     return compound_family(atoms, beta=beta)

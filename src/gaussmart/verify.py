@@ -30,10 +30,11 @@ from .pathsim import (
 )
 from .sampler import path_bundle, verify_bundle
 from .semigroup import (
-    POISSON,
     SubordinatorFamily,
+    compound_poisson,
     delta,
     laplace,
+    nu_total,
     require_calibrated,
 )
 
@@ -342,12 +343,16 @@ def test_jump_times(
 ) -> StatReport:
     """First-jump times against the exact power-law (Pareto) law.
 
-    Gates: KS p-value, survival at 2s within 4 binomial SE, median within
-    1% of s 2^{2/c}.  The heavy-tailed sample mean is reported only.
+    With total jump mass nu the survival past q is (s/q)^{nu/2}.  Gates: KS
+    p-value, survival at 2s within 4 binomial SE, median within 1% of
+    s 2^{2/nu}.  The heavy-tailed sample mean is reported only; it is
+    infinite for nu <= 2.
     """
     require_calibrated(family)
-    if family.kind != POISSON:
-        raise FamilyError("jump-time law is available for the poisson kind only")
+    if not compound_poisson(family):
+        raise FamilyError(
+            "jump-time law is available for drift-free finite-atom families only"
+        )
     samples = list(jump_times) if not isinstance(jump_times, np.ndarray) else jump_times
     if len(samples) and hasattr(samples[0], "jump_times"):
         # EventPath inputs: take first jumps; a path with no jump before its
@@ -365,26 +370,26 @@ def test_jump_times(
     n = t_arr.size
     if n < 10_000:
         raise DomainError("need at least 1e4 first-jump samples")
-    c = family.c
-    half_c = 0.5 * c
+    nu = nu_total(family)
+    half_nu = 0.5 * nu
 
     def cdf(q):
         q = np.asarray(q, dtype=float)
-        return np.where(q <= s, 0.0, 1.0 - (s / np.maximum(q, s)) ** half_c)
+        return np.where(q <= s, 0.0, 1.0 - (s / np.maximum(q, s)) ** half_nu)
 
     ks = stats.kstest(t_arr, cdf)
-    surv_target = 2.0**-half_c
+    surv_target = 2.0**-half_nu
     surv_hat = float(np.mean(t_arr > 2.0 * s))
     surv_se = math.sqrt(surv_target * (1.0 - surv_target) / n)
-    median_target = s * 2.0 ** (2.0 / c)
+    median_target = s * 2.0 ** (2.0 / nu)
     median_hat = float(np.median(t_arr))
-    mean_target = c * s / (c - 2.0)
+    mean_target = nu * s / (nu - 2.0) if nu > 2.0 else math.inf
     ks_ok = ks.pvalue > KS_P_FLOOR
     surv_ok = abs(surv_hat - surv_target) <= Z_BOUND * surv_se
     median_ok = abs(median_hat - median_target) <= 0.01 * median_target
     passed = ks_ok and surv_ok and median_ok
     return _report(
-        "jump_times", n, ks.statistic, "pareto(s, c/2)", ks.pvalue,
+        "jump_times", n, ks.statistic, "pareto(s, nu/2)", ks.pvalue,
         "KS p > 0.001; survival within 4 SE; median within 1%", passed, seed,
         {
             "survival_at_2s": surv_hat,
@@ -497,7 +502,7 @@ def standard_battery(
     values = simulate_grid_ensemble(family, times, sub, n_qv, threads=threads)
     reports.append(test_quadratic_variation(values, family, seed=sub, times=times))
 
-    if family.kind == POISSON:
+    if compound_poisson(family):
         tag = "jumps"
         sub = derive_seed(seed, tag)
         jumps = first_jump_times(family, 1.0, path_bundle(sub, n_jumps))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from gaussmart.cli import execute
+from gaussmart import calibrate, poisson_family
+from gaussmart.cli import _family_spec, _merge_config, build_parser, execute
+from gaussmart.semigroup import family_from_config
 
 
 def run(tmp_path, *argv):
@@ -40,6 +42,18 @@ class TestSimulate:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "path_id,event_index,time,pre_value,post_value"
+
+    def test_compound_event_mode(self, tmp_path):
+        out = tmp_path / "ev.csv"
+        code = execute(
+            ["simulate", "--family", "compound", "--atoms", "0.5:1,2:0.25",
+             "--mode", "event", "--paths", "30", "--start", "1", "--horizon", "4",
+             "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "path_id,event_index,time,pre_value,post_value"
+        assert len(rows) > 1
 
     def test_nonzero_grid_start_rejected(self, tmp_path):
         code = execute(
@@ -118,6 +132,35 @@ class TestUsageErrors:
         ) == 2
 
 
+class TestFamilyOptions:
+    @staticmethod
+    def spec(*argv):
+        return _family_spec(_merge_config(build_parser().parse_args(list(argv))))
+
+    def test_poisson_shorthand_builds_one_atom(self):
+        fam = family_from_config(self.spec("simulate", "--family", "poisson", "--c", "2"))
+        assert fam.atoms == ((1.0, 2.0),) and not fam.calibrated
+
+    def test_default_kind_is_poisson(self):
+        assert family_from_config(self.spec("verify")) == poisson_family()
+
+    def test_flag_of_another_kind_exits_two(self, tmp_path, capsys):
+        code = execute(["simulate", "--family", "gamma", "--c", "2",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_family_flag_of_another_kind_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {"kind": "compound", "atoms": [[1, 1]]}, "b": 2}))
+        assert execute(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_config_keys_are_the_subcommand_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"qv-paths": 10}))  # a verify flag, not a simulate one
+        assert execute(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
 class TestConfigPrecedence:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -144,7 +187,7 @@ class TestKernel:
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "dens.csv.json").read_text())
-        assert sidecar["schema"] == "gaussmart/2"
+        assert sidecar["schema"] == "gaussmart/3"
         assert sidecar["stream_layout"] == 2
         assert sidecar["mass_check"] == pytest.approx(1.0, abs=1e-8)
         assert sidecar["moment_checks"]["k1"]["abs_error"] < 1e-8
@@ -173,6 +216,7 @@ class TestGeneratorCheck:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["relative_error"] < 0.02
+        assert payload["family"]["kind"] == "gamma" and payload["family"]["calibrated"]
 
     def test_coefficient_list(self, tmp_path):
         out = tmp_path / "gen2.json"
@@ -197,8 +241,11 @@ class TestVerifyAndJumpTimes:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "gaussmart/2"
+        assert payload["schema"] == "gaussmart/3"
         assert payload["stream_layout"] == 2
+        fam = calibrate(poisson_family())
+        assert payload["family"]["kind"] == "compound"
+        assert payload["family"]["atoms"] == [list(a) for a in fam.atoms]
         names = {r["test_name"] for r in payload["reports"]}
         assert {
             "gaussian_marginal", "martingale_binned", "cross_moment",
@@ -227,6 +274,15 @@ class TestVerifyAndJumpTimes:
         payload = json.loads(report.read_text())
         assert payload["report"]["passed"]
         assert out.read_text().splitlines()[0] == "sample_id,first_jump_time"
+
+    def test_jump_times_compound(self, tmp_path):
+        report = tmp_path / "jumps.json"
+        code = execute(
+            ["jump-times", "--family", "compound", "--atoms", "0.5:1,2:0.25",
+             "--n", "100000", "--seed", "3", "--report", str(report)]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["report"]["reference"] == "pareto(s, nu/2)"
 
     def test_jump_times_non_poisson_usage_error(self):
         assert execute(["jump-times", "--family", "gamma", "--n", "20000"]) == 2

@@ -1,18 +1,25 @@
+import heapq
 import math
+import signal
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import simpson
 
 from gaussmart import (
     DomainError,
     GridSpec,
+    Polynomial,
+    calibrate,
     ck_residual,
+    compound_family,
     conditional_moments,
     kernel_eval,
     kernel_moment,
     transition_density,
 )
+from gaussmart.kernel import _MC_DRAWS
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -116,29 +123,115 @@ class TestGammaKernel:
         assert kernel_moment(gamma_fam, s, t, x, 2) == pytest.approx(second, abs=1e-8)
 
 
+def mixture_moment(family, s, t, x, k, max_count=60):
+    """Independent route to E[Y^k]: the Gaussian mixture over a full grid of
+    two atoms' Poisson counts, each component's moment by the polynomial
+    Gaussian-moment recursion."""
+    (x1, w1), (x2, w2) = family.atoms
+    log_sigma = 0.5 * math.log(t / s)
+    n = np.arange(max_count)
+    p1 = stats.poisson.pmf(n, w1 * log_sigma)
+    p2 = stats.poisson.pmf(n, w2 * log_sigma)
+    weights = np.outer(p1, p2)
+    u = x1 * n[:, None] + x2 * n[None, :]
+    mean = math.exp(log_sigma) * np.exp(-0.5 * u) * x
+    var = t * -np.expm1(-u)
+    return float(np.sum(weights * Polynomial.monomial(k).gaussian_expectation(mean, var)))
+
+
+#: eight small atoms: the exact mixture would need far more than _MC_DRAWS
+#: components, so the density falls back to Monte Carlo
+MANY_ATOMS = [(0.01 * i, 1.0) for i in range(1, 9)]
+
+
 class TestCompoundKernel:
-    def test_moments_within_monte_carlo_bands(self, compound_fam):
+    def test_moments_match_mixture(self, compound_fam):
         s, t, x = 0.5, 2.0, 1.0
-        got0 = kernel_moment(compound_fam, s, t, x, 0)
-        got1 = kernel_moment(compound_fam, s, t, x, 1)
-        got2 = kernel_moment(compound_fam, s, t, x, 2)
-        _, second = conditional_moments(compound_fam, s, t, x)
-        # 2e4 mixing draws: generous bands around the exact targets
-        assert got0 == pytest.approx(1.0, abs=0.02)
-        assert got1 == pytest.approx(x, abs=0.05)
-        assert got2 == pytest.approx(second, rel=0.05)
+        got = [kernel_moment(compound_fam, s, t, x, k) for k in range(5)]
+        for k in range(5):
+            assert got[k] == pytest.approx(mixture_moment(compound_fam, s, t, x, k), abs=1e-8)
+        assert got[:2] == pytest.approx([1.0, x], abs=1e-8)
+        assert got[2] == pytest.approx(conditional_moments(compound_fam, s, t, x)[1], abs=1e-8)
 
     def test_atom_reported_exactly(self, compound_fam):
         ev = kernel_eval(compound_fam, 1.0, 2.0, 0.5)
         total = sum(w for _, w in compound_fam.atoms)
         assert ev.atom_weight == pytest.approx(math.sqrt(2.0) ** -total, rel=1e-12)
-        assert ev.quadrature["method"] == "monte-carlo"
+        assert ev.quadrature["method"] == "finite-atom-mixture"
+        assert ev.quadrature["tail"] <= 1e-12
 
-    def test_density_deterministic_given_seed(self, compound_fam):
+    def test_mass_and_mean_by_quadrature(self, compound_fam):
+        ev = kernel_eval(compound_fam, 0.5, 2.0, 1.0)
+        y = np.linspace(-15, 17, 20001)
+        dens = ev.density(y)
+        assert ev.atom_weight + simpson(dens, x=y) == pytest.approx(1.0, abs=1e-8)
+        mean = simpson(y * dens, x=y) + ev.atom_weight * ev.atom_location
+        assert mean == pytest.approx(1.0, abs=1e-8)
+
+    def test_many_atoms_take_monte_carlo_without_full_mixture(self, monkeypatch):
+        fam = calibrate(compound_family(MANY_ATOMS))
+        pops = 0
+        heappop = heapq.heappop
+
+        def counted(heap):
+            nonlocal pops
+            pops += 1
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counted)
+        ev = kernel_eval(fam, 0.5, 2.0, 1.0)
+        assert ev.quadrature["method"] == "monte-carlo"
+        assert pops <= _MC_DRAWS
+
+    def test_density_deterministic_given_seed(self):
+        fam = calibrate(compound_family(MANY_ATOMS))
         y = np.linspace(-3, 3, 11)
-        a = kernel_eval(compound_fam, 0.5, 2.0, 1.0, mc_seed=5).density(y)
-        b = kernel_eval(compound_fam, 0.5, 2.0, 1.0, mc_seed=5).density(y)
+        a = kernel_eval(fam, 0.5, 2.0, 1.0, mc_seed=5).density(y)
+        b = kernel_eval(fam, 0.5, 2.0, 1.0, mc_seed=5).density(y)
         assert np.array_equal(a, b)
+
+
+class TestBrownianKernel:
+    def test_single_gaussian_step(self, brownian_fam):
+        s, t, x = 0.5, 2.0, 0.7
+        ev = kernel_eval(brownian_fam, s, t, x)
+        assert ev.atom_weight == 0.0
+        y = np.linspace(-5, 5, 41)
+        want = np.exp(-0.5 * (y - x) ** 2 / (t - s)) / math.sqrt(2 * math.pi * (t - s))
+        assert np.allclose(ev.density(y), want, rtol=1e-12, atol=0)
+        for k, m in enumerate((1.0, x, x * x + (t - s))):
+            assert kernel_moment(brownian_fam, s, t, x, k) == pytest.approx(m, rel=1e-12)
+
+
+class TestHugeStep:
+    """s = 1e-200 to t = 1e60: the no-jump weight exp(-c ln sigma) underflows."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        # a regression that loops forever fails here instead of hanging
+        def expire(signum, frame):
+            raise TimeoutError("kernel evaluation did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_density_finite_with_unit_mass(self, poisson_fam):
+        s, t = 1e-200, 1e60
+        ev = kernel_eval(poisson_fam, s, t, 0.0)
+        y = np.linspace(-10.0, 10.0, 4001) * math.sqrt(t)
+        dens = ev.density(y)
+        assert np.all(np.isfinite(dens))
+        assert ev.atom_weight + simpson(dens, x=y) == pytest.approx(1.0, abs=1e-8)
+
+    def test_moments_finite(self, poisson_fam):
+        s, t = 1e-200, 1e60
+        moments = [kernel_moment(poisson_fam, s, t, 0.0, k) for k in range(5)]
+        assert all(math.isfinite(m) for m in moments)
+        assert moments[0] == pytest.approx(1.0, abs=1e-12)
+        assert moments[2] == pytest.approx(t, rel=1e-12)
 
 
 class TestChapmanKolmogorov:
@@ -157,6 +250,11 @@ class TestChapmanKolmogorov:
     def test_from_origin(self, poisson_fam):
         sup, atom = ck_residual(poisson_fam, 0.0, 1.0, 2.0, 0.0)
         assert atom == 0.0
+        assert sup < 1e-6
+
+    def test_compound_composition(self, compound_fam):
+        sup, atom = ck_residual(compound_fam, 0.5, 1.0, 2.0, 1.0, GridSpec(n_nodes=256))
+        assert atom <= 1e-12
         assert sup < 1e-6
 
     def test_gamma_composition(self, gamma_fam):

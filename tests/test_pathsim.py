@@ -12,9 +12,11 @@ from gaussmart import (
     StreamBundle,
     conditional_moments,
     first_jump_times,
+    nu_total,
     path_bundle,
     simulate_event,
     simulate_event_terminals,
+    simulate_events,
     simulate_grid,
     simulate_grid_ensemble,
     transition_pairs,
@@ -160,12 +162,12 @@ class TestEventMode:
 
     def test_first_jump_median(self, poisson_fam):
         t = first_jump_times(poisson_fam, 1.0, path_bundle(17, 100_000))
-        target = 2.0 ** (2.0 / poisson_fam.c)  # = 1.7254093517858221
+        target = 2.0 ** (2.0 / nu_total(poisson_fam))  # = 1.7254093517858221
         assert abs(np.median(t) - target) < 0.01 * target
 
     def test_survival_probability(self, poisson_fam):
         t = first_jump_times(poisson_fam, 1.0, path_bundle(18, 100_000))
-        target = 2.0 ** (-0.5 * poisson_fam.c)  # = 0.4144451136983333
+        target = 2.0 ** (-0.5 * nu_total(poisson_fam))  # = 0.4144451136983333
         se = math.sqrt(target * (1 - target) / t.size)
         assert abs(np.mean(t > 2.0) - target) < 4.0 * se
 
@@ -218,6 +220,14 @@ class TestEventMode:
         se = ratio.std() / math.sqrt(ratio.size)
         assert abs(ratio.mean() - 1.0) < 4.0 * se
 
+    def test_batch_matches_single_paths(self, poisson_fam):
+        paths = simulate_events(poisson_fam, 1.0, 0.5, 4.0, path_bundle(24, 40))
+        for k, p in enumerate(paths):
+            q = simulate_event(poisson_fam, 1.0, 0.5, 4.0, RandomStream(24, k))
+            assert np.array_equal(p.jump_times, q.jump_times)
+            assert np.array_equal(p.post_values, q.post_values)
+            assert p.terminal_value == q.terminal_value
+
     def test_non_poisson_rejected(self, gamma_fam, brownian_fam):
         with pytest.raises(FamilyError):
             simulate_event(gamma_fam, 1.0, 0.0, 2.0, RandomStream(0, 0))
@@ -229,6 +239,33 @@ class TestEventMode:
             simulate_event(poisson_fam, -1.0, 0.0, 2.0, RandomStream(0, 0))
         with pytest.raises(DomainError):
             simulate_event(poisson_fam, 1.0, 0.0, 0.5, RandomStream(0, 0))
+
+
+class TestCompoundEventMode:
+    def test_paths_match_terminals_and_validate(self, compound_fam):
+        terms = simulate_event_terminals(
+            compound_fam, 1.0, 0.5, 3.0, StreamBundle(25, np.arange(200))
+        )
+        for k in range(200):
+            p = simulate_event(compound_fam, 1.0, 0.5, 3.0, RandomStream(25, k))
+            p.validate()
+            assert p.terminal_value == terms[k]
+
+    def test_both_atoms_jump_with_their_laws(self, compound_fam):
+        # from x0 = 0 the first post-jump value is N(0, T (1 - e^{-x_i})):
+        # the two atoms leave distinct variance ratios, mixed by weight
+        paths = simulate_events(compound_fam, 1.0, 0.0, 1e9, path_bundle(26, 20_000))
+        ratio = np.array([p.post_values[0] ** 2 / p.jump_times[0] for p in paths])
+        (x1, w1), (x2, w2) = compound_fam.atoms
+        nu = w1 + w2
+        want = (w1 * -math.expm1(-x1) + w2 * -math.expm1(-x2)) / nu
+        se = ratio.std() / math.sqrt(ratio.size)
+        assert abs(ratio.mean() - want) < 4.0 * se
+
+    def test_first_jump_median(self, compound_fam):
+        t = first_jump_times(compound_fam, 1.0, path_bundle(27, 100_000))
+        target = 2.0 ** (2.0 / nu_total(compound_fam))
+        assert abs(np.median(t) - target) < 0.01 * target
 
 
 class TestMartingaleStep:

@@ -9,6 +9,7 @@ from gaussmart import (
     RandomStream,
     StreamBundle,
     laplace,
+    nu_total,
     path_bundle,
     sample_gaussian,
     sample_subordinator_increment,
@@ -144,7 +145,7 @@ class TestSubordinatorIncrement:
 
     def test_poisson_mean(self, poisson_fam):
         u = sample_subordinator_increment(poisson_fam, math.e, path_bundle(5, 1_000_000))
-        c = poisson_fam.c
+        c = nu_total(poisson_fam)
         assert abs(u.mean() - c) < 3.0 * math.sqrt(c / u.size)
 
     def test_poisson_support_integers(self, poisson_fam):

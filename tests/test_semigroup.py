@@ -16,6 +16,7 @@ from gaussmart import (
     gamma_atom,
     gamma_family,
     laplace,
+    nu_total,
     poisson_family,
     psi,
 )
@@ -62,7 +63,8 @@ class TestPsi:
 class TestCalibrate:
     def test_poisson(self):
         fam = calibrate(poisson_family(c=1.0))
-        assert fam.c == pytest.approx(C_POISSON, rel=1e-14)
+        assert nu_total(fam) == pytest.approx(C_POISSON, rel=1e-14)
+        assert fam.atoms[0][0] == 1.0
         assert fam.calibrated
 
     def test_gamma(self):
@@ -187,7 +189,8 @@ def test_gamma_atom_multiplicative(fam, sigma, tau):
 class TestFamilyFromConfig:
     def test_poisson(self):
         fam = family_from_config({"kind": "poisson", "c": 2.0})
-        assert fam.kind == "poisson" and fam.c == 2.0
+        assert fam.kind == "compound" and fam.atoms == ((1.0, 2.0),)
+        assert fam == poisson_family(2.0)
 
     def test_compound(self):
         fam = family_from_config(
@@ -201,6 +204,12 @@ class TestFamilyFromConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(FamilyError):
             family_from_config({"kind": "poisson", "rate": 1.0})
+
+    def test_key_of_another_kind_rejected(self):
+        with pytest.raises(FamilyError):
+            family_from_config({"kind": "gamma", "c": 2.0})
+        with pytest.raises(FamilyError):
+            family_from_config({"kind": "brownian", "beta": 1.0})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FamilyError):

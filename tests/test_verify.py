@@ -7,7 +7,10 @@ from scipy.special import ndtri
 
 from gaussmart import (
     DomainError,
+    calibrate,
+    compound_family,
     laplace,
+    nu_total,
     null_calibration,
     path_bundle,
     simulate_grid_ensemble,
@@ -201,7 +204,7 @@ class TestQuadraticVariation:
 class TestJumpTimes:
     def test_exact_pareto_null(self, poisson_fam):
         u = verify_bundle(20, 100_000).uniforms(1)[0]
-        times = 1.0 * u ** (-2.0 / poisson_fam.c)
+        times = 1.0 * u ** (-2.0 / nu_total(poisson_fam))
         rep = check_jump_times(times, 1.0, poisson_fam)
         assert rep.passed
         assert rep.details["median_target"] == pytest.approx(1.7254093517858221, rel=1e-12)
@@ -217,12 +220,32 @@ class TestJumpTimes:
 
     def test_wrong_tail_fails(self, poisson_fam):
         u = verify_bundle(22, 50_000).uniforms(1)[0]
-        times = 1.0 * u ** (-2.5 / poisson_fam.c)  # wrong tail exponent
+        times = 1.0 * u ** (-2.5 / nu_total(poisson_fam))  # wrong tail exponent
         assert not check_jump_times(times, 1.0, poisson_fam).passed
 
     def test_non_poisson_rejected(self, gamma_fam):
         with pytest.raises(Exception):
             check_jump_times(np.ones(20_000) * 2.0, 1.0, gamma_fam)
+
+    def test_infinite_mean_reported_for_small_jump_mass(self):
+        # one atom at 8 calibrates to nu = 1/(1 - e^{-4}) ~ 1.019 <= 2, where
+        # the first-jump time has no mean; nu s/(nu - 2) would be negative
+        fam = calibrate(compound_family([(8.0, 1.0)]))
+        nu = nu_total(fam)
+        assert nu == pytest.approx(1.0 / -math.expm1(-4.0), rel=1e-12)
+        u = verify_bundle(35, 100_000).uniforms(1)[0]
+        rep = check_jump_times(1.0 * u ** (-2.0 / nu), 1.0, fam)
+        assert rep.passed
+        assert rep.details["mean_target"] == math.inf
+        assert rep.to_dict()["details"]["mean_target"] == "inf"
+        assert rep.reference == "pareto(s, nu/2)"
+        assert rep.details["median_target"] == pytest.approx(2.0 ** (2.0 / nu), rel=1e-12)
+
+    def test_finite_mean_target(self, poisson_fam):
+        u = verify_bundle(36, 10_000).uniforms(1)[0]
+        nu = nu_total(poisson_fam)
+        rep = check_jump_times(1.0 * u ** (-2.0 / nu), 1.0, poisson_fam)
+        assert rep.details["mean_target"] == pytest.approx(nu / (nu - 2.0), rel=1e-12)
 
     def test_accepts_event_paths_and_rejects_censoring(self, poisson_fam):
         from gaussmart import RandomStream, simulate_event
@@ -263,6 +286,17 @@ class TestModeAgreement:
         )
         assert check_mode_agreement(grid_term, event_term).passed
 
+    def test_event_vs_grid_compound(self, compound_fam):
+        n = 20_000
+        start = verify_bundle(37, n).normals()
+        grid_term = simulate_grid_ensemble(
+            compound_fam, np.linspace(1.0, 2.0, 17), 38, n, start_values=start
+        )[:, -1]
+        event_term = simulate_event_terminals(
+            compound_fam, 1.0, start, 2.0, path_bundle(39, n)
+        )
+        assert check_mode_agreement(grid_term, event_term).passed
+
     def test_wrong_jump_variance_fails(self, poisson_fam):
         # mutated event simulator: jump variance frozen at the start time
         # instead of the jump time
@@ -271,7 +305,7 @@ class TestModeAgreement:
         grid_term = simulate_grid_ensemble(
             poisson_fam, np.linspace(1.0, 2.0, 17), 28, n, start_values=start
         )[:, -1]
-        c = poisson_fam.c
+        c = nu_total(poisson_fam)
         bundle = path_bundle(29, n)
         t = np.full(n, 1.0)
         x = start.copy()
