@@ -173,14 +173,18 @@ def _family(opts: dict):
 
 
 def _value(opts: dict, key: str, kind, default):
-    """Option ``key`` converted by ``kind``; a malformed value is a usage error."""
+    """Option ``key`` converted by ``kind``; a malformed or non-finite value
+    is a usage error."""
     raw = opts.get(key, default)
     if raw is None:
         return None
     try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad value for {key}: {raw!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"bad value for {key}: {raw!r} (must be finite)")
+    return value
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -191,8 +195,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise DomainError(f"bad grid spec {text!r}; expected start:end:steps") from exc
     if start != 0.0:
         raise DomainError("simulated paths start at time 0; grid must use start = 0")
-    if steps < 1 or end <= start:
-        raise DomainError("grid needs end > 0 and steps >= 1")
+    if steps < 1 or not start < end < math.inf:
+        raise DomainError("grid needs a finite end > 0 and steps >= 1")
     return np.linspace(start, end, steps + 1)
 
 
@@ -252,6 +256,8 @@ def _cmd_kernel(args) -> int:
             ygrid = np.linspace(float(lo), float(hi), int(n))
         except (AttributeError, ValueError) as exc:
             raise DomainError(f"bad grid spec {opts['y']!r}; expected lo:hi:n") from exc
+        if ygrid.size == 0 or not np.all(np.isfinite(ygrid)):
+            raise DomainError(f"bad grid spec {opts['y']!r}; need finite bounds and n >= 1")
     else:
         center = 0.0 if math.isnan(ev.atom_location) else ev.atom_location
         ygrid = np.linspace(center - 10 * math.sqrt(t), center + 10 * math.sqrt(t), 2001)

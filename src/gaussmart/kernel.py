@@ -81,10 +81,10 @@ def _phi(mean, var, y):
 
 
 def _check_step(s: float, t: float) -> None:
-    if s < 0:
-        raise DomainError("s must be >= 0")
-    if t <= s:
-        raise DomainError("need t > s")
+    if not 0 <= s < t < math.inf:
+        raise DomainError(f"need 0 <= s < t < inf, got s = {s}, t = {t}")
+    if s > 0 and math.isinf(t / s):
+        raise DomainError(f"the scale t/s = {t}/{s} overflows")
 
 
 def _count_mixture(family: SubordinatorFamily, log_sigma: float, budget: int):

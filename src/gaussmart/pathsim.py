@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, FamilyError
-from .sampler import RandomStream, StreamBundle, sample_subordinator_increment
+from .sampler import StreamBundle, path_bundle, sample_subordinator_increment
 from .semigroup import (
     SubordinatorFamily,
     compound_poisson,
@@ -152,12 +152,16 @@ def _grid_values(
     return vals
 
 
-def simulate_grid(
-    family: SubordinatorFamily, times, stream: RandomStream
-) -> PathGrid:
-    """Simulate one path on the given grid; consumes the stream."""
+def _one_lane(bundle: StreamBundle) -> StreamBundle:
+    if len(bundle) != 1:
+        raise DomainError(f"need a one-lane bundle, got {len(bundle)} lanes")
+    return bundle
+
+
+def simulate_grid(family: SubordinatorFamily, times, bundle: StreamBundle) -> PathGrid:
+    """Simulate one path on the given grid from a one-lane bundle."""
     times = _check_grid_times(times)
-    values = _grid_values(family, times, stream.bundle)[0]
+    values = _grid_values(family, times, _one_lane(bundle))[0]
     return PathGrid(times=times, values=values)
 
 
@@ -190,6 +194,8 @@ def simulate_grid_ensemble(
     Identical results for every thread count: lanes are whole streams, so the
     chunking only decides which worker evaluates which counter-keyed block.
     """
+    if n_paths < 0:
+        raise DomainError(f"path count must be >= 0, got {n_paths}")
     times = np.asarray(times, dtype=float)
     if times[0] == 0.0:
         times = _check_grid_times(times)
@@ -199,9 +205,7 @@ def simulate_grid_ensemble(
     )
 
     def work(lo: int, hi: int) -> None:
-        bundle = StreamBundle(
-            seed, np.arange(stream_base + lo, stream_base + hi, dtype=np.uint64)
-        )
+        bundle = path_bundle(seed, hi - lo, stream_base + lo)
         sub = None if sv is None else sv[lo:hi]
         out[lo:hi] = _grid_values(family, times, bundle, start_values=sub)
 
@@ -264,15 +268,12 @@ def _require_event_family(family: SubordinatorFamily) -> None:
         )
 
 
-def first_jump_times(family: SubordinatorFamily, s0: float, stream) -> np.ndarray:
-    """Exact draws of the first jump time after s0 (power-law survival)."""
+def first_jump_times(family: SubordinatorFamily, s0: float, bundle: StreamBundle) -> np.ndarray:
+    """Exact draws of the first jump time after s0 (power-law survival), one per lane."""
     _require_event_family(family)
-    if s0 <= 0:
-        raise DomainError("s0 must be > 0")
-    bundle = stream.bundle if isinstance(stream, RandomStream) else stream
-    u = bundle.uniforms(1)[0]
-    t = s0 * u ** (-2.0 / nu_total(family))
-    return float(t[0]) if isinstance(stream, RandomStream) else t
+    if not 0 < s0 < math.inf:
+        raise DomainError("s0 must be finite and > 0")
+    return s0 * bundle.uniforms(1)[0] ** (-2.0 / nu_total(family))
 
 
 def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, record: bool):
@@ -287,10 +288,8 @@ def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, rec
     lane.
     """
     _require_event_family(family)
-    if s0 <= 0:
-        raise DomainError("s0 must be > 0")
-    if horizon <= s0:
-        raise DomainError("horizon must exceed s0")
+    if not 0 < s0 < horizon < math.inf:
+        raise DomainError(f"need 0 < s0 < horizon < inf, got s0 = {s0}, horizon = {horizon}")
     nu = nu_total(family)
     # scalar libm factors, not numpy's vector exp, which may round another
     # way: they keep unit-atom event paths bit-identical to schema 2
@@ -359,14 +358,14 @@ def simulate_event(
     s0: float,
     x0: float,
     horizon: float,
-    stream: RandomStream,
+    bundle: StreamBundle,
 ) -> EventPath:
     """Simulate one event-driven path from (s0, x0) up to the horizon.
 
-    The one-lane case of :func:`simulate_events`, so it agrees lane for
-    lane with :func:`simulate_event_terminals`.
+    The case of :func:`simulate_events` for a one-lane bundle, so it agrees
+    lane for lane with :func:`simulate_event_terminals`.
     """
-    return simulate_events(family, s0, x0, horizon, stream.bundle)[0]
+    return simulate_events(family, s0, x0, horizon, _one_lane(bundle))[0]
 
 
 def simulate_event_terminals(

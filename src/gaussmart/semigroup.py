@@ -56,6 +56,10 @@ class SubordinatorFamily:
     def __post_init__(self):
         if self.kind not in (GAMMA, COMPOUND):
             raise FamilyError(f"unknown family kind: {self.kind!r}")
+        params = (self.a, self.b, self.beta, *(v for atom in self.atoms for v in atom))
+        if not all(math.isfinite(v) for v in params):
+            # NaN would pass every sign test below and stall the samplers
+            raise FamilyError("family parameters must be finite")
         if self.kind == GAMMA and (self.a <= 0 or self.b <= 0):
             raise FamilyError("gamma kind needs a > 0 and b > 0")
         if self.kind == COMPOUND:

@@ -347,6 +347,13 @@ def test_jump_times(
     p-value, survival at 2s within 4 binomial SE, median within 1% of
     s 2^{2/nu}.  The heavy-tailed sample mean is reported only; it is
     infinite for nu <= 2.
+
+    The law depends on the family only through nu, and the KS statistic of
+    draws s u^{-2/nu} against it is that of u against the uniform law, so
+    at one seed the poisson and compound batteries report the same
+    statistic: the gate checks the waiting-time inversion, which
+    :func:`first_jump_times` shares with the event simulator's first jump,
+    not the families' jumps.  Jump sizes are gated by ``mode_agreement``.
     """
     require_calibrated(family)
     if not compound_poisson(family):

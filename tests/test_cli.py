@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -130,6 +131,69 @@ class TestUsageErrors:
             ["simulate", "--family", "gamma", "--a", "-3",
              "--out", str(tmp_path / "x.csv")]
         ) == 2
+
+
+class TestNonFiniteInputs:
+    """Non-finite or negative numbers are usage errors, never hangs,
+    tracebacks, NaN output or the exit code of a failed gate."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        def expire(signum, frame):
+            # not an OSError like TimeoutError, which execute() turns into exit 2
+            pytest.fail("the command did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "poisson", "--c", "nan", "--paths", "10"],
+            ["simulate", "--family", "poisson", "--c", "inf", "--paths", "10"],
+            ["simulate", "--family", "gamma", "--a", "nan", "--paths", "10"],
+            ["simulate", "--family", "compound", "--atoms", "1:nan", "--paths", "10"],
+            ["simulate", "--family", "compound", "--atoms", "inf:1", "--paths", "10"],
+            ["kernel", "--family", "poisson", "--c", "nan"],
+            ["simulate", "--mode", "event", "--horizon", "inf"],
+            ["simulate", "--mode", "event", "--horizon", "nan"],
+            ["simulate", "--mode", "event", "--x0", "nan"],
+            ["simulate", "--mode", "event", "--start", "inf"],
+            ["simulate", "--mode", "event", "--paths", "-3"],
+            ["simulate", "--paths", "-3"],
+            ["simulate", "--grid", "0:inf:4"],
+            ["kernel", "--s", "nan"],
+            ["kernel", "--t", "inf"],
+            ["kernel", "--x", "nan"],
+            ["kernel", "--y=-1:nan:5"],
+            ["kernel", "--y", "0:1:0"],
+            ["kernel", "--t", "1e308"],
+            ["kernel", "--s", "1e-320"],
+            ["generator-check", "--h", "nan"],
+            ["jump-times", "--s", "nan"],
+            ["jump-times", "--n", "-3"],
+            ["verify", "--paths", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_two(self, tmp_path, capsys, argv):
+        out = ["--report" if argv[0] in ("verify", "jump-times") else "--out",
+               str(tmp_path / "out")]
+        assert execute(argv + out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"paths": 1e400}'])
+    def test_non_finite_config_values_exit_two(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = execute(["simulate", "--mode", "event", "--config", str(cfg),
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFamilyOptions:

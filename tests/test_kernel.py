@@ -278,6 +278,16 @@ class TestErrors:
         with pytest.raises(DomainError):
             kernel_moment(poisson_fam, 2.0, 1.0, 0.0, 2)
 
+    @pytest.mark.parametrize(
+        "s, t", [(math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (0.5, 1e308), (1e-320, 2.0)]
+    )
+    def test_non_finite_step_rejected(self, poisson_fam, s, t):
+        # t/s overflowing to inf would reach the mixture as an infinite mean
+        with pytest.raises(DomainError):
+            kernel_eval(poisson_fam, s, t, 0.0)
+        with pytest.raises(DomainError):
+            kernel_moment(poisson_fam, s, t, 0.0, 2)
+
     def test_moment_order(self, poisson_fam):
         with pytest.raises(DomainError):
             kernel_moment(poisson_fam, 0.5, 1.0, 0.0, 5)

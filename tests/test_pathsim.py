@@ -98,6 +98,10 @@ class TestGrid:
         )[:, -1]
         assert stats.ks_2samp(coarse, fine).pvalue > 0.001
 
+    def test_negative_path_count_rejected(self, poisson_fam):
+        with pytest.raises(DomainError):
+            simulate_grid_ensemble(poisson_fam, [0.0, 1.0], 0, -3)
+
     def test_bad_grids_rejected(self, poisson_fam):
         stream = RandomStream(0, 0)
         with pytest.raises(DomainError):
@@ -228,6 +232,20 @@ class TestEventMode:
             assert np.array_equal(p.post_values, q.post_values)
             assert p.terminal_value == q.terminal_value
 
+    @pytest.mark.parametrize("kind", ["poisson", "compound"])
+    def test_first_jump_times_match_event_paths(self, kind, poisson_fam, compound_fam):
+        # both read word 0 of attempt 0 at the bundle's first site, so the
+        # jump-time gate's draws are the event simulator's first jumps
+        fam = poisson_fam if kind == "poisson" else compound_fam
+        s0, horizon = 1.5, 4.0
+        t = first_jump_times(fam, s0, path_bundle(28, 2000))
+        paths = simulate_events(fam, s0, 0.3, horizon, path_bundle(28, 2000))
+        jumped = np.array([p.jump_times.size > 0 for p in paths])
+        assert np.array_equal(jumped, t <= horizon)
+        assert 0 < jumped.sum() < jumped.size
+        first = np.array([p.jump_times[0] for p in paths if p.jump_times.size])
+        assert np.array_equal(first, t[jumped])
+
     def test_non_poisson_rejected(self, gamma_fam, brownian_fam):
         with pytest.raises(FamilyError):
             simulate_event(gamma_fam, 1.0, 0.0, 2.0, RandomStream(0, 0))
@@ -239,6 +257,19 @@ class TestEventMode:
             simulate_event(poisson_fam, -1.0, 0.0, 2.0, RandomStream(0, 0))
         with pytest.raises(DomainError):
             simulate_event(poisson_fam, 1.0, 0.0, 0.5, RandomStream(0, 0))
+        for s0, horizon in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0), (math.inf, 2.0)):
+            with pytest.raises(DomainError):
+                simulate_event_terminals(poisson_fam, s0, 0.0, horizon, path_bundle(0, 3))
+        with pytest.raises(DomainError):
+            first_jump_times(poisson_fam, math.nan, path_bundle(0, 3))
+        with pytest.raises(DomainError):
+            path_bundle(0, -3)
+
+    def test_one_lane_bundle_required(self, poisson_fam):
+        with pytest.raises(DomainError):
+            simulate_event(poisson_fam, 1.0, 0.0, 2.0, path_bundle(0, 2))
+        with pytest.raises(DomainError):
+            simulate_grid(poisson_fam, [0.0, 1.0], path_bundle(0, 2))
 
 
 class TestCompoundEventMode:

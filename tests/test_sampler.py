@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from gaussmart import (
 )
 from gaussmart.sampler import (
     VERIFY_STREAM_BASE,
-    _philox_network,
     gamma_draw,
     philox_block,
     poisson_draw,
@@ -34,6 +34,27 @@ def _numpy_blocks(seed, first_id, site, attempt, n):
 
 class TestPhiloxCore:
     @pytest.mark.parametrize(
+        "key, counter, expected",
+        [
+            ((0, 0), (0, 0, 0, 0),
+             (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+            ((0x452821E638D01377, 0xBE5466CF34E90C6C),
+             (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+             (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+        ],
+    )
+    def test_numpy_philox_known_answers(self, key, counter, expected):
+        # Random123's known-answer vectors for Philox-4x64-10, the
+        # independent check of the generator every block comes from; numpy
+        # advances its 256-bit counter before each block, so start one below
+        value = (sum(w << (64 * i) for i, w in enumerate(counter)) - 1) % 2**256
+        below = [(value >> (64 * i)) & (2**64 - 1) for i in range(4)]
+        gen = np.random.Philox(
+            key=np.array(key, dtype=np.uint64), counter=np.array(below, dtype=np.uint64)
+        )
+        assert [int(w) for w in gen.random_raw(4)] == list(expected)
+
+    @pytest.mark.parametrize(
         "seed, first_id, site, attempt",
         [
             (0, 0, 0, 0),
@@ -46,13 +67,15 @@ class TestPhiloxCore:
         ],
     )
     def test_network_matches_numpy_philox(self, seed, first_id, site, attempt):
+        # philox_block at edge ids, sites and attempts, as one run, as
+        # single ids and in reverse, against numpy's Philox
         n = min(3, 2**64 - 1 - first_id)
         ref = _numpy_blocks(seed, first_id, site, attempt, n)
         ids = np.arange(first_id, first_id + n, dtype=np.uint64)
-        key = np.array([seed, 0], dtype=np.uint64)
-        net = _philox_network(key, (ids + np.uint64(1), site, attempt, 0))
-        assert np.array_equal(net, ref)
         assert np.array_equal(philox_block(seed, ids, site, attempt), ref)
+        assert np.array_equal(philox_block(seed, ids[::-1], site, attempt), ref[:, ::-1])
+        for j in range(n):
+            assert np.array_equal(philox_block(seed, ids[j:j + 1], site, attempt), ref[:, j:j + 1])
 
     def test_matches_reference_implementation(self):
         # numpy's Philox is the oracle whichever path philox_block takes:
@@ -65,6 +88,28 @@ class TestPhiloxCore:
         mixed = philox_block(3, ids, 2, attempts)
         assert np.array_equal(mixed[:, ::2], ref[:, ::2])
         assert np.array_equal(mixed[:, 1], _numpy_blocks(3, 2**63 + 6, 2, 0, 1)[:, 0])
+
+    def test_sparse_reversed_duplicate_ids(self):
+        # ids ~2**64 apart with mixed attempts: one numpy call per run of
+        # nearby ids, so the call returns at once instead of building the span
+        def expire(signum, frame):
+            raise TimeoutError("philox_block did not return within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            ids = np.array([2**64 - 2, 0, 7, 2**63, 7, 600, 8], dtype=np.uint64)
+            for attempt in (np.array([1, 0, 2, 1, 2, 0, 2], dtype=np.uint64), 3):
+                got = philox_block(11, ids, 5, attempt)
+                att = np.broadcast_to(attempt, ids.shape)
+                for col, (i, a) in enumerate(zip(ids, att)):
+                    assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, a, 1)[:, 0])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_empty_request(self):
+        assert philox_block(1, np.array([], dtype=np.uint64), 1, 0).shape == (4, 0)
 
     def test_neighbouring_verification_lanes_differ(self):
         b = verify_bundle(1, 4, offset=220_000)
@@ -121,7 +166,8 @@ class TestGaussian:
         s1 = RandomStream(1, 0)
         first = [sample_gaussian(s1), sample_gaussian(s1)]
         s2 = RandomStream(1, 0)
-        assert first == [sample_gaussian(s2), sample_gaussian(s2)]
+        assert np.array_equal(first, [sample_gaussian(s2), sample_gaussian(s2)])
+        assert np.array_equal(first[0], StreamBundle(1, [0]).normals())
 
     def test_moments(self):
         z = sample_gaussian(path_bundle(11, 1_000_000))
@@ -137,7 +183,9 @@ class TestGaussian:
 class TestSubordinatorIncrement:
     def test_sigma_one_is_zero(self, poisson_fam, gamma_fam, compound_fam):
         for fam in (poisson_fam, gamma_fam, compound_fam):
-            assert sample_subordinator_increment(fam, 1.0, RandomStream(0, 0)) == 0.0
+            assert np.array_equal(
+                sample_subordinator_increment(fam, 1.0, RandomStream(0, 0)), [0.0]
+            )
 
     def test_sigma_below_one_rejected(self, poisson_fam):
         with pytest.raises(DomainError):

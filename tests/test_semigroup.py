@@ -221,6 +221,23 @@ class TestFamilyFromConfig:
         with pytest.raises(FamilyError):
             SubordinatorFamily(kind="compound", atoms=((1.0, -1.0),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # NaN fails every sign test, so it needs its own check
+        constructors = [
+            lambda: poisson_family(bad),
+            lambda: gamma_family(a=bad),
+            lambda: gamma_family(b=bad),
+            lambda: compound_family([(bad, 1.0)]),
+            lambda: compound_family([(1.0, bad)]),
+            lambda: compound_family([(1.0, 1.0)], beta=bad),
+            lambda: SubordinatorFamily(kind="compound", beta=bad, degenerate=True),
+            lambda: family_from_config({"kind": "compound", "atoms": [[1.0, str(bad)]]}),
+        ]
+        for build in constructors:
+            with pytest.raises(FamilyError):
+                build()
+
     def test_empty_family_cannot_calibrate(self):
         with pytest.raises(FamilyError):
             calibrate(SubordinatorFamily(kind="compound", degenerate=True))
