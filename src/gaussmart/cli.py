@@ -5,7 +5,8 @@ Subcommands: ``simulate``, ``kernel``, ``generator-check``, ``verify``,
 (``--config``); explicit flags override file values, unknown config keys
 are rejected, and so are family parameters that do not belong to the
 chosen kind.  Exit codes: 0 success / all gated checks pass, 1 gated test
-failure, 2 usage error, 3 numeric failure.
+failure, 2 usage error, 3 numeric failure (a quadrature that cannot
+converge, or a float overflow).
 
 Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
 stream layout (``"stream_layout": 2``) at top level; ``verify`` and
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import DomainError, FamilyError, QuadratureError
+from .errors import DomainError, FamilyError
 from .generator import Polynomial, generator_check
 from .kernel import kernel_eval, kernel_moment
 from .pathsim import (  # noqa: F401 (simulate_event: perfbench traces cli.simulate_event)
@@ -397,7 +398,7 @@ def execute(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except QuadratureError as exc:
+    except ArithmeticError as exc:  # QuadratureError, float overflow
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DomainError, FamilyError, OSError, json.JSONDecodeError) as exc:

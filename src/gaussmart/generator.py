@@ -14,7 +14,7 @@ against ``a w^{-1} e^{-b w} dw``, whose infinite activity near 0 is handled
 by an exact small-jump reduction (exponential-integral closed forms for the
 quadratic part of the bracket) plus adaptive panel quadrature on the rest.
 Gaussian expectations of polynomials always use the two-term moment
-recursion, never sampling.
+recursion :func:`gaussmart.kernel.gaussian_moments`, never sampling.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .errors import DomainError, FamilyError
-from .kernel import kernel_moment
+from .kernel import gaussian_moments, kernel_moment
 from .quadrature import adaptive_panels, gamma_expectation
 from .semigroup import GAMMA, SubordinatorFamily, delta, require_calibrated
 
@@ -75,18 +75,10 @@ class Polynomial:
 
     def gaussian_expectation(self, mean, var):
         """E[f(Y)] for Y ~ N(mean, var); mean/var may be arrays."""
-        mean = np.asarray(mean, dtype=float)
-        var = np.asarray(var, dtype=float)
-        shape = np.broadcast_shapes(mean.shape, var.shape)
-        m_prev = np.ones(shape)
-        total = self.coefficients[0] * m_prev
-        if self.degree == 0:
-            return total
-        m = mean * np.ones(shape)
-        total = total + self.coefficients[1] * m
-        for j in range(2, self.degree + 1):
-            m, m_prev = mean * m + (j - 1) * var * m_prev, m
-            total = total + self.coefficients[j] * m
+        moments = gaussian_moments(mean, var, self.degree)
+        total = self.coefficients[0] * moments[0]
+        for j in range(1, self.degree + 1):
+            total = total + self.coefficients[j] * moments[j]
         return total
 
 
@@ -149,7 +141,6 @@ def apply_generator(
             SMALL_JUMP_CUTOFF + 50.0 / b,
             rel_tol=1e-11,
             abs_tol=1e-13,
-            max_panels=4096,
         )
         jump_total = _small_jump_closed_form(f, x, s, a, b) + float(tail)
         return drift + jump_total / (2.0 * s)
@@ -279,13 +270,11 @@ def gamma_limit_check(b: float, g_id: str, p: float):
             f"choose from {sorted(_LIMIT_TEST_FUNCTIONS)}"
         )
     g, g_over_v = _LIMIT_TEST_FUNCTIONS[g_id]
-    val, _ = gamma_expectation(p, b, g, rel_tol=1e-10, abs_tol=1e-14, max_panels=4096)
+    val, _ = gamma_expectation(p, b, g, rel_tol=1e-10, abs_tol=1e-14)
     lhs = float(val) / p
 
     def integrand(v):
         return g_over_v(v) * np.exp(-b * v)
 
-    rhs_val, _ = adaptive_panels(
-        integrand, 0.0, 50.0 / b, rel_tol=1e-12, abs_tol=1e-15, max_panels=4096
-    )
+    rhs_val, _ = adaptive_panels(integrand, 0.0, 50.0 / b, rel_tol=1e-12, abs_tol=1e-15)
     return lhs, float(rhs_val)

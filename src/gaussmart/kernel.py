@@ -9,8 +9,10 @@ transition law is a mixture over the mixing variable R = exp(-U) in [0, 1]::
 and the step from s = 0 is exactly Gaussian.
 
 - *moments*: given R the law is Gaussian, so every moment of order k <= 4
-  is a finite combination of ``E[R^lam] = sigma^-psi(lam)``; one closed
-  form serves every family;
+  is a finite combination of ``E[R^lam] = sigma^-psi(lam)`` and the
+  Gaussian moments of :func:`gaussian_moments` (the one two-term recursion,
+  also behind ``Polynomial.gaussian_expectation``); one closed form serves
+  every family;
 - *finite-atom densities*: ``U = beta ln sigma + sum_i x_i N_i`` with
   independent ``N_i ~ Poisson(w_i ln sigma)``, so the law is an exact
   Gaussian mixture over count vectors.  Components are enumerated
@@ -22,8 +24,11 @@ and the step from s = 0 is exactly Gaussian.
   ``w = u**shape`` substitution (see
   :func:`gaussmart.quadrature.gamma_expectation`).
 
-Densities returned everywhere are the absolutely continuous part only; the
-atom (weight, location) is reported separately.
+One evaluator per step (``_ac_law``) serves a whole table of start values
+and evaluation points: :func:`kernel_eval` reads its single row and the
+Chapman-Kolmogorov check its matrix.  Densities returned everywhere are the
+absolutely continuous part only; the atom (weight, location) is reported
+separately.
 """
 
 from __future__ import annotations
@@ -53,16 +58,18 @@ POISSON_TAIL = 1e-12
 #: Monte Carlo mixing draws, and the most mixture components built exactly
 _MC_DRAWS = 20000
 
-#: E[Z^j] for a standard normal Z and even j = 0, 2, 4
-_NORMAL_EVEN_MOMENTS = {0: 1.0, 2: 1.0, 4: 3.0}
+#: start values per gamma quadrature; each block shares one subdivision
+_GAMMA_BLOCK = 64
+
+#: (start value, point, component) cells per block of a finite mixture
+_MIXTURE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid for kernel composition checks."""
 
-    n_nodes: int = 2048
-    half_width: float | None = None  # defaults to 6 * sqrt(final time)
+    n_nodes: int = 2048  # on [-6 sqrt(u), 6 sqrt(u)] for final time u
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,22 @@ class KernelEval:
 def _phi(mean, var, y):
     """Gaussian density, broadcasting over all arguments."""
     return np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+
+
+def gaussian_moments(mean, var, k: int) -> list:
+    """``[E[Y^0], ..., E[Y^k]]`` for Y ~ N(mean, var), broadcasting mean and
+    var, by the two-term recursion ``m_j = mean m_{j-1} + (j-1) var m_{j-2}``."""
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
+    ones = np.ones(np.broadcast_shapes(mean.shape, var.shape))
+    moments = [ones, mean * ones]
+    for j in range(2, k + 1):
+        moments.append(mean * moments[j - 1] + (j - 1) * var * moments[j - 2])
+    return moments[:k + 1]
+
+
+#: E[Z^j] for a standard normal Z, j = 0..4
+_STANDARD_MOMENTS = tuple(float(m) for m in gaussian_moments(0.0, 1.0, 4))
 
 
 def _check_step(s: float, t: float) -> None:
@@ -127,41 +150,67 @@ def _count_mixture(family: SubordinatorFamily, log_sigma: float, budget: int):
     return np.array(weights), np.array(jump_sums), max(1.0 - mass, 0.0)
 
 
-def _finite_mixture(
-    family: SubordinatorFamily, sigma: float, mc_draws: int = _MC_DRAWS, mc_seed: int = 0
-):
-    """Absolutely continuous components of a finite-atom step at scale sigma.
+def _ac_law(family: SubordinatorFamily, s: float, t: float):
+    """The absolutely continuous part of the step s -> t, s > 0.
 
-    Returns ``(weights, u, meta)``: component j has weight ``weights[j]``
-    and mixing increment ``u[j] > 0``, i.e. mean ``sigma e^{-u/2} x`` and
-    variance ``t (1 - e^{-u})``.  The ``u = 0`` component is the atom and
-    is left out.  Past ``_MC_DRAWS`` exact components, the components are
-    ``mc_draws`` equally weighted mixing draws instead.
+    Returns ``(meta, density)``: ``density(xs, ys)[i, j]`` is the AC
+    density of the step (s, xs[i]) -> t at ys[j].  Given the mixing
+    increment u > 0 the step is Gaussian with mean ``sigma e^{-u/2} x`` and
+    variance ``t (1 - e^{-u})``.  Finite atoms sum one Gaussian per kept
+    component (the ``u = 0`` component is the atom and is left out); past
+    ``_MC_DRAWS`` exact components, the components are ``_MC_DRAWS``
+    equally weighted mixing draws instead.  Gamma integrates the mixing
+    density, one subdivision per block of start values.
     """
+    require_calibrated(family)
+    sigma = math.sqrt(t / s)
     log_sigma = math.log(sigma)
+    if family.kind == GAMMA:
+        alpha = family.a * log_sigma
+        abs_tol = 1e-13 / math.sqrt(t)
+        meta = {"method": "gamma-quadrature", "shape": alpha, "rel_tol": 1e-8,
+                "abs_tol": abs_tol}
+
+        def density(xs, ys):
+            out = np.empty((xs.size, ys.size))
+            for lo in range(0, xs.size, _GAMMA_BLOCK):
+                block = xs[lo:lo + _GAMMA_BLOCK, None, None]
+
+                def g(u, block=block):
+                    return _phi(sigma * np.exp(-0.5 * u) * block, t * -np.expm1(-u), ys[:, None])
+
+                out[lo:lo + _GAMMA_BLOCK], _ = gamma_expectation(
+                    alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol
+                )
+            return out
+
+        return meta, density
+
     exact = _count_mixture(family, log_sigma, _MC_DRAWS)
     if exact is None:
-        bundle = verify_bundle(mc_seed, mc_draws)
-        u = sample_subordinator_increment(family, sigma, bundle)
-        weights = np.full(u.shape, 1.0 / mc_draws)
-        meta = {"method": "monte-carlo", "draws": mc_draws, "seed": mc_seed}
+        u = sample_subordinator_increment(family, sigma, verify_bundle(0, _MC_DRAWS))
+        w = np.full(u.shape, 1.0 / _MC_DRAWS)
+        meta = {"method": "monte-carlo", "draws": _MC_DRAWS, "seed": 0}
     else:
-        weights, jump_sums, tail = exact
+        w, jump_sums, tail = exact
         u = family.beta * log_sigma + jump_sums
         meta = {"method": "finite-atom-mixture", "components": int(np.sum(u > 0.0)),
                 "tail": tail}
-    ac = u > 0.0
-    return weights[ac], u[ac], meta
+    w, u = w[u > 0.0], u[u > 0.0]
+    scale = sigma * np.exp(-0.5 * u)
+    var = t * -np.expm1(-u)
+
+    def density(xs, ys):
+        out = np.empty((xs.size, ys.size))
+        rows = max(1, _MIXTURE_CELLS // max(1, ys.size * w.size))
+        for lo in range(0, xs.size, rows):
+            out[lo:lo + rows] = _phi(scale * xs[lo:lo + rows, None, None], var, ys[:, None]) @ w
+        return out
+
+    return meta, density
 
 
-def kernel_eval(
-    family: SubordinatorFamily,
-    s: float,
-    t: float,
-    x: float,
-    mc_draws: int = _MC_DRAWS,
-    mc_seed: int = 0,
-) -> KernelEval:
+def kernel_eval(family: SubordinatorFamily, s: float, t: float, x: float) -> KernelEval:
     """Build the transition law of the step (s, x) -> t as a KernelEval."""
     _check_step(s, t)
     if s == 0.0:
@@ -170,41 +219,13 @@ def kernel_eval(
 
         return KernelEval(0.0, math.nan, density, {"method": "exact-gaussian"})
 
-    require_calibrated(family)
-    sigma = math.sqrt(t / s)
-    if family.kind == GAMMA:
-        alpha = family.a * math.log(sigma)
-        abs_tol = 1e-13 / math.sqrt(t)
-
-        def density(y):
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-
-            def g(u):
-                mean = sigma * np.exp(-0.5 * u) * x
-                var = t * -np.expm1(-u)
-                return _phi(mean, var, y[:, None])
-
-            val, _ = gamma_expectation(
-                alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol, max_panels=4096
-            )
-            return val
-
-        meta = {
-            "method": "gamma-quadrature",
-            "shape": alpha,
-            "rel_tol": 1e-8,
-            "abs_tol": abs_tol,
-        }
-        return KernelEval(0.0, sigma * x, density, meta)
-
-    w, u, meta = _finite_mixture(family, sigma, mc_draws, mc_seed)
-    mu = sigma * np.exp(-0.5 * u) * x
-    var = t * -np.expm1(-u)
+    meta, law = _ac_law(family, s, t)
 
     def density(y):
         y = np.asarray(y, dtype=float)
-        return _phi(mu, var, y[..., None]) @ w
+        return law(np.array([float(x)]), y.reshape(-1))[0].reshape(y.shape)
 
+    sigma = math.sqrt(t / s)
     return KernelEval(gamma_atom(family, sigma), sigma * x, density, meta)
 
 
@@ -256,41 +277,15 @@ def kernel_moment(family: SubordinatorFamily, s: float, t: float, x: float, k: i
             )
 
     return float(sum(
-        math.comb(k, j) * _NORMAL_EVEN_MOMENTS[j] * loc ** (k - j) * t ** (j // 2)
+        math.comb(k, j) * _STANDARD_MOMENTS[j] * loc ** (k - j) * t ** (j // 2)
         * mixed(0.5 * (k - j), j // 2)
         for j in range(0, k + 1, 2)
     ))
 
 
-def _density_matrix(family, s: float, t: float, ygrid, zgrid, chunk: int = 64):
+def _density_matrix(family, s: float, t: float, ygrid, zgrid):
     """Matrix D[i, j] = AC density of the step (s, y_i) -> t evaluated at z_j."""
-    require_calibrated(family)
-    ny, nz = ygrid.size, zgrid.size
-    sigma = math.sqrt(t / s)
-    if family.kind != GAMMA:
-        w, u, _ = _finite_mixture(family, sigma)
-        scale = sigma * np.exp(-0.5 * u)
-        var = t * -np.expm1(-u)
-        out = np.zeros((ny, nz))
-        for j in range(w.size):
-            out += w[j] * _phi(scale[j] * ygrid[:, None], var[j], zgrid[None, :])
-        return out
-    alpha = family.a * math.log(sigma)
-    out = np.empty((ny, nz))
-    for lo in range(0, ny, chunk):
-        hi = min(lo + chunk, ny)
-        block = ygrid[lo:hi]
-
-        def g(u):
-            mean = sigma * np.exp(-0.5 * u) * block[:, None, None]
-            var = t * -np.expm1(-u)
-            return _phi(mean, var, zgrid[None, :, None])
-
-        val, _ = gamma_expectation(
-            alpha, family.b, g, rel_tol=1e-8, abs_tol=1e-12, max_panels=4096
-        )
-        out[lo:hi] = val
-    return out
+    return _ac_law(family, s, t)[1](ygrid, zgrid)
 
 
 def ck_residual(
@@ -314,8 +309,7 @@ def ck_residual(
         raise DomainError("need 0 <= s < t < u")
     if s == 0.0 and x != 0.0:
         raise DomainError("the s = 0 composition starts from x = 0")
-    half = grid.half_width if grid.half_width is not None else 6.0 * math.sqrt(u)
-    ygrid = np.linspace(-half, half, grid.n_nodes)
+    ygrid = np.linspace(-6.0 * math.sqrt(u), 6.0 * math.sqrt(u), grid.n_nodes)
     zgrid = ygrid.copy()
     tau = math.sqrt(u / t)
 
@@ -327,20 +321,17 @@ def ck_residual(
     composed = simpson(f1[:, None] * f2, x=ygrid, axis=0)
     if s > 0.0:
         g_sigma = gamma_atom(family, math.sqrt(t / s))
-        g_tau = gamma_atom(family, tau)
         g_both = gamma_atom(family, math.sqrt(u / s))
-        if g_sigma > 0.0:
-            composed = composed + g_sigma * kernel_eval(
-                family, t, u, first.atom_location
-            ).density(zgrid)
-        if g_tau > 0.0:
-            composed = composed + g_tau * first.density(zgrid / tau) / tau
-        atom_residual = abs(g_sigma * g_tau - g_both)
-    else:
-        g_tau = gamma_atom(family, tau)
-        if g_tau > 0.0:
-            composed = composed + g_tau * first.density(zgrid / tau) / tau
-        atom_residual = 0.0
+    else:  # from time 0 the first step is Gaussian: no atom
+        g_sigma = g_both = 0.0
+    g_tau = gamma_atom(family, tau)
+    if g_sigma > 0.0:
+        composed = composed + g_sigma * kernel_eval(
+            family, t, u, first.atom_location
+        ).density(zgrid)
+    if g_tau > 0.0:
+        composed = composed + g_tau * first.density(zgrid / tau) / tau
+    atom_residual = abs(g_sigma * g_tau - g_both)
 
     sup_residual = float(np.max(np.abs(composed - direct)))
     return sup_residual, atom_residual

@@ -9,6 +9,7 @@ lets a single refinement pass serve a whole table of evaluation points.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -66,6 +67,12 @@ _WG = np.array(
 )
 _GAUSS_IDX = np.arange(1, 15, 2)
 
+#: most panels one integral may be split into
+MAX_PANELS = 4096
+
+#: gamma mass beyond the upper integration limit
+_TAIL_MASS = 1e-18
+
 
 def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
@@ -83,22 +90,31 @@ def adaptive_panels(
     b: float,
     rel_tol: float = 1e-8,
     abs_tol: float = 0.0,
-    max_panels: int = 1024,
 ):
     """Integrate ``f`` over [a, b] to the requested accuracy.
 
     Returns ``(integral, error_estimate)`` with the integrand's leading
     shape.  The worst panel (largest max-component error) is bisected until
-    every component satisfies ``err <= max(abs_tol, rel_tol * |integral|)``
-    or the panel budget is exhausted, in which case a
-    :class:`QuadratureError` carrying the best estimate is raised.
+    every component satisfies ``err <= max(abs_tol, rel_tol * |integral|)``.
+    A :class:`QuadratureError` is raised as soon as a panel's error is not
+    finite (no bisection can repair that), or, carrying the best estimate,
+    once ``MAX_PANELS`` panels are in use.
     """
     if not b > a:
         raise ValueError("need b > a")
-    val, err = _panel(f, a, b)
-    # heap entries: (-max_err, seq, a, b, val, err); seq breaks ties
-    heap = [(-float(np.max(err)), 0, a, b, val, err)]
-    seq = 1
+    heap = []  # entries (-max_err, seq, a, b, val, err); seq breaks ties
+    seq = 0
+
+    def push(lo, hi):
+        nonlocal seq
+        val, err = _panel(f, lo, hi)
+        key = -float(np.max(err))
+        if not math.isfinite(key):
+            raise QuadratureError(f"integrand is not finite on [{lo!r}, {hi!r}]")
+        heapq.heappush(heap, (key, seq, lo, hi, val, err))
+        seq += 1
+
+    push(a, b)
     n_panels = 1
     while True:
         total = sum(item[4] for item in heap)
@@ -107,19 +123,17 @@ def adaptive_panels(
         bound = np.maximum(bound, 1e3 * np.finfo(float).tiny)
         if np.all(total_err <= bound):
             return total, total_err
-        if n_panels >= max_panels:
+        if n_panels >= MAX_PANELS:
             raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels "
+                f"quadrature did not converge within {MAX_PANELS} panels "
                 f"(max error {float(np.max(total_err)):.3e})",
                 estimate=total,
                 error_bound=total_err,
             )
         _, _, pa, pb, _, _ = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        for lo, hi in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, lo, hi)
-            heapq.heappush(heap, (-float(np.max(e)), seq, lo, hi, v, e))
-            seq += 1
+        push(pa, mid)
+        push(mid, pb)
         n_panels += 1
 
 
@@ -129,8 +143,6 @@ def gamma_expectation(
     g,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    max_panels: int = 2048,
-    tail_mass: float = 1e-18,
 ):
     """E[g(V)] for V ~ Gamma(shape=alpha, rate), robust to shapes below one.
 
@@ -146,7 +158,7 @@ def gamma_expectation(
 
     if alpha <= 0 or rate <= 0:
         raise ValueError("need alpha > 0 and rate > 0")
-    u_hi = float(gamma_dist.isf(tail_mass, alpha, scale=1.0 / rate))
+    u_hi = float(gamma_dist.isf(_TAIL_MASS, alpha, scale=1.0 / rate))
     if alpha >= 1.0:
         log_norm = alpha * np.log(rate) - gammaln(alpha)
 
@@ -154,9 +166,7 @@ def gamma_expectation(
             dens = np.exp(log_norm + (alpha - 1.0) * np.log(u) - rate * u)
             return dens * g(u)
 
-        return adaptive_panels(
-            integrand, 0.0, u_hi, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-        )
+        return adaptive_panels(integrand, 0.0, u_hi, rel_tol=rel_tol, abs_tol=abs_tol)
 
     const = np.exp(alpha * np.log(rate) - gammaln(alpha + 1.0))
     inv_alpha = 1.0 / alpha
@@ -166,6 +176,4 @@ def gamma_expectation(
         return const * np.exp(-rate * u) * g(u)
 
     w_hi = float(np.exp(alpha * np.log(u_hi)))
-    return adaptive_panels(
-        integrand, 0.0, w_hi, rel_tol=rel_tol, abs_tol=abs_tol, max_panels=max_panels
-    )
+    return adaptive_panels(integrand, 0.0, w_hi, rel_tol=rel_tol, abs_tol=abs_tol)

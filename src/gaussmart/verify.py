@@ -41,6 +41,12 @@ from .semigroup import (
 KS_P_FLOOR = 0.001
 Z_BOUND = 4.0
 
+#: martingale_binned: quantile bins of X_s, and the fewest pairs per bin
+_MARTINGALE_BINS, _MARTINGALE_MIN_COUNT = 10, 20
+#: conditional_kurtosis: central-bin half-width in units of sqrt(s),
+#: bootstrap resamples, and the fewest pairs in the bin
+_KURTOSIS_HALF_WIDTH, _KURTOSIS_BOOT, _KURTOSIS_MIN_BIN = 0.05, 200, 1000
+
 
 def derive_seed(seed: int, tag: str) -> int:
     """Stable 64-bit sub-seed for a named experiment."""
@@ -158,21 +164,18 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
     )
 
 
-def test_martingale_binned(
-    pairs, s: float, t: float, seed: int | None = None,
-    n_bins: int = 10, min_count: int = 20,
-) -> StatReport:
+def test_martingale_binned(pairs, s: float, t: float, seed: int | None = None) -> StatReport:
     """Per-decile mean of X_t - X_s must vanish within 4 standard errors."""
     xs, xt = _split_pairs(pairs)
-    edges = np.quantile(xs, np.linspace(0.0, 1.0, n_bins + 1))
-    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, n_bins - 1)
+    edges = np.quantile(xs, np.linspace(0.0, 1.0, _MARTINGALE_BINS + 1))
+    idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, _MARTINGALE_BINS - 1)
     diff = xt - xs
     bin_means, bin_ses, counts = [], [], []
     inconclusive = False
-    for bin_id in range(n_bins):
+    for bin_id in range(_MARTINGALE_BINS):
         sel = diff[idx == bin_id]
         counts.append(sel.size)
-        if sel.size < min_count:
+        if sel.size < _MARTINGALE_MIN_COUNT:
             inconclusive = True
             bin_means.append(math.nan)
             bin_ses.append(math.nan)
@@ -234,9 +237,7 @@ def test_cross_moment(
 
 
 def test_conditional_kurtosis(
-    pairs, s: float, t: float, family: SubordinatorFamily,
-    seed: int | None = None, bin_half_width_factor: float = 0.05,
-    n_boot: int = 200, min_bin: int = 1000,
+    pairs, s: float, t: float, family: SubordinatorFamily, seed: int | None = None
 ) -> StatReport:
     """Kurtosis of X_t over the central X_s bin against the closed form.
 
@@ -246,13 +247,13 @@ def test_conditional_kurtosis(
     """
     xs, xt = _split_pairs(pairs)
     sigma = math.sqrt(t / s)
-    half_width = bin_half_width_factor * math.sqrt(s)
+    half_width = _KURTOSIS_HALF_WIDTH * math.sqrt(s)
     sel = xt[np.abs(xs) < half_width]
     details = {"bin_count": int(sel.size), "bin_half_width": half_width}
     l1 = laplace(family, sigma, 1.0)
     l2 = laplace(family, sigma, 2.0)
     target = 3.0 * (1.0 - 2.0 * l1 + l2) / (1.0 - l1) ** 2
-    if sel.size < min_bin:
+    if sel.size < _KURTOSIS_MIN_BIN:
         rep = _report(
             "conditional_kurtosis", xs.size, math.nan, target, None,
             "within 4 bootstrap SE", False, seed, details,
@@ -264,8 +265,8 @@ def test_conditional_kurtosis(
     kurt = float(m4 / m2**2)
     boot_seed = derive_seed(seed if seed is not None else 0, "kurtosis-bootstrap")
     bundle = verify_bundle(boot_seed, sel.size)
-    boot = np.empty(n_boot)
-    for bi in range(n_boot):
+    boot = np.empty(_KURTOSIS_BOOT)
+    for bi in range(_KURTOSIS_BOOT):
         draw = sel[np.minimum((bundle.uniforms(1)[0] * sel.size).astype(int), sel.size - 1)]
         boot[bi] = np.mean(draw**4) / np.mean(draw**2) ** 2
     se = float(boot.std(ddof=1))

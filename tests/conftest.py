@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from gaussmart import (
@@ -27,3 +29,19 @@ def compound_fam():
 @pytest.fixture(scope="session")
 def brownian_fam():
     return brownian_family()
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test, instead of hanging the suite, after 10 s."""
+
+    def expire(signum, frame):
+        # pytest.fail, not TimeoutError: that is an OSError, which
+        # cli.execute would turn into exit 2
+        pytest.fail("the call did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,4 @@
 import json
-import signal
 
 import pytest
 
@@ -133,21 +132,10 @@ class TestUsageErrors:
         ) == 2
 
 
+@pytest.mark.usefixtures("time_limit")
 class TestNonFiniteInputs:
     """Non-finite or negative numbers are usage errors, never hangs,
     tracebacks, NaN output or the exit code of a failed gate."""
-
-    @pytest.fixture(autouse=True)
-    def alarm(self):
-        def expire(signum, frame):
-            # not an OSError like TimeoutError, which execute() turns into exit 2
-            pytest.fail("the command did not return within 10 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        yield
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize(
         "argv",
@@ -194,6 +182,32 @@ class TestNonFiniteInputs:
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestNumericFailures:
+    """Laws the numerics cannot evaluate exit 3 at once, never after a long
+    search, with a traceback or with the exit code of a failed gate."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a ln sigma <= 1/2: the gamma density is infinite at the grid's
+            # node sigma x, so the quadrature meets a non-finite integrand
+            ["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
+            ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
+            ["kernel", "--family", "gamma", "--b", "1e-300"],
+            # the moment checks overflow a float
+            ["kernel", "--x", "1e160"],
+            ["kernel", "--x", "1e300"],
+            ["generator-check", "--x", "1e200"],
+            ["generator-check", "--family", "gamma", "--x", "1e200"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_three(self, tmp_path, capsys, argv):
+        assert execute(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
 class TestFamilyOptions:

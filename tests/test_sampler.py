@@ -1,5 +1,4 @@
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -89,24 +88,16 @@ class TestPhiloxCore:
         assert np.array_equal(mixed[:, ::2], ref[:, ::2])
         assert np.array_equal(mixed[:, 1], _numpy_blocks(3, 2**63 + 6, 2, 0, 1)[:, 0])
 
+    @pytest.mark.usefixtures("time_limit")
     def test_sparse_reversed_duplicate_ids(self):
         # ids ~2**64 apart with mixed attempts: one numpy call per run of
         # nearby ids, so the call returns at once instead of building the span
-        def expire(signum, frame):
-            raise TimeoutError("philox_block did not return within 10 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 10.0)
-        try:
-            ids = np.array([2**64 - 2, 0, 7, 2**63, 7, 600, 8], dtype=np.uint64)
-            for attempt in (np.array([1, 0, 2, 1, 2, 0, 2], dtype=np.uint64), 3):
-                got = philox_block(11, ids, 5, attempt)
-                att = np.broadcast_to(attempt, ids.shape)
-                for col, (i, a) in enumerate(zip(ids, att)):
-                    assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, a, 1)[:, 0])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+        ids = np.array([2**64 - 2, 0, 7, 2**63, 7, 600, 8], dtype=np.uint64)
+        for attempt in (np.array([1, 0, 2, 1, 2, 0, 2], dtype=np.uint64), 3):
+            got = philox_block(11, ids, 5, attempt)
+            att = np.broadcast_to(attempt, ids.shape)
+            for col, (i, a) in enumerate(zip(ids, att)):
+                assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, a, 1)[:, 0])
 
     def test_empty_request(self):
         assert philox_block(1, np.array([], dtype=np.uint64), 1, 0).shape == (4, 0)
