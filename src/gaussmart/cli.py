@@ -263,10 +263,6 @@ def _cmd_kernel(args) -> int:
         center = 0.0 if math.isnan(ev.atom_location) else ev.atom_location
         ygrid = np.linspace(center - 10 * math.sqrt(t), center + 10 * math.sqrt(t), 2001)
     dens = ev.density(ygrid)
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write("y,density\n")
-        for yv, dv in zip(ygrid, dens):
-            fh.write(f"{float(yv)!r},{float(dv)!r}\n")
     mass = ev.atom_weight + float(simpson(dens, x=ygrid))
     moments = {}
     references = {0: 1.0, 1: x}
@@ -290,6 +286,12 @@ def _cmd_kernel(args) -> int:
         "method": ev.quadrature,
         "s": s, "t": t, "x": x,
     }
+    # every sidecar quantity is computed before the table is written, so a
+    # run that fails (a moment overflow, say) leaves no file behind
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write("y,density\n")
+        for yv, dv in zip(ygrid, dens):
+            fh.write(f"{float(yv)!r},{float(dv)!r}\n")
     _write_json(out + ".json", sidecar)
     print(
         f"kernel: atom {ev.atom_weight:.6g}, mass {mass:.12g}, "
@@ -398,7 +400,14 @@ def execute(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ArithmeticError as exc:  # QuadratureError, float overflow
+    except OverflowError:
+        print(
+            "numeric failure: float overflow; lower the magnitude of the "
+            "inputs (the start value --x, the times --s/--t)",
+            file=sys.stderr,
+        )
+        return 3
+    except ArithmeticError as exc:  # QuadratureError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DomainError, FamilyError, OSError, json.JSONDecodeError) as exc:

@@ -33,8 +33,10 @@ Sampling algorithms are chosen for stream determinism:
 - finite-atom increments ``beta ln sigma + sum_i x_i N_i`` with independent
   ``N_i ~ Poisson(w_i ln sigma)``, one whole-bundle Poisson draw per atom;
 - Gaussians by inversion of the normal CDF (one uniform per deviate);
-- Poisson by sequential-search inversion for mean <= 10 and by Hormann's
-  transformed-rejection (PTRS) above;
+- Poisson by inversion for mean <= 10, one cumulative table per distinct
+  mean searched with ``np.searchsorted`` (the counts of a sequential search
+  of the CDF, bit for bit), and by Hormann's transformed rejection (PTRS)
+  above;
 - gamma by Marsaglia-Tsang, with shapes below one boosted through
   ``Gamma(a) = Gamma(a + 1) * U**(1/a)`` to avoid rejection pathologies at
   the tiny shapes produced by fine time grids.
@@ -199,19 +201,33 @@ def _site_lanes(bundle: StreamBundle, idx) -> np.ndarray:
     return np.asarray(idx)
 
 
+def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
+    """Inversion of the Poisson(mean) CDF by one cumulative table.
+
+    The table is ``cdf[k] = cdf[k-1] + p[k]`` with ``p[k] = p[k-1] * (mean / k)``
+    from ``p[0] = exp(-mean)``, in that operation order, up to the first
+    entry that reaches ``max(u)`` or whose ``p`` underflows to 0.  Each draw
+    is the first ``k`` with ``u <= cdf[k]``; a ``u`` beyond the last entry
+    (only past an underflow) takes the last index.
+    """
+    # numpy's exp, not math.exp: the two differ in the last bit
+    p = float(np.exp(-np.float64(mean)))
+    cdf = [p]
+    top = float(u.max())
+    while cdf[-1] < top and p > 0.0:
+        p *= mean / len(cdf)
+        cdf.append(cdf[-1] + p)
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+
+
 def _poisson_inversion(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Sequential-search inversion; exactly one uniform per draw (mean <= ~10)."""
-    k = np.zeros(u.shape, dtype=np.int64)
-    p = np.exp(-mean)
-    cdf = p.copy()
-    active = u > cdf
-    while np.any(active):
-        k[active] += 1
-        p[active] *= mean[active] / k[active]
-        cdf[active] += p[active]
-        # p underflow means u sits beyond representable mass; stop that lane
-        active &= (u > cdf) & (p > 0.0)
-    return k
+    """Table inversion per distinct per-lane mean; one uniform per draw."""
+    values, group = np.unique(mean, return_inverse=True)
+    out = np.empty(u.shape, dtype=np.int64)
+    for j, m in enumerate(values.tolist()):
+        sel = group == j
+        out[sel] = _poisson_table_inversion(u[sel], m)
+    return out
 
 
 def _poisson_ptrs(bundle: StreamBundle, mean: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -248,10 +264,14 @@ def _poisson_ptrs(bundle: StreamBundle, mean: np.ndarray, idx: np.ndarray) -> np
 
 def poisson_draw(bundle: StreamBundle, mean, idx=None) -> np.ndarray:
     """Poisson deviates, one per selected lane; mean may be scalar or per-lane."""
+    mean = np.asarray(mean, dtype=float)
+    if not np.all((0.0 <= mean) & (mean < np.inf)):  # NaN fails both
+        raise DomainError("poisson mean must be finite and >= 0")
+    if idx is None and mean.ndim == 0 and mean <= 10.0 and len(bundle):
+        # the whole bundle at one mean: attempt 0 of a new site for every lane
+        return _poisson_table_inversion(bundle.uniforms(1)[0], float(mean))
     lanes = _site_lanes(bundle, idx)
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), lanes.shape).copy()
-    if np.any(mean < 0):
-        raise DomainError("poisson mean must be >= 0")
+    mean = np.broadcast_to(mean, lanes.shape)
     out = np.zeros(lanes.shape[0], dtype=np.int64)
     small = mean <= 10.0
     if np.any(small):
@@ -271,8 +291,8 @@ def gamma_draw(bundle: StreamBundle, shape, rate=1.0, idx=None) -> np.ndarray:
     lanes = _site_lanes(bundle, idx)
     shape = np.broadcast_to(np.asarray(shape, dtype=float), lanes.shape).copy()
     rate = np.broadcast_to(np.asarray(rate, dtype=float), lanes.shape).copy()
-    if np.any(shape <= 0) or np.any(rate <= 0):
-        raise DomainError("gamma shape and rate must be > 0")
+    if not np.all((0.0 < shape) & (shape < np.inf) & (0.0 < rate) & (rate < np.inf)):
+        raise DomainError("gamma shape and rate must be finite and > 0")
     boost = shape < 1.0
     d = np.where(boost, shape + 1.0, shape) - 1.0 / 3.0
     cc = 1.0 / np.sqrt(9.0 * d)

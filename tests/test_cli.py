@@ -184,6 +184,15 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+#: inputs whose moment checks overflow a float
+_OVERFLOWS = [
+    ["kernel", "--x", "1e160"],
+    ["kernel", "--x", "1e300"],
+    ["generator-check", "--x", "1e200"],
+    ["generator-check", "--family", "gamma", "--x", "1e200"],
+]
+
+
 @pytest.mark.usefixtures("time_limit")
 class TestNumericFailures:
     """Laws the numerics cannot evaluate exit 3 at once, never after a long
@@ -197,17 +206,18 @@ class TestNumericFailures:
             ["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
             ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
             ["kernel", "--family", "gamma", "--b", "1e-300"],
-            # the moment checks overflow a float
-            ["kernel", "--x", "1e160"],
-            ["kernel", "--x", "1e300"],
-            ["generator-check", "--x", "1e200"],
-            ["generator-check", "--family", "gamma", "--x", "1e200"],
+            *_OVERFLOWS,
         ],
         ids=" ".join,
     )
     def test_exits_three(self, tmp_path, capsys, argv):
         assert execute(argv + ["--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        if argv in _OVERFLOWS:
+            assert "float overflow" in err and "--x" in err and "--s/--t" in err
+        # a failed run writes neither a table nor a sidecar
+        assert not any(tmp_path.iterdir())
 
 
 class TestFamilyOptions:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gaussmart import (
@@ -17,6 +19,8 @@ from gaussmart import (
 )
 from gaussmart.sampler import (
     VERIFY_STREAM_BASE,
+    _poisson_inversion,
+    _poisson_table_inversion,
     gamma_draw,
     philox_block,
     poisson_draw,
@@ -284,3 +288,104 @@ class TestLowLevelSamplers:
         means = np.where(np.arange(1000) % 2 == 0, 3.0, 40.0)
         k = poisson_draw(path_bundle(47, 1000), means)
         assert k[::2].mean() < k[1::2].mean()
+
+
+def _sequential_search(u, mean):
+    """Reference Poisson inversion: a masked sequential search of the CDF,
+    stopping a lane where p underflows (u beyond representable mass)."""
+    k = np.zeros(u.shape, dtype=np.int64)
+    p = np.exp(-mean)
+    cdf = p.copy()
+    active = u > cdf
+    while np.any(active):
+        k[active] += 1
+        p[active] *= mean[active] / k[active]
+        cdf[active] += p[active]
+        active &= (u > cdf) & (p > 0.0)
+    return k
+
+
+#: the smallest uniform the stream makes, 1/2, the largest double below 1,
+#: and 1 itself (_to_unit rounds the top word up to 1.0)
+_EDGE_U = [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0]
+_MEANS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 10.0]),
+    st.floats(0.0, 10.0),
+)
+_UNIFORMS = st.lists(
+    st.one_of(st.sampled_from(_EDGE_U), st.floats(2.0**-54, 1.0)),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestPoissonInversion:
+    """The table inversion returns the sequential search's counts bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean=_MEANS, u=_UNIFORMS)
+    def test_table_matches_sequential_search(self, mean, u):
+        u = np.array(u + _EDGE_U)
+        ref = _sequential_search(u, np.full(u.shape, mean))
+        assert np.array_equal(_poisson_table_inversion(u, mean), ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(means=st.lists(_MEANS, min_size=1, max_size=4), u=_UNIFORMS)
+    def test_per_lane_means_match_sequential_search(self, means, u):
+        u = np.array(u)
+        mean = np.resize(np.array(means), u.shape)
+        assert np.array_equal(_poisson_inversion(u, mean), _sequential_search(u, mean))
+
+    @pytest.mark.parametrize("mean", [0.1, 4.0, 10.0])
+    def test_underflow_edge(self, mean):
+        # at mean 0.1 and 4 the cumulative sum stops short of 1 - 2**-53,
+        # at mean 10 short of u = 1.0 (a uniform the stream can round to),
+        # so the table runs until p underflows and the last index is taken
+        u = np.array([1.0, 1.0 - 2.0**-53, 0.5])
+        ref = _sequential_search(u, np.full(u.shape, mean))
+        assert ref[0] > 60
+        assert np.array_equal(_poisson_table_inversion(u, mean), ref)
+
+    @pytest.mark.parametrize(
+        "mean, counts",
+        [
+            (0.05, [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0]),
+            (2.5, [4, 2, 3, 5, 1, 2, 1, 7, 1, 3, 1, 4, 2, 6, 1, 0]),
+            (9.9, [14, 9, 12, 14, 8, 9, 7, 18, 7, 10, 7, 12, 10, 17, 7, 5]),
+            (10.0, [14, 9, 12, 14, 8, 9, 7, 18, 7, 11, 7, 12, 10, 17, 8, 5]),
+            (42.0, [36, 41, 47, 52, 37, 40, 34, 48, 35, 44, 36, 43, 41, 44, 36, 28]),
+        ],
+    )
+    def test_known_answers(self, mean, counts):
+        # counts recorded from the sequential search (stream layout 2)
+        assert poisson_draw(path_bundle(7, 16), mean).tolist() == counts
+
+    def test_whole_bundle_draw_is_one_block_call(self, monkeypatch):
+        calls = []
+        blocks = StreamBundle.blocks
+
+        def counted(self, idx=None):
+            calls.append(idx)
+            return blocks(self, idx)
+
+        monkeypatch.setattr(StreamBundle, "blocks", counted)
+        poisson_draw(path_bundle(3, 50), 2.5)
+        assert calls == [None]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_poisson_mean(self, mean):
+        with pytest.raises(DomainError):
+            poisson_draw(path_bundle(1, 10), mean)
+        with pytest.raises(DomainError):
+            poisson_draw(path_bundle(1, 10), np.array([1.0] * 9 + [mean]))
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("shape, rate", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_gamma_shape_and_rate(self, shape, rate):
+        with pytest.raises(DomainError):
+            gamma_draw(path_bundle(1, 10), shape, rate)
