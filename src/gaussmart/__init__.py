@@ -37,7 +37,6 @@ from .sampler import (
     StreamBundle,
     VERIFY_STREAM_BASE,
     path_bundle,
-    sample_gaussian,
     sample_subordinator_increment,
     verify_bundle,
 )

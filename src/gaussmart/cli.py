@@ -260,23 +260,25 @@ def _cmd_kernel(args) -> int:
         if ygrid.size == 0 or not np.all(np.isfinite(ygrid)):
             raise DomainError(f"bad grid spec {opts['y']!r}; need finite bounds and n >= 1")
     else:
-        center = 0.0 if math.isnan(ev.atom_location) else ev.atom_location
-        ygrid = np.linspace(center - 10 * math.sqrt(t), center + 10 * math.sqrt(t), 2001)
-    dens = ev.density(ygrid)
-    mass = ev.atom_weight + float(simpson(dens, x=ygrid))
-    moments = {}
+        # the continuous part's component means lie between 0 and the atom
+        # at sigma x (from s = 0 the law is N(x, t))
+        loc = x if math.isnan(ev.atom_location) else ev.atom_location
+        half = 10 * math.sqrt(t)
+        ygrid = np.linspace(min(0.0, loc) - half, max(0.0, loc) + half, 2001)
+    # the moments use Python floats, so an overflow raises here, before the
+    # array computations below can print numpy warnings
+    values = {k: kernel_moment(family, s, t, x, k) for k in (0, 1, 2)}
     references = {0: 1.0, 1: x}
     if s > 0:
         references[2] = conditional_moments(family, s, t, x)[1]
     else:
         references[2] = t + x * x
-    for k in (0, 1, 2):
-        mk = kernel_moment(family, s, t, x, k)
-        moments[f"k{k}"] = {
-            "value": mk,
-            "reference": references[k],
-            "abs_error": abs(mk - references[k]),
-        }
+    moments = {
+        f"k{k}": {"value": mk, "reference": references[k], "abs_error": abs(mk - references[k])}
+        for k, mk in values.items()
+    }
+    dens = ev.density(ygrid)
+    mass = ev.atom_weight + float(simpson(dens, x=ygrid))
     sidecar = {
         **_HEADER,
         "atom_weight": ev.atom_weight,

@@ -28,14 +28,15 @@ Stream assignment policy
 - ``stream_id = 2**64 - 1`` is refused: its counter word would wrap into
   ``site``.
 
-Sampling algorithms are chosen for stream determinism:
+Each sampler draws the whole bundle at one scalar parameter and opens one
+new site per call.  Sampling algorithms are chosen for stream determinism:
 
 - finite-atom increments ``beta ln sigma + sum_i x_i N_i`` with independent
   ``N_i ~ Poisson(w_i ln sigma)``, one whole-bundle Poisson draw per atom;
 - Gaussians by inversion of the normal CDF (one uniform per deviate);
-- Poisson by inversion for mean <= 10, one cumulative table per distinct
-  mean searched with ``np.searchsorted`` (the counts of a sequential search
-  of the CDF, bit for bit), and by Hormann's transformed rejection (PTRS)
+- Poisson by inversion for mean <= 10, one cumulative table per draw
+  searched with ``np.searchsorted`` (the counts of a sequential search of
+  the CDF, bit for bit), and by Hormann's transformed rejection (PTRS)
   above;
 - gamma by Marsaglia-Tsang, with shapes below one boosted through
   ``Gamma(a) = Gamma(a + 1) * U**(1/a)`` to avoid rejection pathologies at
@@ -193,14 +194,6 @@ def verify_bundle(seed: int, n: int, offset: int = 0) -> StreamBundle:
 # ---------------------------------------------------------------------------
 
 
-def _site_lanes(bundle: StreamBundle, idx) -> np.ndarray:
-    """Lanes of a sampler call; a call over the whole bundle opens a new site."""
-    if idx is None:
-        bundle.new_site()
-        return np.arange(len(bundle))
-    return np.asarray(idx)
-
-
 def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     """Inversion of the Poisson(mean) CDF by one cumulative table.
 
@@ -213,109 +206,82 @@ def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     # numpy's exp, not math.exp: the two differ in the last bit
     p = float(np.exp(-np.float64(mean)))
     cdf = [p]
-    top = float(u.max())
+    top = float(u.max(initial=0.0))
     while cdf[-1] < top and p > 0.0:
         p *= mean / len(cdf)
         cdf.append(cdf[-1] + p)
     return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
 
 
-def _poisson_inversion(u: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Table inversion per distinct per-lane mean; one uniform per draw."""
-    values, group = np.unique(mean, return_inverse=True)
-    out = np.empty(u.shape, dtype=np.int64)
-    for j, m in enumerate(values.tolist()):
-        sel = group == j
-        out[sel] = _poisson_table_inversion(u[sel], m)
-    return out
-
-
-def _poisson_ptrs(bundle: StreamBundle, mean: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _poisson_ptrs(bundle: StreamBundle, mean: float) -> np.ndarray:
     """Hormann's PTRS transformed rejection; two uniforms per round per lane."""
-    mu = mean.astype(float)
-    smu = np.sqrt(mu)
-    b = 0.931 + 2.53 * smu
+    # numpy's sqrt and log on float64, not math's: they fix the last bit
+    mu = np.float64(mean)
+    b = 0.931 + 2.53 * np.sqrt(mu)
     a = -0.059 + 0.02483 * b
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_mu = np.log(mu)
-    out = np.zeros(idx.shape[0], dtype=np.int64)
-    pend = np.arange(idx.shape[0])
+    bundle.new_site()
+    out = np.zeros(len(bundle), dtype=np.int64)
+    pend = np.arange(len(bundle))
     while pend.size:
-        uu = bundle.uniforms(2, idx[pend])
+        uu = bundle.uniforms(2, pend)
         u = uu[0] - 0.5
         v = uu[1]
         us = 0.5 - np.abs(u)
-        kf = np.floor((2.0 * a[pend] / us + b[pend]) * u + mu[pend] + 0.43)
-        accept = (us >= 0.07) & (v <= v_r[pend])
+        kf = np.floor((2.0 * a / us + b) * u + mu + 0.43)
+        accept = (us >= 0.07) & (v <= v_r)
         reject = (kf < 0.0) | ((us < 0.013) & (v > us))
         needs_log = ~(accept | reject)
         if np.any(needs_log):
-            sel = pend[needs_log]
-            lhs = np.log(
-                v[needs_log] * inv_alpha[sel] / (a[sel] / us[needs_log] ** 2 + b[sel])
-            )
-            rhs = kf[needs_log] * log_mu[sel] - mu[sel] - gammaln(kf[needs_log] + 1.0)
+            lhs = np.log(v[needs_log] * inv_alpha / (a / us[needs_log] ** 2 + b))
+            rhs = kf[needs_log] * log_mu - mu - gammaln(kf[needs_log] + 1.0)
             accept[needs_log] = lhs <= rhs
         out[pend[accept]] = kf[accept].astype(np.int64)
         pend = pend[~accept]
     return out
 
 
-def poisson_draw(bundle: StreamBundle, mean, idx=None) -> np.ndarray:
-    """Poisson deviates, one per selected lane; mean may be scalar or per-lane."""
-    mean = np.asarray(mean, dtype=float)
-    if not np.all((0.0 <= mean) & (mean < np.inf)):  # NaN fails both
+def poisson_draw(bundle: StreamBundle, mean: float) -> np.ndarray:
+    """Poisson(mean) deviates, one per lane, at a new site of the bundle."""
+    mean = float(mean)
+    if not 0.0 <= mean < np.inf:  # NaN fails both
         raise DomainError("poisson mean must be finite and >= 0")
-    if idx is None and mean.ndim == 0 and mean <= 10.0 and len(bundle):
-        # the whole bundle at one mean: attempt 0 of a new site for every lane
-        return _poisson_table_inversion(bundle.uniforms(1)[0], float(mean))
-    lanes = _site_lanes(bundle, idx)
-    mean = np.broadcast_to(mean, lanes.shape)
-    out = np.zeros(lanes.shape[0], dtype=np.int64)
-    small = mean <= 10.0
-    if np.any(small):
-        u = bundle.uniforms(1, lanes[small])[0]
-        out[small] = _poisson_inversion(u, mean[small])
-    if np.any(~small):
-        out[~small] = _poisson_ptrs(bundle, mean[~small], lanes[~small])
-    return out
+    if mean <= 10.0:
+        return _poisson_table_inversion(bundle.uniforms(1)[0], mean)
+    return _poisson_ptrs(bundle, mean)
 
 
-def gamma_draw(bundle: StreamBundle, shape, rate=1.0, idx=None) -> np.ndarray:
-    """Gamma deviates via Marsaglia-Tsang; three uniforms per round per lane.
+def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0) -> np.ndarray:
+    """Gamma(shape, rate) deviates via Marsaglia-Tsang, one per lane, at a
+    new site of the bundle; three uniforms per round per lane.
 
     Word 0 feeds the inversion normal, word 1 the acceptance test, word 2
     the ``U**(1/shape)`` boost used when shape < 1.
     """
-    lanes = _site_lanes(bundle, idx)
-    shape = np.broadcast_to(np.asarray(shape, dtype=float), lanes.shape).copy()
-    rate = np.broadcast_to(np.asarray(rate, dtype=float), lanes.shape).copy()
-    if not np.all((0.0 < shape) & (shape < np.inf) & (0.0 < rate) & (rate < np.inf)):
+    shape, rate = float(shape), float(rate)
+    if not (0.0 < shape < np.inf and 0.0 < rate < np.inf):
         raise DomainError("gamma shape and rate must be finite and > 0")
     boost = shape < 1.0
-    d = np.where(boost, shape + 1.0, shape) - 1.0 / 3.0
+    d = np.float64(shape + 1.0 if boost else shape) - 1.0 / 3.0
     cc = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(lanes.shape[0], dtype=float)
-    pend = np.arange(lanes.shape[0])
+    bundle.new_site()
+    out = np.empty(len(bundle), dtype=float)
+    pend = np.arange(len(bundle))
     while pend.size:
-        uu = bundle.uniforms(3, lanes[pend])
+        uu = bundle.uniforms(3, pend)
         x = ndtri(uu[0])
-        v = (1.0 + cc[pend] * x) ** 3
+        v = (1.0 + cc * x) ** 3
         ok = v > 0.0
         logv = np.log(np.where(ok, v, 1.0))
-        accept = ok & (
-            np.log(uu[1]) < 0.5 * x * x + d[pend] * (1.0 - v + logv)
-        )
-        if np.any(accept):
-            sel = pend[accept]
-            val = d[sel] * v[accept]
-            bsel = boost[sel]
-            if np.any(bsel):
-                # Gamma(a) = Gamma(a+1) * U**(1/a); exp/log form keeps tiny
-                # shapes finite (underflow to 0 is the correct rounding)
-                val[bsel] *= np.exp(np.log(uu[2][accept][bsel]) / shape[sel][bsel])
-            out[sel] = val / rate[sel]
+        accept = ok & (np.log(uu[1]) < 0.5 * x * x + d * (1.0 - v + logv))
+        val = d * v[accept]
+        if boost:
+            # Gamma(a) = Gamma(a+1) * U**(1/a); exp/log form keeps tiny
+            # shapes finite (underflow to 0 is the correct rounding)
+            val *= np.exp(np.log(uu[2][accept]) / shape)
+        out[pend[accept]] = val / rate
         pend = pend[~accept]
     return out
 
@@ -345,7 +311,3 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: Str
         out += x * poisson_draw(bundle, w * log_sigma)
     return out
 
-
-def sample_gaussian(bundle: StreamBundle) -> np.ndarray:
-    """Standard normal deviates by CDF inversion, one uniform per lane."""
-    return bundle.normals()

@@ -289,7 +289,11 @@ def test_quadratic_variation(
     trapezoid from the first positive time, and the exactly-Gaussian first
     step contributes t_1 to each side identically, so it is dropped from
     the residual).  Also checks E[qv] = t_end using the full expression.
+    Fewer than 2 paths have no standard error and raise DomainError.
     """
+    n = len(paths) if times is None else np.atleast_2d(np.asarray(paths)).shape[0]
+    if n < 2:
+        raise DomainError(f"quadratic-variation test needs at least 2 paths, got {n}")
     if times is None:
         grids = list(paths)
         times = np.asarray(grids[0].times, dtype=float)
@@ -301,7 +305,7 @@ def test_quadratic_variation(
         values = np.atleast_2d(np.asarray(paths, dtype=float))
     if times.size < 65:
         rep = _report(
-            "quadratic_variation", values.shape[0], math.nan, 0.0, None,
+            "quadratic_variation", n, math.nan, 0.0, None,
             "mean residual within 4 SE of 0", False, seed,
             {"error": "grid too coarse; need at least 64 steps"},
         )
@@ -317,11 +321,10 @@ def test_quadratic_variation(
     window_rhs = d * (t_end - times[1]) + (1.0 - d) * integral
     qv_full = d * t_end + (1.0 - d) * integral
     residual = cond_sum - window_rhs
-    n = values.shape[0]
     mean_res = float(residual.mean())
-    se_res = float(residual.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se_res = float(residual.std(ddof=1) / math.sqrt(n))
     mean_qv = float(qv_full.mean())
-    se_qv = float(qv_full.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se_qv = float(qv_full.std(ddof=1) / math.sqrt(n))
     tiny = 1e-12
     residual_ok = abs(mean_res) <= Z_BOUND * se_res + tiny
     expectation_ok = abs(mean_qv - t_end) <= Z_BOUND * se_qv + tiny

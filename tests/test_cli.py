@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from gaussmart import calibrate, poisson_family
@@ -206,7 +208,9 @@ class TestNumericFailures:
             ["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
             ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
             ["kernel", "--family", "gamma", "--b", "1e-300"],
-            *_OVERFLOWS,
+            # an overflow is reported before numpy can warn about it
+            *(pytest.param(a, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
+              for a in _OVERFLOWS),
         ],
         ids=" ".join,
     )
@@ -293,6 +297,33 @@ class TestKernel:
         assert sidecar["atom_weight"] == 0.0
         assert sidecar["atom_location"] is None
 
+    @pytest.mark.parametrize(
+        "argv, tol",
+        [
+            (["--family", "poisson", "--x", "30"], 1e-8),
+            (["--family", "poisson", "--x", "-30"], 1e-8),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--x", "30"], 1e-8),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--x", "-30"], 1e-8),
+            (["--family", "gamma", "--b", "1", "--x", "30"], 1e-7),
+            (["--family", "gamma", "--b", "1", "--s", "0", "--x", "30"], 1e-8),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else f"{v:g}",
+    )
+    def test_default_grid_holds_the_mass(self, tmp_path, argv, tol):
+        # the continuous part lies between 0 and the atom at sigma x (from
+        # s = 0 the law is N(x, t)), so the default grid spans both
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", *argv, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "d.csv.json").read_text())
+        assert sidecar["mass_check"] == pytest.approx(1.0, abs=tol)
+
+    def test_default_grid_at_zero(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", "--out", str(out)]) == 0
+        ys = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        half = 10 * math.sqrt(2.0)  # the default t = 2
+        assert ys == np.linspace(-half, half, 2001).tolist()
+
 
 class TestGeneratorCheck:
     def test_gamma_x2(self, tmp_path, capsys):
@@ -341,6 +372,13 @@ class TestVerifyAndJumpTimes:
             "mode_agreement", "continuity_in_probability",
         } <= names
         assert all(r["passed"] for r in payload["reports"])
+
+    @pytest.mark.parametrize("qv_paths", ["0", "1"])
+    def test_verify_too_few_qv_paths_exits_two(self, tmp_path, capsys, qv_paths):
+        code = execute(["verify", "--family", "brownian", "--paths", "1000",
+                        "--qv-paths", qv_paths, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_report_deterministic(self, tmp_path):
         a = tmp_path / "a.json"

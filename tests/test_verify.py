@@ -200,6 +200,20 @@ class TestQuadraticVariation:
         rep = check_quadratic_variation(paths, brownian_fam)
         assert rep.passed and rep.n_samples == 50
 
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_fewer_than_two_paths_rejected(self, brownian_fam, n_paths):
+        # one path has no standard error, so the gate cannot be tested
+        from gaussmart import PathGrid
+
+        times = np.linspace(0.0, 1.0, 129)
+        values = simulate_grid_ensemble(brownian_fam, times, 21, n_paths)
+        with pytest.raises(DomainError):
+            check_quadratic_variation(values, brownian_fam, times=times)
+        with pytest.raises(DomainError):
+            check_quadratic_variation(
+                [PathGrid(times=times, values=v) for v in values], brownian_fam
+            )
+
 
 class TestJumpTimes:
     def test_exact_pareto_null(self, poisson_fam):
