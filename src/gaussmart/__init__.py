@@ -18,17 +18,14 @@ from .kernel import (
     ck_residual,
     kernel_eval,
     kernel_moment,
-    transition_density,
 )
 from .pathsim import (
     EventPath,
-    PathGrid,
     conditional_moments,
     first_jump_times,
     simulate_event,
     simulate_event_terminals,
     simulate_events,
-    simulate_grid,
     simulate_grid_ensemble,
     transition_pairs,
 )

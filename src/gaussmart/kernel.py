@@ -229,20 +229,6 @@ def kernel_eval(family: SubordinatorFamily, s: float, t: float, x: float) -> Ker
     return KernelEval(gamma_atom(family, sigma), sigma * x, density, meta)
 
 
-def transition_density(family: SubordinatorFamily, s: float, t: float, x: float, y):
-    """(atom_weight, atom_location, density at y) for the step (s, x) -> t.
-
-    The density is that of the absolutely continuous part; the atom at
-    ``sigma x`` is reported through the first two entries.
-    """
-    ev = kernel_eval(family, s, t, x)
-    y_arr = np.asarray(y, dtype=float)
-    dens = ev.density(y_arr if y_arr.ndim else y_arr[None])
-    if y_arr.ndim == 0:
-        dens = float(np.asarray(dens).reshape(-1)[0])
-    return ev.atom_weight, ev.atom_location, dens
-
-
 def kernel_moment(family: SubordinatorFamily, s: float, t: float, x: float, k: int) -> float:
     """k-th moment of the full transition law (atom included), k in 0..4.
 

@@ -45,26 +45,6 @@ from .semigroup import (
 
 
 @dataclass(frozen=True)
-class PathGrid:
-    """One trajectory sampled on a strictly increasing grid starting at (0, 0)."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise DomainError("times and values must be equal-length 1-d arrays")
-        if t[0] != 0.0 or v[0] != 0.0:
-            raise DomainError("paths start at (time, value) = (0, 0)")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class EventPath:
     """One piecewise-deterministic trajectory with its recorded jumps."""
 
@@ -104,12 +84,14 @@ class EventPath:
             raise AssertionError("terminal value breaks the sqrt(t/s) flow")
 
 
-def _check_grid_times(times: np.ndarray) -> np.ndarray:
+def check_grid_times(times) -> np.ndarray:
+    """The grid as a float array: 1-d, at least two times, all finite, >= 0
+    and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
-        raise DomainError("need at least two grid times")
-    if times[0] != 0.0:
-        raise DomainError("grid must start at time 0")
+        raise DomainError("need a 1-d grid of at least two times")
+    if not np.all(np.isfinite(times)) or times[0] < 0.0:
+        raise DomainError("grid times must be finite and >= 0")
     if np.any(np.diff(times) <= 0):
         raise DomainError("grid times must be strictly increasing")
     return times
@@ -127,7 +109,6 @@ def _grid_values(
     step); otherwise ``start_values`` supplies the state at times[0].
     """
     require_calibrated(family)
-    times = np.asarray(times, dtype=float)
     n = len(bundle)
     vals = np.empty((n, times.size))
     if times[0] == 0.0:
@@ -150,19 +131,6 @@ def _grid_values(
         sqrt_1mr = np.sqrt(-np.expm1(-u))
         vals[:, k] = sigma * (sqrt_r * vals[:, k - 1] + math.sqrt(s) * sqrt_1mr * xi)
     return vals
-
-
-def _one_lane(bundle: StreamBundle) -> StreamBundle:
-    if len(bundle) != 1:
-        raise DomainError(f"need a one-lane bundle, got {len(bundle)} lanes")
-    return bundle
-
-
-def simulate_grid(family: SubordinatorFamily, times, bundle: StreamBundle) -> PathGrid:
-    """Simulate one path on the given grid from a one-lane bundle."""
-    times = _check_grid_times(times)
-    values = _grid_values(family, times, _one_lane(bundle))[0]
-    return PathGrid(times=times, values=values)
 
 
 #: fewest paths a worker thread is given; smaller chunks cost more to
@@ -191,14 +159,14 @@ def simulate_grid_ensemble(
 ) -> np.ndarray:
     """Values array of shape (n_paths, len(times)); path k uses stream k + base.
 
+    With ``n_paths=1`` and ``stream_base=k`` this is the one path of stream k.
+
     Identical results for every thread count: lanes are whole streams, so the
     chunking only decides which worker evaluates which counter-keyed block.
     """
     if n_paths < 0:
         raise DomainError(f"path count must be >= 0, got {n_paths}")
-    times = np.asarray(times, dtype=float)
-    if times[0] == 0.0:
-        times = _check_grid_times(times)
+    times = check_grid_times(times)
     out = np.empty((n_paths, times.size))
     sv = None if start_values is None else np.broadcast_to(
         np.asarray(start_values, dtype=float), (n_paths,)
@@ -365,7 +333,9 @@ def simulate_event(
     The case of :func:`simulate_events` for a one-lane bundle, so it agrees
     lane for lane with :func:`simulate_event_terminals`.
     """
-    return simulate_events(family, s0, x0, horizon, _one_lane(bundle))[0]
+    if len(bundle) != 1:
+        raise DomainError(f"need a one-lane bundle, got {len(bundle)} lanes")
+    return simulate_events(family, s0, x0, horizon, bundle)[0]
 
 
 def simulate_event_terminals(

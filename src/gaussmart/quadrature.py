@@ -102,39 +102,41 @@ def adaptive_panels(
     """
     if not b > a:
         raise ValueError("need b > a")
-    heap = []  # entries (-max_err, seq, a, b, val, err); seq breaks ties
-    seq = 0
+    # a non-finite panel raises QuadratureError, so numpy need not warn first
+    with np.errstate(all="ignore"):
+        heap = []  # entries (-max_err, seq, a, b, val, err); seq breaks ties
+        seq = 0
 
-    def push(lo, hi):
-        nonlocal seq
-        val, err = _panel(f, lo, hi)
-        key = -float(np.max(err))
-        if not math.isfinite(key):
-            raise QuadratureError(f"integrand is not finite on [{lo!r}, {hi!r}]")
-        heapq.heappush(heap, (key, seq, lo, hi, val, err))
-        seq += 1
+        def push(lo, hi):
+            nonlocal seq
+            val, err = _panel(f, lo, hi)
+            key = -float(np.max(err))
+            if not math.isfinite(key):
+                raise QuadratureError(f"integrand is not finite on [{lo!r}, {hi!r}]")
+            heapq.heappush(heap, (key, seq, lo, hi, val, err))
+            seq += 1
 
-    push(a, b)
-    n_panels = 1
-    while True:
-        total = sum(item[4] for item in heap)
-        total_err = sum(item[5] for item in heap)
-        bound = np.maximum(abs_tol, rel_tol * np.abs(total))
-        bound = np.maximum(bound, 1e3 * np.finfo(float).tiny)
-        if np.all(total_err <= bound):
-            return total, total_err
-        if n_panels >= MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature did not converge within {MAX_PANELS} panels "
-                f"(max error {float(np.max(total_err)):.3e})",
-                estimate=total,
-                error_bound=total_err,
-            )
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        push(pa, mid)
-        push(mid, pb)
-        n_panels += 1
+        push(a, b)
+        n_panels = 1
+        while True:
+            total = sum(item[4] for item in heap)
+            total_err = sum(item[5] for item in heap)
+            bound = np.maximum(abs_tol, rel_tol * np.abs(total))
+            bound = np.maximum(bound, 1e3 * np.finfo(float).tiny)
+            if np.all(total_err <= bound):
+                return total, total_err
+            if n_panels >= MAX_PANELS:
+                raise QuadratureError(
+                    f"quadrature did not converge within {MAX_PANELS} panels "
+                    f"(max error {float(np.max(total_err)):.3e})",
+                    estimate=total,
+                    error_bound=total_err,
+                )
+            _, _, pa, pb, _, _ = heapq.heappop(heap)
+            mid = 0.5 * (pa + pb)
+            push(pa, mid)
+            push(mid, pb)
+            n_panels += 1
 
 
 def gamma_expectation(

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from .errors import DomainError, FamilyError
 from .pathsim import (
+    check_grid_times,
     first_jump_times,
     simulate_event_terminals,
     simulate_grid_ensemble,
@@ -40,6 +41,14 @@ from .semigroup import (
 
 KS_P_FLOOR = 0.001
 Z_BOUND = 4.0
+
+#: smallest samples the gates accept; standard_battery checks its sizes
+#: against them before it simulates anything
+MIN_MARGINAL = 1000  # gaussian_marginal samples
+MIN_PAIRS = 100_000  # cross_moment pairs
+MIN_QV_PATHS = 2  # quadratic_variation paths: one has no standard error
+MIN_JUMPS = 10_000  # jump_times first jumps
+MIN_MODE = 10_000  # mode_agreement samples per mode
 
 #: martingale_binned: quantile bins of X_s, and the fewest pairs per bin
 _MARTINGALE_BINS, _MARTINGALE_MIN_COUNT = 10, 20
@@ -70,29 +79,16 @@ class StatReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "test_name": self.test_name,
-                "n_samples": self.n_samples,
-                "statistic": self.statistic,
-                "reference": self.reference,
-                "p_value": self.p_value,
-                "tolerance": self.tolerance,
-                "passed": self.passed,
-                "status": self.status,
-                "seed": self.seed,
-                "details": self.details,
-            }
-        )
+        return _jsonable(asdict(self))
 
 
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in np.asarray(obj).tolist()] if isinstance(
-            obj, np.ndarray
-        ) else [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -103,8 +99,10 @@ def _jsonable(obj):
     return obj
 
 
-def _report(name, n, statistic, reference, p_value, tolerance, passed, seed, details):
-    status = "pass" if passed else "fail"
+def _report(
+    name, n, statistic, reference, p_value, tolerance, passed, seed, details, status=None
+):
+    """One StatReport; ``status`` defaults to pass or fail by ``passed``."""
     return StatReport(
         test_name=name,
         n_samples=int(n),
@@ -113,27 +111,29 @@ def _report(name, n, statistic, reference, p_value, tolerance, passed, seed, det
         p_value=None if p_value is None else float(p_value),
         tolerance=tolerance,
         passed=bool(passed),
-        status=status,
+        status=status or ("pass" if passed else "fail"),
         seed=seed,
         details=details,
     )
 
 
-def _split_pairs(pairs):
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0], arr[:, 1]
-    if arr.ndim == 2 and arr.shape[0] == 2:
-        return arr[0], arr[1]
-    raise DomainError("pairs must be an (n, 2) array of (X_s, X_t) samples")
+def _pair_arrays(xs, xt):
+    """(X_s, X_t) samples as float arrays; they must be equal-length and 1-d."""
+    xs = np.asarray(xs, dtype=float)
+    xt = np.asarray(xt, dtype=float)
+    if xs.ndim != 1 or xs.shape != xt.shape:
+        raise DomainError(
+            f"X_s and X_t must be equal-length 1-d arrays, got shapes {xs.shape} and {xt.shape}"
+        )
+    return xs, xt
 
 
 def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatReport:
     """KS against N(0, t) plus z-scores for the first four moments."""
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    if n < 1000:
-        raise DomainError("need at least 1000 samples")
+    if n < MIN_MARGINAL:
+        raise DomainError(f"need at least {MIN_MARGINAL} samples")
     if t <= 0:
         raise DomainError("t must be > 0")
     if np.std(samples) == 0.0:
@@ -164,9 +164,9 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
     )
 
 
-def test_martingale_binned(pairs, s: float, t: float, seed: int | None = None) -> StatReport:
+def test_martingale_binned(xs, xt, s: float, t: float, seed: int | None = None) -> StatReport:
     """Per-decile mean of X_t - X_s must vanish within 4 standard errors."""
-    xs, xt = _split_pairs(pairs)
+    xs, xt = _pair_arrays(xs, xt)
     edges = np.quantile(xs, np.linspace(0.0, 1.0, _MARTINGALE_BINS + 1))
     idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, _MARTINGALE_BINS - 1)
     diff = xt - xs
@@ -184,12 +184,10 @@ def test_martingale_binned(pairs, s: float, t: float, seed: int | None = None) -
         bin_ses.append(float(sel.std(ddof=1) / math.sqrt(sel.size)))
     details = {"bin_means": bin_means, "bin_ses": bin_ses, "bin_counts": counts}
     if inconclusive:
-        rep = _report(
+        return _report(
             "martingale_binned", xs.size, math.nan, 0.0, None,
-            "all bins within 4 SE of 0", False, seed, details,
+            "all bins within 4 SE of 0", False, seed, details, status="inconclusive",
         )
-        rep.status = "inconclusive"
-        return rep
     zs = np.array(
         [abs(m) / se if se > 0 else (0.0 if m == 0 else math.inf)
          for m, se in zip(bin_means, bin_ses)]
@@ -202,17 +200,17 @@ def test_martingale_binned(pairs, s: float, t: float, seed: int | None = None) -
 
 
 def test_cross_moment(
-    pairs, s: float, t: float, family: SubordinatorFamily, seed: int | None = None
+    xs, xt, s: float, t: float, family: SubordinatorFamily, seed: int | None = None
 ) -> StatReport:
     """E[X_s^2 X_t^2] against s t + 2 s^{1+delta} t^{1-delta}.
 
     Nondegenerate families must also sit at least 4 standard errors above
     the jointly-Gaussian value s t + 2 s^2 (the non-Gaussianity witness).
     """
-    xs, xt = _split_pairs(pairs)
+    xs, xt = _pair_arrays(xs, xt)
     n = xs.size
-    if n < 100_000:
-        raise DomainError("cross-moment test needs at least 1e5 pairs")
+    if n < MIN_PAIRS:
+        raise DomainError(f"cross-moment test needs at least {MIN_PAIRS} pairs")
     d = delta(family)
     target = s * t + 2.0 * s ** (1.0 + d) * t ** (1.0 - d)
     gaussian_value = s * t + 2.0 * s**2
@@ -237,7 +235,7 @@ def test_cross_moment(
 
 
 def test_conditional_kurtosis(
-    pairs, s: float, t: float, family: SubordinatorFamily, seed: int | None = None
+    xs, xt, s: float, t: float, family: SubordinatorFamily, seed: int | None = None
 ) -> StatReport:
     """Kurtosis of X_t over the central X_s bin against the closed form.
 
@@ -245,7 +243,7 @@ def test_conditional_kurtosis(
     Gaussians, so its kurtosis is 3 E[(1-R)^2] / (E[1-R])^2, strictly above
     3 unless the mixing is deterministic.
     """
-    xs, xt = _split_pairs(pairs)
+    xs, xt = _pair_arrays(xs, xt)
     sigma = math.sqrt(t / s)
     half_width = _KURTOSIS_HALF_WIDTH * math.sqrt(s)
     sel = xt[np.abs(xs) < half_width]
@@ -254,12 +252,10 @@ def test_conditional_kurtosis(
     l2 = laplace(family, sigma, 2.0)
     target = 3.0 * (1.0 - 2.0 * l1 + l2) / (1.0 - l1) ** 2
     if sel.size < _KURTOSIS_MIN_BIN:
-        rep = _report(
+        return _report(
             "conditional_kurtosis", xs.size, math.nan, target, None,
-            "within 4 bootstrap SE", False, seed, details,
+            "within 4 bootstrap SE", False, seed, details, status="inconclusive",
         )
-        rep.status = "inconclusive"
-        return rep
     m2 = np.mean(sel**2)
     m4 = np.mean(sel**4)
     kurt = float(m4 / m2**2)
@@ -279,38 +275,38 @@ def test_conditional_kurtosis(
 
 
 def test_quadratic_variation(
-    paths, family: SubordinatorFamily, seed: int | None = None, times=None
+    values, times, family: SubordinatorFamily, seed: int | None = None
 ) -> StatReport:
     """Discrete compensator sum against delta*t + (1-delta) int X^2/s ds.
 
-    ``paths`` is either a list of PathGrid objects on a common grid or a
-    values matrix of shape (n_paths, n_times) with ``times`` supplied.
-    Both sides are taken over the window [t_1, t_end] (the integral is a
-    trapezoid from the first positive time, and the exactly-Gaussian first
-    step contributes t_1 to each side identically, so it is dropped from
-    the residual).  Also checks E[qv] = t_end using the full expression.
-    Fewer than 2 paths have no standard error and raise DomainError.
+    ``values`` has one row per path on the grid ``times``, which starts at
+    (0, 0).  Both sides are taken over the window [t_1, t_end] (the
+    integral is a trapezoid from the first positive time, and the
+    exactly-Gaussian first step contributes t_1 to each side identically,
+    so it is dropped from the residual).  Also checks E[qv] = t_end using
+    the full expression.  A grid that is not valid, does not start at 0 or
+    does not match the values raises DomainError, and so do fewer than 2
+    paths, which have no standard error.
     """
-    n = len(paths) if times is None else np.atleast_2d(np.asarray(paths)).shape[0]
-    if n < 2:
-        raise DomainError(f"quadratic-variation test needs at least 2 paths, got {n}")
-    if times is None:
-        grids = list(paths)
-        times = np.asarray(grids[0].times, dtype=float)
-        if any(not np.array_equal(p.times, times) for p in grids[1:]):
-            raise DomainError("paths must share one time grid")
-        values = np.stack([p.values for p in grids])
-    else:
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(paths, dtype=float))
+    times = check_grid_times(times)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != times.size:
+        raise DomainError(
+            f"values must have one row per path and {times.size} columns, got {values.shape}"
+        )
+    n = values.shape[0]
+    if n < MIN_QV_PATHS:
+        raise DomainError(
+            f"quadratic-variation test needs at least {MIN_QV_PATHS} paths, got {n}"
+        )
+    if times[0] != 0.0 or np.any(values[:, 0] != 0.0):
+        raise DomainError("paths must start at (time, value) = (0, 0)")
     if times.size < 65:
-        rep = _report(
+        return _report(
             "quadratic_variation", n, math.nan, 0.0, None,
             "mean residual within 4 SE of 0", False, seed,
-            {"error": "grid too coarse; need at least 64 steps"},
+            {"error": "grid too coarse; need at least 64 steps"}, status="inconclusive",
         )
-        rep.status = "inconclusive"
-        return rep
     d = delta(family)
     t_end = times[-1]
     tk, tk1 = times[1:-1], times[2:]
@@ -364,23 +360,10 @@ def test_jump_times(
         raise FamilyError(
             "jump-time law is available for drift-free finite-atom families only"
         )
-    samples = list(jump_times) if not isinstance(jump_times, np.ndarray) else jump_times
-    if len(samples) and hasattr(samples[0], "jump_times"):
-        # EventPath inputs: take first jumps; a path with no jump before its
-        # horizon is censored and would bias the law, so it is rejected
-        firsts = []
-        for p in samples:
-            if p.jump_times.size == 0:
-                raise DomainError(
-                    "an event path has no jump before its horizon; "
-                    "first-jump samples must be uncensored"
-                )
-            firsts.append(p.jump_times[0])
-        samples = firsts
-    t_arr = np.asarray(samples, dtype=float)
+    t_arr = np.asarray(jump_times, dtype=float)
     n = t_arr.size
-    if n < 10_000:
-        raise DomainError("need at least 1e4 first-jump samples")
+    if n < MIN_JUMPS:
+        raise DomainError(f"need at least {MIN_JUMPS} first-jump samples")
     nu = nu_total(family)
     half_nu = 0.5 * nu
 
@@ -425,8 +408,8 @@ def test_mode_agreement(
         )
     a = np.asarray(samples_grid, dtype=float)
     b = np.asarray(samples_event, dtype=float)
-    if min(a.size, b.size) < 10_000:
-        raise DomainError("need at least 1e4 samples per mode")
+    if min(a.size, b.size) < MIN_MODE:
+        raise DomainError(f"need at least {MIN_MODE} samples per mode")
     ks = stats.ks_2samp(a, b)
     passed = ks.pvalue > KS_P_FLOOR
     return _report(
@@ -437,10 +420,10 @@ def test_mode_agreement(
 
 
 def test_continuity_in_probability(
-    pairs, s: float, t: float, thresholds, seed: int | None = None
+    xs, xt, s: float, t: float, thresholds, seed: int | None = None
 ) -> StatReport:
     """Empirical P[|X_t - X_s| > c] <= (t - s)/c^2 plus 4 binomial SE."""
-    xs, xt = _split_pairs(pairs)
+    xs, xt = _pair_arrays(xs, xt)
     n = xs.size
     diff = np.abs(xt - xs)
     rows = []
@@ -475,9 +458,16 @@ def standard_battery(
     """The full gated battery for one calibrated family.
 
     Each sub-experiment runs under its own derived seed, so reports are
-    individually reproducible from (seed, experiment tag).
+    individually reproducible from (seed, experiment tag).  Sizes below a
+    gate's floor raise DomainError before anything is simulated.
     """
     require_calibrated(family)
+    floors = [("n_paths", n_paths, MIN_MARGINAL), ("n_qv", n_qv, MIN_QV_PATHS)]
+    if compound_poisson(family):
+        floors += [("n_jumps", n_jumps, MIN_JUMPS), ("n_mode", n_mode, MIN_MODE)]
+    for name, size, floor in floors:
+        if size < floor:
+            raise DomainError(f"{name} must be at least {floor}, got {size}")
     reports = []
 
     tag = "marginal"
@@ -489,29 +479,24 @@ def standard_battery(
 
     tag = "pairs"
     sub = derive_seed(seed, tag)
-    n_pairs = max(n_paths, 100_000)
+    n_pairs = max(n_paths, MIN_PAIRS)
     xs, xt = transition_pairs(family, 0.5, 2.0, sub, n_pairs, threads=threads)
-    pairs = np.column_stack([xs, xt])
-    reports.append(test_martingale_binned(pairs, 0.5, 2.0, seed=sub))
-    reports.append(test_cross_moment(pairs, 0.5, 2.0, family, seed=sub))
+    reports.append(test_martingale_binned(xs, xt, 0.5, 2.0, seed=sub))
+    reports.append(test_cross_moment(xs, xt, 0.5, 2.0, family, seed=sub))
     reports.append(
-        test_continuity_in_probability(pairs, 0.5, 2.0, (1.0, 2.0, 3.0), seed=sub)
+        test_continuity_in_probability(xs, xt, 0.5, 2.0, (1.0, 2.0, 3.0), seed=sub)
     )
 
     tag = "kurtosis"
     sub = derive_seed(seed, tag)
     xs, xt = transition_pairs(family, 1.0, 4.0, sub, n_pairs, threads=threads)
-    reports.append(
-        test_conditional_kurtosis(
-            np.column_stack([xs, xt]), 1.0, 4.0, family, seed=sub
-        )
-    )
+    reports.append(test_conditional_kurtosis(xs, xt, 1.0, 4.0, family, seed=sub))
 
     tag = "qv"
     sub = derive_seed(seed, tag)
     times = np.linspace(0.0, 1.0, 257)
     values = simulate_grid_ensemble(family, times, sub, n_qv, threads=threads)
-    reports.append(test_quadratic_variation(values, family, seed=sub, times=times))
+    reports.append(test_quadratic_variation(values, times, family, seed=sub))
 
     if compound_poisson(family):
         tag = "jumps"
@@ -568,12 +553,11 @@ def null_calibration(seed: int, reps: int = 100) -> dict:
         b = verify_bundle(sub, n, offset=20_000)
         xs = math.sqrt(s) * b.normals()
         xt = xs + math.sqrt(t - s) * b.normals()
-        pairs = np.column_stack([xs, xt])
-        tally("martingale_binned", test_martingale_binned(pairs, s, t, seed=sub).passed)
-        tally("cross_moment", test_cross_moment(pairs, s, t, brown, seed=sub).passed)
+        tally("martingale_binned", test_martingale_binned(xs, xt, s, t, seed=sub).passed)
+        tally("cross_moment", test_cross_moment(xs, xt, s, t, brown, seed=sub).passed)
         tally(
             "continuity_in_probability",
-            test_continuity_in_probability(pairs, s, t, (1.0, 2.0, 3.0), seed=sub).passed,
+            test_continuity_in_probability(xs, xt, s, t, (1.0, 2.0, 3.0), seed=sub).passed,
         )
 
         nk = 30_000
@@ -582,16 +566,14 @@ def null_calibration(seed: int, reps: int = 100) -> dict:
         xt_k = xs_k + math.sqrt(3.0) * bk.normals()
         tally(
             "conditional_kurtosis",
-            test_conditional_kurtosis(
-                np.column_stack([xs_k, xt_k]), 1.0, 4.0, brown, seed=sub
-            ).passed,
+            test_conditional_kurtosis(xs_k, xt_k, 1.0, 4.0, brown, seed=sub).passed,
         )
 
         times = np.linspace(0.0, 1.0, 65)
         values = simulate_grid_ensemble(brown, times, sub, 200)
         tally(
             "quadratic_variation",
-            test_quadratic_variation(values, brown, seed=sub, times=times).passed,
+            test_quadratic_variation(values, times, brown, seed=sub).passed,
         )
 
         # the 1% median gate needs 1e5 draws: the median's standard error at

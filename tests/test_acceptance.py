@@ -177,7 +177,7 @@ def test_07_quadratic_variation(fam_poisson):
     values = simulate_grid_ensemble(
         fam_poisson, times, derive_seed(SEED, "qv"), 10_000
     )
-    rep = check_quadratic_variation(values, fam_poisson, times=times)
+    rep = check_quadratic_variation(values, times, fam_poisson)
     ok = verdict(
         "07 quadratic variation", rep.passed,
         f"mean residual {rep.statistic:.2e} (se {rep.details['se_residual']:.2e}), "

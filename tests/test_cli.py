@@ -204,13 +204,13 @@ class TestNumericFailures:
         "argv",
         [
             # a ln sigma <= 1/2: the gamma density is infinite at the grid's
-            # node sigma x, so the quadrature meets a non-finite integrand
-            ["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
-            ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
-            ["kernel", "--family", "gamma", "--b", "1e-300"],
-            # an overflow is reported before numpy can warn about it
+            # node sigma x, so the quadrature meets a non-finite integrand;
+            # like an overflow, it is reported without numpy warnings
             *(pytest.param(a, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
-              for a in _OVERFLOWS),
+              for a in (["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
+                        ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
+                        ["kernel", "--family", "gamma", "--b", "1e-300"],
+                        *_OVERFLOWS)),
         ],
         ids=" ".join,
     )
@@ -379,6 +379,23 @@ class TestVerifyAndJumpTimes:
                         "--qv-paths", qv_paths, "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag, size", [("--jumps", "5000"), ("--mode-paths", "100")])
+    def test_verify_too_small_size_exits_two_at_once(self, tmp_path, capsys, monkeypatch,
+                                                     flag, size):
+        # refused before the battery simulates anything
+        from gaussmart import verify
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated before the sizes were checked")
+
+        monkeypatch.setattr(verify, "simulate_grid_ensemble", must_not_run)
+        monkeypatch.setattr(verify, "transition_pairs", must_not_run)
+        code = execute(["verify", "--family", "poisson", flag, size,
+                        "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
 
     def test_verify_report_deterministic(self, tmp_path):
         a = tmp_path / "a.json"

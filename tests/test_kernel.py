@@ -17,7 +17,6 @@ from gaussmart import (
     conditional_moments,
     kernel_eval,
     kernel_moment,
-    transition_density,
 )
 from gaussmart.kernel import _MC_DRAWS, _density_matrix, gaussian_moments
 
@@ -26,13 +25,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class TestStartFromZero:
     def test_standard_normal_density_at_origin(self, poisson_fam):
-        atom_w, atom_loc, dens = transition_density(poisson_fam, 0.0, 1.0, 0.0, 0.0)
-        assert atom_w == 0.0
-        assert math.isnan(atom_loc)
-        assert dens == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
+        ev = kernel_eval(poisson_fam, 0.0, 1.0, 0.0)
+        assert ev.atom_weight == 0.0
+        assert math.isnan(ev.atom_location)
+        assert ev.density(0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
 
     def test_general_x_supported_for_testing(self, gamma_fam):
-        _, _, dens = transition_density(gamma_fam, 0.0, 4.0, 1.0, 1.0)
+        dens = kernel_eval(gamma_fam, 0.0, 4.0, 1.0).density(1.0)
         assert dens == pytest.approx(1.0 / (2.0 * SQRT_2PI), rel=1e-14)
 
     def test_moments(self, poisson_fam):
@@ -42,9 +41,9 @@ class TestStartFromZero:
 
 class TestPoissonKernel:
     def test_atom_weight_at_sqrt2(self, poisson_fam):
-        atom_w, atom_loc, _ = transition_density(poisson_fam, 1.0, 2.0, 0.7, 0.0)
-        assert atom_w == pytest.approx(0.4144451136983333, rel=1e-12)
-        assert atom_loc == pytest.approx(0.7 * math.sqrt(2.0), rel=1e-14)
+        ev = kernel_eval(poisson_fam, 1.0, 2.0, 0.7)
+        assert ev.atom_weight == pytest.approx(0.4144451136983333, rel=1e-12)
+        assert ev.atom_location == pytest.approx(0.7 * math.sqrt(2.0), rel=1e-14)
 
     def test_mixture_weights_sum_to_one(self, poisson_fam):
         ev = kernel_eval(poisson_fam, 0.5, 2.0, 1.0)
@@ -92,9 +91,9 @@ class TestPoissonKernel:
 
 class TestGammaKernel:
     def test_no_atom(self, gamma_fam):
-        atom_w, atom_loc, _ = transition_density(gamma_fam, 1.0, 2.0, 0.7, 0.0)
-        assert atom_w == 0.0
-        assert atom_loc == pytest.approx(0.7 * math.sqrt(2.0))
+        ev = kernel_eval(gamma_fam, 1.0, 2.0, 0.7)
+        assert ev.atom_weight == 0.0
+        assert ev.atom_location == pytest.approx(0.7 * math.sqrt(2.0))
 
     def test_mass_and_moments(self, gamma_fam):
         s, t, x = 0.5, 2.0, 1.0
@@ -307,7 +306,7 @@ class TestChapmanKolmogorov:
 class TestErrors:
     def test_time_order(self, poisson_fam):
         with pytest.raises(DomainError):
-            transition_density(poisson_fam, 1.0, 1.0, 0.0, 0.0)
+            kernel_eval(poisson_fam, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             kernel_moment(poisson_fam, 2.0, 1.0, 0.0, 2)
 

@@ -17,7 +17,6 @@ from gaussmart import (
     simulate_event,
     simulate_event_terminals,
     simulate_events,
-    simulate_grid,
     simulate_grid_ensemble,
     transition_pairs,
 )
@@ -59,9 +58,9 @@ class TestGrid:
 
     def test_scalar_path_equals_ensemble_lane(self, gamma_fam):
         times = np.linspace(0.0, 2.0, 9)
-        path = simulate_grid(gamma_fam, times, RandomStream(9, 3))
+        path = simulate_grid_ensemble(gamma_fam, times, 9, 1, stream_base=3)[0]
         vals = simulate_grid_ensemble(gamma_fam, times, 9, 5, stream_base=0)
-        assert np.array_equal(path.values, vals[3])
+        assert np.array_equal(path, vals[3])
 
     @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
     def test_threading_does_not_change_values(self, kind, monkeypatch, request):
@@ -103,13 +102,34 @@ class TestGrid:
             simulate_grid_ensemble(poisson_fam, [0.0, 1.0], 0, -3)
 
     def test_bad_grids_rejected(self, poisson_fam):
-        stream = RandomStream(0, 0)
         with pytest.raises(DomainError):
-            simulate_grid(poisson_fam, [0.0, 1.0, 1.0], stream)
+            simulate_grid_ensemble(poisson_fam, [0.0, 1.0, 1.0], 0, 1)
         with pytest.raises(DomainError):
-            simulate_grid(poisson_fam, [0.5, 1.0], stream)
+            simulate_grid_ensemble(poisson_fam, [0.5, 1.0], 0, 1)
         with pytest.raises(DomainError):
-            simulate_grid(poisson_fam, [0.0, -1.0], stream)
+            simulate_grid_ensemble(poisson_fam, [0.0, -1.0], 0, 1)
+
+    @pytest.mark.parametrize("kind", ["poisson", "brownian"])
+    @pytest.mark.parametrize(
+        "times, start",
+        [
+            ([0.0, math.inf], None),
+            ([0.0, math.nan], None),
+            ([1.0, math.nan], 0.5),
+            ([1.0, math.inf], 0.5),
+            ([1.0, 0.5], 0.5),
+            ([-1.0, 1.0], 0.5),
+            ([1.0], 0.5),
+            ([[0.0, 1.0]], None),
+        ],
+        ids=str,
+    )
+    def test_every_grid_validated(self, kind, times, start, request):
+        # grids after 0 were not checked at all, and [0, inf] passed the
+        # check: the paths came back as NaN or +-inf
+        fam = request.getfixturevalue(f"{kind}_fam")
+        with pytest.raises(DomainError):
+            simulate_grid_ensemble(fam, times, 0, 3, start_values=start)
 
 
 class TestConditionalMoments:
@@ -268,8 +288,6 @@ class TestEventMode:
     def test_one_lane_bundle_required(self, poisson_fam):
         with pytest.raises(DomainError):
             simulate_event(poisson_fam, 1.0, 0.0, 2.0, path_bundle(0, 2))
-        with pytest.raises(DomainError):
-            simulate_grid(poisson_fam, [0.0, 1.0], path_bundle(0, 2))
 
 
 class TestCompoundEventMode:

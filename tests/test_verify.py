@@ -37,7 +37,7 @@ def brownian_pairs(seed, n, s, t):
     b = verify_bundle(seed, n)
     xs = math.sqrt(s) * b.normals()
     xt = xs + math.sqrt(t - s) * b.normals()
-    return np.column_stack([xs, xt])
+    return xs, xt
 
 
 class TestGaussianMarginal:
@@ -67,30 +67,42 @@ class TestGaussianMarginal:
 
 class TestMartingaleBinned:
     def test_brownian_null(self):
-        assert check_martingale_binned(brownian_pairs(4, 100_000, 0.5, 2.0), 0.5, 2.0).passed
+        assert check_martingale_binned(*brownian_pairs(4, 100_000, 0.5, 2.0), 0.5, 2.0).passed
 
     def test_multiplicative_drift_fails_in_outer_bins(self):
-        pairs = brownian_pairs(5, 100_000, 0.5, 2.0)
-        pairs[:, 1] = 1.05 * pairs[:, 0] + (pairs[:, 1] - pairs[:, 0])
-        rep = check_martingale_binned(pairs, 0.5, 2.0)
+        xs, xt = brownian_pairs(5, 100_000, 0.5, 2.0)
+        rep = check_martingale_binned(xs, 1.05 * xs + (xt - xs), 0.5, 2.0)
         assert not rep.passed
 
     def test_insufficient_occupancy_is_inconclusive(self):
-        rep = check_martingale_binned(brownian_pairs(6, 150, 0.5, 2.0), 0.5, 2.0)
+        rep = check_martingale_binned(*brownian_pairs(6, 150, 0.5, 2.0), 0.5, 2.0)
         assert rep.status == "inconclusive"
         assert not rep.passed
+
+    @pytest.mark.parametrize("gate", ["martingale", "cross", "kurtosis", "continuity"])
+    def test_pairs_must_be_equal_length_1d(self, brownian_fam, gate):
+        check = {
+            "martingale": lambda a, b: check_martingale_binned(a, b, 0.5, 2.0),
+            "cross": lambda a, b: check_cross_moment(a, b, 0.5, 2.0, brownian_fam),
+            "kurtosis": lambda a, b: check_conditional_kurtosis(a, b, 0.5, 2.0, brownian_fam),
+            "continuity": lambda a, b: check_continuity(a, b, 0.5, 2.0, (1.0,)),
+        }[gate]
+        xs, xt = brownian_pairs(8, 100, 0.5, 2.0)
+        for a, b in ((xs, xt[:-1]), (np.column_stack([xs, xt]), xt), (xs[:, None], xt[:, None])):
+            with pytest.raises(DomainError):
+                check(a, b)
 
 
 class TestCrossMoment:
     def test_brownian_null(self, brownian_fam):
-        rep = check_cross_moment(brownian_pairs(7, 100_000, 0.5, 2.0), 0.5, 2.0, brownian_fam)
+        rep = check_cross_moment(*brownian_pairs(7, 100_000, 0.5, 2.0), 0.5, 2.0, brownian_fam)
         assert rep.passed
         assert rep.reference == pytest.approx(1.5)
 
     def test_poisson_target_value(self, poisson_fam):
         # frozen from 30-digit evaluation of st + 2 s^{1+d} t^{1-d}
         xs, xt = transition_pairs(poisson_fam, 0.5, 2.0, 8, 150_000)
-        rep = check_cross_moment(np.column_stack([xs, xt]), 0.5, 2.0, poisson_fam)
+        rep = check_cross_moment(xs, xt, 0.5, 2.0, poisson_fam)
         assert rep.reference == pytest.approx(1.6567741909868684, rel=1e-12)
         assert rep.passed
 
@@ -109,7 +121,7 @@ class TestCrossMoment:
 
     def test_small_sample_rejected(self, brownian_fam):
         with pytest.raises(DomainError):
-            check_cross_moment(brownian_pairs(10, 1000, 0.5, 2.0), 0.5, 2.0, brownian_fam)
+            check_cross_moment(*brownian_pairs(10, 1000, 0.5, 2.0), 0.5, 2.0, brownian_fam)
 
     def test_equal_times_target_is_fourth_moment(self, poisson_fam):
         # s = t collapses the target to 3 s^2 for any family
@@ -121,7 +133,7 @@ class TestCrossMoment:
 class TestConditionalKurtosis:
     def test_brownian_null_target_three(self, brownian_fam):
         rep = check_conditional_kurtosis(
-            brownian_pairs(11, 60_000, 1.0, 4.0), 1.0, 4.0, brownian_fam, seed=11
+            *brownian_pairs(11, 60_000, 1.0, 4.0), 1.0, 4.0, brownian_fam, seed=11
         )
         assert rep.reference == pytest.approx(3.0, rel=1e-12)
         assert rep.passed
@@ -151,14 +163,11 @@ class TestConditionalKurtosis:
 
     def test_simulated_poisson_passes(self, poisson_fam):
         xs, xt = transition_pairs(poisson_fam, 1.0, 4.0, 13, 120_000)
-        rep = check_conditional_kurtosis(
-            np.column_stack([xs, xt]), 1.0, 4.0, poisson_fam, seed=13
-        )
+        rep = check_conditional_kurtosis(xs, xt, 1.0, 4.0, poisson_fam, seed=13)
         assert rep.passed
 
     def test_thin_bin_inconclusive(self, poisson_fam):
-        pairs = brownian_pairs(14, 5_000, 1.0, 4.0)
-        rep = check_conditional_kurtosis(pairs, 1.0, 4.0, poisson_fam)
+        rep = check_conditional_kurtosis(*brownian_pairs(14, 5_000, 1.0, 4.0), 1.0, 4.0, poisson_fam)
         assert rep.status == "inconclusive"
 
 
@@ -166,14 +175,14 @@ class TestQuadraticVariation:
     def test_brownian_residual_identically_zero(self, brownian_fam):
         times = np.linspace(0.0, 1.0, 129)
         values = simulate_grid_ensemble(brownian_fam, times, 15, 500)
-        rep = check_quadratic_variation(values, brownian_fam, times=times)
+        rep = check_quadratic_variation(values, times, brownian_fam)
         assert rep.passed
         assert abs(rep.statistic) < 1e-12
 
     def test_poisson_passes(self, poisson_fam):
         times = np.linspace(0.0, 1.0, 257)
         values = simulate_grid_ensemble(poisson_fam, times, 16, 4_000)
-        rep = check_quadratic_variation(values, poisson_fam, times=times)
+        rep = check_quadratic_variation(values, times, poisson_fam)
         assert rep.passed
         assert rep.details["mean_qv"] == pytest.approx(1.0, abs=0.05)
 
@@ -182,37 +191,52 @@ class TestQuadraticVariation:
         for steps, seed in ((64, 17), (256, 18)):
             times = np.linspace(0.0, 1.0, steps + 1)
             values = simulate_grid_ensemble(poisson_fam, times, seed, 2_000)
-            rep = check_quadratic_variation(values, poisson_fam, times=times)
+            rep = check_quadratic_variation(values, times, poisson_fam)
             spreads.append(rep.details["se_residual"] * math.sqrt(values.shape[0]))
         assert spreads[1] < spreads[0]
 
     def test_coarse_grid_inconclusive(self, poisson_fam):
         times = np.linspace(0.0, 1.0, 11)
         values = simulate_grid_ensemble(poisson_fam, times, 19, 100)
-        assert check_quadratic_variation(values, poisson_fam, times=times).status == "inconclusive"
-
-    def test_accepts_path_grid_list(self, brownian_fam):
-        from gaussmart import PathGrid
-
-        times = np.linspace(0.0, 1.0, 129)
-        values = simulate_grid_ensemble(brownian_fam, times, 20, 50)
-        paths = [PathGrid(times=times, values=v) for v in values]
-        rep = check_quadratic_variation(paths, brownian_fam)
-        assert rep.passed and rep.n_samples == 50
+        assert check_quadratic_variation(values, times, poisson_fam).status == "inconclusive"
 
     @pytest.mark.parametrize("n_paths", [0, 1])
     def test_fewer_than_two_paths_rejected(self, brownian_fam, n_paths):
         # one path has no standard error, so the gate cannot be tested
-        from gaussmart import PathGrid
-
         times = np.linspace(0.0, 1.0, 129)
         values = simulate_grid_ensemble(brownian_fam, times, 21, n_paths)
         with pytest.raises(DomainError):
-            check_quadratic_variation(values, brownian_fam, times=times)
+            check_quadratic_variation(values, times, brownian_fam)
+
+    @pytest.mark.parametrize(
+        "case", ["starts_after_zero", "reversed", "unsorted", "too_few_columns",
+                 "too_many_columns", "nonzero_start", "one_dimensional", "non_finite_time"],
+    )
+    def test_grid_it_cannot_evaluate_rejected(self, brownian_fam, case):
+        # each of these once passed (a grid starting after 0), failed with
+        # NaN, or surfaced as a numpy error instead of a domain error
+        times = np.linspace(0.0, 1.0, 129)
+        values = simulate_grid_ensemble(brownian_fam, times, 22, 50)
+        if case == "starts_after_zero":
+            times = np.linspace(0.5, 1.0, 129)
+        elif case == "reversed":
+            times = times[::-1]
+        elif case == "unsorted":
+            times = times.copy()
+            times[[5, 6]] = times[[6, 5]]
+        elif case == "too_few_columns":
+            values = values[:, :-1]
+        elif case == "too_many_columns":
+            times = times[:-1]
+        elif case == "nonzero_start":
+            values = values + 0.1
+        elif case == "one_dimensional":
+            values = values[0]
+        else:
+            times = times.copy()
+            times[-1] = math.inf
         with pytest.raises(DomainError):
-            check_quadratic_variation(
-                [PathGrid(times=times, values=v) for v in values], brownian_fam
-            )
+            check_quadratic_variation(values, times, brownian_fam)
 
 
 class TestJumpTimes:
@@ -260,26 +284,6 @@ class TestJumpTimes:
         nu = nu_total(poisson_fam)
         rep = check_jump_times(1.0 * u ** (-2.0 / nu), 1.0, poisson_fam)
         assert rep.details["mean_target"] == pytest.approx(nu / (nu - 2.0), rel=1e-12)
-
-    def test_accepts_event_paths_and_rejects_censoring(self, poisson_fam):
-        from gaussmart import RandomStream, simulate_event
-
-        # long horizon: every path jumps, so first jumps are uncensored
-        paths = [
-            simulate_event(poisson_fam, 1.0, 0.0, 1e9, RandomStream(33, k))
-            for k in range(300)
-        ]
-        with pytest.raises(DomainError):
-            # n >= 1e4 precondition still applies, but censoring is checked
-            # first on a short-horizon path
-            short = [simulate_event(poisson_fam, 1.0, 0.0, 1.0001, RandomStream(34, k))
-                     for k in range(80)]
-            if all(p.jump_times.size for p in short):  # pragma: no cover
-                raise DomainError("all jumped; rerun with different seed")
-            check_jump_times(short, 1.0, poisson_fam)
-        # the adapter path itself works (size precondition checked after)
-        with pytest.raises(DomainError):
-            check_jump_times(paths, 1.0, poisson_fam)  # only 300 < 1e4 samples
 
 
 class TestModeAgreement:
@@ -349,14 +353,11 @@ class TestModeAgreement:
 
 class TestContinuity:
     def test_brownian_null(self, brownian_fam):
-        pairs = brownian_pairs(30, 100_000, 0.5, 2.0)
-        assert check_continuity(pairs, 0.5, 2.0, (1.0, 2.0)).passed
+        assert check_continuity(*brownian_pairs(30, 100_000, 0.5, 2.0), 0.5, 2.0, (1.0, 2.0)).passed
 
     def test_poisson(self, poisson_fam):
         xs, xt = transition_pairs(poisson_fam, 0.5, 2.0, 31, 100_000)
-        rep = check_continuity(
-            np.column_stack([xs, xt]), 0.5, 2.0, (1.0, 2.0, 3.0)
-        )
+        rep = check_continuity(xs, xt, 0.5, 2.0, (1.0, 2.0, 3.0))
         assert rep.passed
 
 
@@ -372,6 +373,41 @@ class TestHarness:
         reports = standard_battery(gamma_fam, 5, n_paths=100_000, n_qv=1_000)
         payload = json.dumps([r.to_dict() for r in reports])
         assert "gaussian_marginal" in payload
+
+    @pytest.mark.parametrize(
+        "fam_name, sizes",
+        [
+            ("brownian_fam", {"n_paths": 999}),
+            ("brownian_fam", {"n_qv": 1}),
+            ("poisson_fam", {"n_qv": 0}),
+            ("poisson_fam", {"n_jumps": 5_000}),
+            ("compound_fam", {"n_mode": 100}),
+        ],
+        ids=["brownian-paths", "brownian-qv", "poisson-qv", "poisson-jumps", "compound-mode"],
+    )
+    def test_too_small_sizes_refused_before_simulating(
+        self, monkeypatch, request, fam_name, sizes
+    ):
+        from gaussmart import verify
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated before the sizes were checked")
+
+        monkeypatch.setattr(verify, "simulate_grid_ensemble", must_not_run)
+        monkeypatch.setattr(verify, "transition_pairs", must_not_run)
+        with pytest.raises(DomainError):
+            standard_battery(request.getfixturevalue(fam_name), 1, **sizes)
+
+    def test_jump_sizes_not_checked_for_gamma(self, monkeypatch, gamma_fam):
+        # the jump and mode gates do not run for gamma, so their sizes are free
+        from gaussmart import verify
+
+        def stop(*args, **kwargs):
+            raise RuntimeError("reached the simulation")
+
+        monkeypatch.setattr(verify, "simulate_grid_ensemble", stop)
+        with pytest.raises(RuntimeError, match="reached the simulation"):
+            standard_battery(gamma_fam, 1, n_jumps=0, n_mode=0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(7, "marginal") == derive_seed(7, "marginal")
