@@ -1,12 +1,16 @@
 """Command-line entry point.
 
 Subcommands: ``simulate``, ``kernel``, ``generator-check``, ``verify``,
-``jump-times``.  Options come from flags or a JSON config file
-(``--config``); explicit flags override file values, unknown config keys
-are rejected, and so are family parameters that do not belong to the
-chosen kind.  Exit codes: 0 success / all gated checks pass, 1 gated test
-failure, 2 usage error, 3 numeric failure (a quadrature that cannot
-converge, or a float overflow).
+``jump-times``.  Each option's type, default and help are declared once,
+in ``_OPTIONS`` (the family flags in ``_SHARED``).  Options come from flags
+or a JSON config file (``--config``); explicit flags override file values,
+unknown config keys are rejected, and so are family parameters that do not
+belong to the chosen kind.  Flags and config values share one conversion,
+so a bad value fails alike from either: every bad value prints ``error:
+...`` and exits 2.  ``--threads`` defaults to one worker per CPU.  Exit
+codes: 0 success / all gated checks pass, 1 gated test failure, 2 usage
+error, 3 numeric failure (a quadrature that cannot converge, or a float
+overflow).
 
 Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
 stream layout (``"stream_layout": 2``) at top level; ``verify`` and
@@ -44,29 +48,84 @@ from .verify import derive_seed, standard_battery, test_jump_times
 SCHEMA = "gaussmart/3"
 #: top-level fields of every JSON report and sidecar
 _HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
-#: family parameter flags; which belong to a kind is family_from_config's call
-_FAMILY_FLAGS = ("c", "a", "b", "beta", "atoms")
-
-_F_TAGS = {
-    "x": (0.0, 1.0),
-    "x2": (0.0, 0.0, 1.0),
-    "x3": (0.0, 0.0, 0.0, 1.0),
-    "x4": (0.0, 0.0, 0.0, 0.0, 1.0),
+#: the family flags every subcommand takes; family_from_config converts and
+#: checks them (and which parameters belong to a kind), so they pass as given
+_SHARED = {
+    "family": (None, "poisson", "family kind: poisson, gamma, compound or brownian "
+               "(pre-calibration parameters via --c/--a/--b/--beta/--atoms)"),
+    "c": (None, None, "poisson intensity per unit log-scale"),
+    "a": (None, None, "gamma shape rate per unit log-scale"),
+    "b": (None, None, "gamma inverse scale"),
+    "beta": (None, None, "compound drift (>= 0)"),
+    "atoms": (None, None, "compound atoms as 'loc:weight,loc:weight,...'"),
 }
 
 
-def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--family", choices=["poisson", "gamma", "compound", "brownian"],
-        help="family kind (pre-calibration parameters via --c/--a/--b/--beta/--atoms)",
-    )
-    sub.add_argument("--c", type=float, help="poisson intensity per unit log-scale")
-    sub.add_argument("--a", type=float, help="gamma shape rate per unit log-scale")
-    sub.add_argument("--b", type=float, help="gamma inverse scale")
-    sub.add_argument("--beta", type=float, help="compound drift (>= 0)")
-    sub.add_argument(
-        "--atoms", help="compound atoms as 'loc:weight,loc:weight,...'"
-    )
+def _linspace(spec, extra: int = 0) -> np.ndarray:
+    """``lo:hi:n`` as ``n + extra`` evenly spaced points from lo to hi; a
+    ValueError unless lo < hi are finite and there are at least 2 points."""
+    lo, hi, n = str(spec).split(":")
+    lo, hi, n = float(lo), float(hi), int(n) + extra
+    if not (-math.inf < lo < hi < math.inf and n >= 2):
+        raise ValueError(spec)
+    return np.linspace(lo, hi, n)
+
+
+def _time_grid(spec) -> np.ndarray:
+    """``start:end:steps``: steps + 1 times; simulated paths start at 0."""
+    times = _linspace(spec, extra=1)
+    if times[0] != 0.0:
+        raise ValueError(spec)
+    return times
+
+
+#: subcommand -> (help, {option: (type, default, help)}); a type of None
+#: passes the value on as given, a default of None means "not set" and the
+#: help says what happens then
+_OPTIONS = {
+    "simulate": ("simulate paths and write them as CSV", {
+        "paths": (int, 100, "number of paths"),
+        "grid": (_time_grid, "0:1:64", "grid mode: time grid 'start:end:steps', start = 0"),
+        "mode": (str, "grid", "grid or event"),
+        "start": (float, 1.0, "event mode: start time s0 > 0"),
+        "x0": (float, 0.0, "event mode: start value"),
+        "horizon": (float, 2.0, "event mode: end time"),
+        "seed": (int, 0, "base seed"),
+        "threads": (int, None, "worker threads (default one per CPU)"),
+        "out": (str, "paths.csv", "output CSV path"),
+    }),
+    "kernel": ("emit a transition density table", {
+        "s": (float, 0.5, "start time"),
+        "t": (float, 2.0, "end time"),
+        "x": (float, 0.0, "start value"),
+        "y": (_linspace, None, "evaluation grid 'lo:hi:n' with lo < hi and n >= 2 "
+              "(default 2001 nodes spanning 0 ... sigma x, widened by 10 sqrt(t))"),
+        "out": (str, "density.csv", "CSV output; JSON sidecar alongside"),
+    }),
+    "generator-check": ("closed-form generator vs kernel difference quotient", {
+        "f": (str, "x2", "polynomial: tag x|x2|x3|x4 or comma coefficients"),
+        "s": (float, 1.0, "time point"),
+        "x": (float, 0.8, "space point"),
+        "h": (float, 0.02, "base step for the quotient"),
+        "out": (str, None, "JSON output path (default stdout)"),
+    }),
+    "verify": ("run the gated statistical battery", {
+        "paths": (int, 200_000, "ensemble size"),
+        "qv-paths": (int, 10_000, "paths for the quadratic-variation check"),
+        "jumps": (int, 100_000, "first-jump sample size"),
+        "mode-paths": (int, 10_000, "paths per mode-agreement sample"),
+        "seed": (int, 0, "base seed"),
+        "threads": (int, None, "worker threads (default one per CPU)"),
+        "report": (str, "report.json", "JSON report path"),
+    }),
+    "jump-times": ("sample first jump times and test their law", {
+        "s": (float, 1.0, "start time"),
+        "n": (int, 100_000, "sample size"),
+        "seed": (int, 0, "base seed"),
+        "out": (str, None, "CSV of sampled jump times (default none)"),
+        "report": (str, None, "JSON report path (default stdout)"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,110 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify martingales with exactly Gaussian marginals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate paths and write them as CSV")
-    _add_family_flags(sim)
-    sim.add_argument("--config", help="JSON config file; flags override it")
-    sim.add_argument("--paths", type=int, help="number of paths (default 100)")
-    sim.add_argument(
-        "--grid", help="time grid 'start:end:steps' with start = 0 (grid mode)"
-    )
-    sim.add_argument("--mode", choices=["grid", "event"], help="default grid")
-    sim.add_argument("--start", type=float, help="event mode: start time s0 > 0")
-    sim.add_argument("--x0", type=float, help="event mode: start value (default 0)")
-    sim.add_argument("--horizon", type=float, help="event mode: end time")
-    sim.add_argument("--seed", type=int, help="base seed (default 0)")
-    sim.add_argument("--threads", type=int, help="worker threads (default 1)")
-    sim.add_argument("--out", help="output CSV path (default paths.csv)")
-
-    ker = sub.add_parser("kernel", help="emit a transition density table")
-    _add_family_flags(ker)
-    ker.add_argument("--config", help="JSON config file; flags override it")
-    ker.add_argument("--s", type=float, help="start time (default 0.5)")
-    ker.add_argument("--t", type=float, help="end time (default 2)")
-    ker.add_argument("--x", type=float, help="start value (default 0)")
-    ker.add_argument("--y", help="evaluation grid 'lo:hi:n' (default auto)")
-    ker.add_argument("--out", help="CSV output (default density.csv); JSON sidecar alongside")
-
-    gen = sub.add_parser(
-        "generator-check",
-        help="closed-form generator vs kernel difference quotient",
-    )
-    _add_family_flags(gen)
-    gen.add_argument("--config", help="JSON config file; flags override it")
-    gen.add_argument("--f", help="polynomial: tag x|x2|x3|x4 or comma coefficients")
-    gen.add_argument("--s", type=float, help="time point (default 1)")
-    gen.add_argument("--x", type=float, help="space point (default 0.8)")
-    gen.add_argument("--h", type=float, help="base step for the quotient (default 0.02)")
-    gen.add_argument("--out", help="JSON output path (default stdout)")
-
-    ver = sub.add_parser("verify", help="run the gated statistical battery")
-    _add_family_flags(ver)
-    ver.add_argument("--config", help="JSON config file; flags override it")
-    ver.add_argument("--paths", type=int, help="ensemble size (default 200000)")
-    ver.add_argument("--qv-paths", type=int, help="paths for the quadratic-variation check")
-    ver.add_argument("--jumps", type=int, help="first-jump sample size")
-    ver.add_argument("--mode-paths", type=int, help="paths per mode-agreement sample")
-    ver.add_argument("--seed", type=int, help="base seed (default 0)")
-    ver.add_argument("--threads", type=int, help="worker threads (default 1)")
-    ver.add_argument("--report", help="JSON report path (default report.json)")
-
-    jmp = sub.add_parser("jump-times", help="sample first jump times and test their law")
-    _add_family_flags(jmp)
-    jmp.add_argument("--config", help="JSON config file; flags override it")
-    jmp.add_argument("--s", type=float, help="start time (default 1)")
-    jmp.add_argument("--n", type=int, help="sample size (default 100000)")
-    jmp.add_argument("--seed", type=int, help="base seed (default 0)")
-    jmp.add_argument("--out", help="optional CSV of sampled jump times")
-    jmp.add_argument("--report", help="JSON report path (default stdout)")
+    for command, (text, options) in _OPTIONS.items():
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", help="JSON config file; flags override it")
+        for key, (_, default, help_text) in {**_SHARED, **options}.items():
+            if default is not None:
+                help_text += f" (default {default})"
+            cmd.add_argument(f"--{key}", dest=key, help=help_text)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Overlay CLI flags on the optional config file; flags win.
-
-    The allowed config keys are the subcommand's own flags (dashed, as on
-    the command line) plus the ``family`` object.
-    """
-    keys = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
-    merged: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise DomainError("config file must hold a JSON object")
-        unknown = set(cfg) - keys
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(cfg)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"))
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _family_spec(opts: dict) -> dict:
-    """The family config object: the config's family object or the --family
-    kind (default poisson), overlaid with every family parameter given."""
-    fam = opts.get("family")
-    spec = dict(fam) if isinstance(fam, dict) else {"kind": fam or "poisson"}
-    spec.update({k: opts[k] for k in _FAMILY_FLAGS if opts.get(k) is not None})
-    if isinstance(spec.get("atoms"), str):
-        spec["atoms"] = [pair.split(":") for pair in spec["atoms"].split(",")]
-    return spec
-
-
-def _family(opts: dict):
-    return calibrate(family_from_config(_family_spec(opts)))
-
-
-def _value(opts: dict, key: str, kind, default):
-    """Option ``key`` converted by ``kind``; a malformed or non-finite value
-    is a usage error."""
-    raw = opts.get(key, default)
-    if raw is None:
-        return None
+def _value(key: str, raw, kind):
+    """Option ``key`` converted by ``kind`` (None: as given); a malformed or
+    non-finite value is a usage error."""
+    if raw is None or kind is None:
+        return raw
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -188,17 +158,45 @@ def _value(opts: dict, key: str, kind, default):
     return value
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    try:
-        start, end, steps = text.split(":")
-        start, end, steps = float(start), float(end), int(steps)
-    except (AttributeError, ValueError) as exc:
-        raise DomainError(f"bad grid spec {text!r}; expected start:end:steps") from exc
-    if start != 0.0:
-        raise DomainError("simulated paths start at time 0; grid must use start = 0")
-    if steps < 1 or not start < end < math.inf:
-        raise DomainError("grid needs a finite end > 0 and steps >= 1")
-    return np.linspace(start, end, steps + 1)
+def _options(args: argparse.Namespace) -> dict:
+    """The subcommand's options: the optional config file overlaid with the
+    flags given (flags win), each converted once and defaulted by the table.
+
+    The allowed config keys are the subcommand's own flags (dashed, as on
+    the command line), the ``family`` value being a kind or a family object.
+    """
+    table = {**_SHARED, **_OPTIONS[args.command][1]}
+    given: dict = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise DomainError("config file must hold a JSON object")
+        unknown = set(cfg) - set(table)
+        if unknown:
+            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        given.update(cfg)
+    given.update({k: v for k, v in vars(args).items() if k in table and v is not None})
+    opts = {}
+    for key, (kind, default, _) in table.items():
+        raw = given.get(key)
+        opts[key] = _value(key, default if raw is None else raw, kind)
+    return opts
+
+
+def _family_spec(opts: dict) -> dict:
+    """The family config object: the config's family object or the family
+    kind, overlaid with every family parameter given."""
+    fam = opts["family"]
+    spec = dict(fam) if isinstance(fam, dict) else {"kind": fam}
+    spec.update({k: opts[k] for k in _SHARED if k != "family" and opts[k] is not None})
+    if isinstance(spec.get("atoms"), str):
+        spec["atoms"] = [pair.split(":") for pair in spec["atoms"].split(",")]
+    return spec
+
+
+def _family(opts: dict):
+    return calibrate(family_from_config(_family_spec(opts)))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -210,29 +208,21 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _cmd_simulate(args) -> int:
-    opts = _merge_config(args)
+def _cmd_simulate(opts: dict) -> int:
     family = _family(opts)
-    seed = _value(opts, "seed", int, 0)
-    n_paths = _value(opts, "paths", int, 100)
-    out = opts.get("out", "paths.csv")
-    mode = opts.get("mode", "grid")
-    if mode not in ("grid", "event"):
-        raise DomainError(f"bad value for mode: {mode!r}")
-    if mode == "grid":
-        times = _parse_grid(opts.get("grid", "0:1:64"))
-        values = simulate_grid_ensemble(
-            family, times, seed, n_paths, threads=_value(opts, "threads", int, None)
-        )
+    seed, n_paths, out = opts["seed"], opts["paths"], opts["out"]
+    if opts["mode"] == "grid":
+        times = opts["grid"]
+        values = simulate_grid_ensemble(family, times, seed, n_paths, threads=opts["threads"])
         write_grid_csv(out, times, values)
         print(
             f"simulate: {n_paths} grid paths on {times.size} times "
             f"(seed {seed}) -> {out}"
         )
         return 0
-    s0 = _value(opts, "start", float, 1.0)
-    horizon = _value(opts, "horizon", float, 2.0)
-    x0 = _value(opts, "x0", float, 0.0)
+    if opts["mode"] != "event":
+        raise DomainError(f"bad value for mode: {opts['mode']!r}")
+    s0, horizon, x0 = opts["start"], opts["horizon"], opts["x0"]
     paths = simulate_events(family, s0, x0, horizon, path_bundle(seed, n_paths))
     write_event_csv(out, paths)
     n_jumps = sum(len(p.jumps) for p in paths)
@@ -243,23 +233,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    opts = _merge_config(args)
+def _cmd_kernel(opts: dict) -> int:
     family = _family(opts)
-    s = _value(opts, "s", float, 0.5)
-    t = _value(opts, "t", float, 2.0)
-    x = _value(opts, "x", float, 0.0)
-    out = opts.get("out", "density.csv")
+    s, t, x, ygrid, out = opts["s"], opts["t"], opts["x"], opts["y"], opts["out"]
     ev = kernel_eval(family, s, t, x)
-    if opts.get("y"):
-        try:
-            lo, hi, n = opts["y"].split(":")
-            ygrid = np.linspace(float(lo), float(hi), int(n))
-        except (AttributeError, ValueError) as exc:
-            raise DomainError(f"bad grid spec {opts['y']!r}; expected lo:hi:n") from exc
-        if ygrid.size == 0 or not np.all(np.isfinite(ygrid)):
-            raise DomainError(f"bad grid spec {opts['y']!r}; need finite bounds and n >= 1")
-    else:
+    if ygrid is None:
         # the continuous part's component means lie between 0 and the atom
         # at sigma x (from s = 0 the law is N(x, t))
         loc = x if math.isnan(ev.atom_location) else ev.atom_location
@@ -302,20 +280,16 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _cmd_generator_check(args) -> int:
-    opts = _merge_config(args)
+def _cmd_generator_check(opts: dict) -> int:
     family = _family(opts)
-    f_spec = _value(opts, "f", str, "x2")
-    if f_spec in _F_TAGS:
-        poly = Polynomial(_F_TAGS[f_spec])
+    f_spec, s, x, h = opts["f"], opts["s"], opts["x"], opts["h"]
+    if f_spec in ("x", "x2", "x3", "x4"):
+        poly = Polynomial.monomial(int(f_spec[1:] or 1))
     else:
         try:
             poly = Polynomial(tuple(float(c) for c in f_spec.split(",")))
         except ValueError as exc:
             raise DomainError(f"bad polynomial spec {f_spec!r}") from exc
-    s = _value(opts, "s", float, 1.0)
-    x = _value(opts, "x", float, 0.8)
-    h = _value(opts, "h", float, 0.02)
     result = generator_check(family, poly, s, x, h=h)
     payload = {
         **_HEADER,
@@ -326,7 +300,7 @@ def _cmd_generator_check(args) -> int:
         "h": h,
         **result,
     }
-    _write_json(opts.get("out"), payload)
+    _write_json(opts["out"], payload)
     print(
         f"generator-check: f={f_spec} (s={s}, x={x}) relative_error="
         f"{result['relative_error']:.3e}"
@@ -334,26 +308,24 @@ def _cmd_generator_check(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    opts = _merge_config(args)
+def _cmd_verify(opts: dict) -> int:
     family = _family(opts)
-    seed = _value(opts, "seed", int, 0)
     reports = standard_battery(
         family,
-        seed,
-        n_paths=_value(opts, "paths", int, 200_000),
-        n_qv=_value(opts, "qv-paths", int, 10_000),
-        n_jumps=_value(opts, "jumps", int, 100_000),
-        n_mode=_value(opts, "mode-paths", int, 10_000),
-        threads=_value(opts, "threads", int, None),
+        opts["seed"],
+        n_paths=opts["paths"],
+        n_qv=opts["qv-paths"],
+        n_jumps=opts["jumps"],
+        n_mode=opts["mode-paths"],
+        threads=opts["threads"],
     )
     payload = {
         **_HEADER,
         "family": dataclasses.asdict(family),
-        "seed": seed,
+        "seed": opts["seed"],
         "reports": [r.to_dict() for r in reports],
     }
-    _write_json(opts.get("report", "report.json"), payload)
+    _write_json(opts["report"], payload)
     all_pass = True
     for r in reports:
         print(f"{r.status.upper():6s} {r.test_name}: stat={r.statistic:.6g} "
@@ -362,20 +334,18 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _cmd_jump_times(args) -> int:
-    opts = _merge_config(args)
+def _cmd_jump_times(opts: dict) -> int:
     family = _family(opts)
-    seed = _value(opts, "seed", int, 0)
-    s = _value(opts, "s", float, 1.0)
-    n = _value(opts, "n", int, 100_000)
-    times = first_jump_times(family, s, path_bundle(derive_seed(seed, "jump-times"), n))
-    if opts.get("out"):
+    seed, s = opts["seed"], opts["s"]
+    times = first_jump_times(family, s, path_bundle(derive_seed(seed, "jump-times"), opts["n"]))
+    # the gate runs before any file is written, so a refused sample leaves none
+    report = test_jump_times(times, s, family, seed=seed)
+    if opts["out"]:
         with open(opts["out"], "w", encoding="ascii") as fh:
             fh.write("sample_id,first_jump_time\n")
             for i, tv in enumerate(times):
                 fh.write(f"{i},{float(tv)!r}\n")
-    report = test_jump_times(times, s, family, seed=seed)
-    _write_json(opts.get("report"), {**_HEADER, "report": report.to_dict()})
+    _write_json(opts["report"], {**_HEADER, "report": report.to_dict()})
     print(
         f"{report.status.upper():6s} jump_times: KS p={report.p_value:.4g} "
         f"median={report.details['median']:.6g} "
@@ -401,7 +371,7 @@ def execute(argv) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_options(args))
     except OverflowError:
         print(
             "numeric failure: float overflow; lower the magnitude of the "

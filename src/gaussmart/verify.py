@@ -117,11 +117,18 @@ def _report(
     )
 
 
+def _sample(x) -> np.ndarray:
+    """A sample as a float array; it must be 1-d."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"a sample must be a 1-d array, got shape {x.shape}")
+    return x
+
+
 def _pair_arrays(xs, xt):
     """(X_s, X_t) samples as float arrays; they must be equal-length and 1-d."""
-    xs = np.asarray(xs, dtype=float)
-    xt = np.asarray(xt, dtype=float)
-    if xs.ndim != 1 or xs.shape != xt.shape:
+    xs, xt = _sample(xs), _sample(xt)
+    if xs.shape != xt.shape:
         raise DomainError(
             f"X_s and X_t must be equal-length 1-d arrays, got shapes {xs.shape} and {xt.shape}"
         )
@@ -130,7 +137,8 @@ def _pair_arrays(xs, xt):
 
 def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatReport:
     """KS against N(0, t) plus z-scores for the first four moments."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _sample(samples)
+    tolerance = "KS p > 0.001 and moment |z| < 4"
     n = samples.size
     if n < MIN_MARGINAL:
         raise DomainError(f"need at least {MIN_MARGINAL} samples")
@@ -139,8 +147,7 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
     if np.std(samples) == 0.0:
         return _report(
             "gaussian_marginal", n, math.inf, f"N(0, {t})", 0.0,
-            "KS p > 0.001 and |z| < 4", False, seed,
-            {"error": "degenerate sample with zero variance"},
+            tolerance, False, seed, {"error": "degenerate sample with zero variance"},
         )
     ks = stats.kstest(samples, "norm", args=(0.0, math.sqrt(t)))
     m1 = samples.mean()
@@ -159,7 +166,7 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
     passed = ks.pvalue > KS_P_FLOOR and np.all(np.abs(z) < Z_BOUND)
     return _report(
         "gaussian_marginal", n, ks.statistic, f"N(0, {t})", ks.pvalue,
-        "KS p > 0.001 and moment |z| < 4", passed, seed,
+        tolerance, passed, seed,
         {"moment_z": z.tolist(), "mean": m1, "variance": m2 - m1**2},
     )
 
@@ -167,6 +174,7 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
 def test_martingale_binned(xs, xt, s: float, t: float, seed: int | None = None) -> StatReport:
     """Per-decile mean of X_t - X_s must vanish within 4 standard errors."""
     xs, xt = _pair_arrays(xs, xt)
+    tolerance = "all bins within 4 SE of 0"
     edges = np.quantile(xs, np.linspace(0.0, 1.0, _MARTINGALE_BINS + 1))
     idx = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, _MARTINGALE_BINS - 1)
     diff = xt - xs
@@ -186,7 +194,7 @@ def test_martingale_binned(xs, xt, s: float, t: float, seed: int | None = None) 
     if inconclusive:
         return _report(
             "martingale_binned", xs.size, math.nan, 0.0, None,
-            "all bins within 4 SE of 0", False, seed, details, status="inconclusive",
+            tolerance, False, seed, details, status="inconclusive",
         )
     zs = np.array(
         [abs(m) / se if se > 0 else (0.0 if m == 0 else math.inf)
@@ -195,7 +203,7 @@ def test_martingale_binned(xs, xt, s: float, t: float, seed: int | None = None) 
     passed = bool(np.all(zs < Z_BOUND))
     return _report(
         "martingale_binned", xs.size, float(zs.max()), 0.0, None,
-        "all bins within 4 SE of 0", passed, seed, details,
+        tolerance, passed, seed, details,
     )
 
 
@@ -244,6 +252,7 @@ def test_conditional_kurtosis(
     3 unless the mixing is deterministic.
     """
     xs, xt = _pair_arrays(xs, xt)
+    tolerance = "within 4 bootstrap SE"
     sigma = math.sqrt(t / s)
     half_width = _KURTOSIS_HALF_WIDTH * math.sqrt(s)
     sel = xt[np.abs(xs) < half_width]
@@ -254,7 +263,7 @@ def test_conditional_kurtosis(
     if sel.size < _KURTOSIS_MIN_BIN:
         return _report(
             "conditional_kurtosis", xs.size, math.nan, target, None,
-            "within 4 bootstrap SE", False, seed, details, status="inconclusive",
+            tolerance, False, seed, details, status="inconclusive",
         )
     m2 = np.mean(sel**2)
     m4 = np.mean(sel**4)
@@ -270,7 +279,7 @@ def test_conditional_kurtosis(
     details.update({"bootstrap_se": se, "z": (kurt - target) / se if se else 0.0})
     return _report(
         "conditional_kurtosis", xs.size, kurt, target, None,
-        "within 4 bootstrap SE", passed, seed, details,
+        tolerance, passed, seed, details,
     )
 
 
@@ -288,6 +297,7 @@ def test_quadratic_variation(
     does not match the values raises DomainError, and so do fewer than 2
     paths, which have no standard error.
     """
+    tolerance = "mean residual within 4 SE of 0; E[qv] = t within 4 SE"
     times = check_grid_times(times)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != times.size:
@@ -304,7 +314,7 @@ def test_quadratic_variation(
     if times.size < 65:
         return _report(
             "quadratic_variation", n, math.nan, 0.0, None,
-            "mean residual within 4 SE of 0", False, seed,
+            tolerance, False, seed,
             {"error": "grid too coarse; need at least 64 steps"}, status="inconclusive",
         )
     d = delta(family)
@@ -327,7 +337,7 @@ def test_quadratic_variation(
     passed = residual_ok and expectation_ok
     return _report(
         "quadratic_variation", n, mean_res, 0.0, None,
-        "mean residual within 4 SE of 0; E[qv] = t within 4 SE", passed, seed,
+        tolerance, passed, seed,
         {
             "se_residual": se_res,
             "mean_qv": mean_qv,
@@ -360,7 +370,7 @@ def test_jump_times(
         raise FamilyError(
             "jump-time law is available for drift-free finite-atom families only"
         )
-    t_arr = np.asarray(jump_times, dtype=float)
+    t_arr = _sample(jump_times)
     n = t_arr.size
     if n < MIN_JUMPS:
         raise DomainError(f"need at least {MIN_JUMPS} first-jump samples")
@@ -406,8 +416,7 @@ def test_mode_agreement(
         raise DomainError(
             f"samples come from different setups: {meta_grid} vs {meta_event}"
         )
-    a = np.asarray(samples_grid, dtype=float)
-    b = np.asarray(samples_event, dtype=float)
+    a, b = _sample(samples_grid), _sample(samples_event)
     if min(a.size, b.size) < MIN_MODE:
         raise DomainError(f"need at least {MIN_MODE} samples per mode")
     ks = stats.ks_2samp(a, b)

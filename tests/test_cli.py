@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
-from gaussmart import calibrate, poisson_family
-from gaussmart.cli import _family_spec, _merge_config, build_parser, execute
+from gaussmart import calibrate, cli, poisson_family
+from gaussmart.cli import _family_spec, _options, build_parser, execute
+from gaussmart.pathsim import _chunks
 from gaussmart.semigroup import family_from_config
 
 
@@ -165,16 +168,19 @@ class TestNonFiniteInputs:
             ["generator-check", "--h", "nan"],
             ["jump-times", "--s", "nan"],
             ["jump-times", "--n", "-3"],
+            ["jump-times", "--n", "5"],
             ["verify", "--paths", "-3"],
+            ["kernel", "--y", "1:-1:5"],
+            ["kernel", "--y", "0:1:1"],
         ],
         ids=" ".join,
     )
     def test_exits_two(self, tmp_path, capsys, argv):
-        out = ["--report" if argv[0] in ("verify", "jump-times") else "--out",
-               str(tmp_path / "out")]
-        assert execute(argv + out) == 2
+        out = {"verify": ["--report"], "jump-times": ["--out", "--report"]}.get(argv[0], ["--out"])
+        assert execute(argv + [a for i, flag in enumerate(out)
+                               for a in (flag, str(tmp_path / f"out{i}"))]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out").exists()
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"paths": 1e400}'])
     def test_non_finite_config_values_exit_two(self, tmp_path, capsys, config):
@@ -227,7 +233,7 @@ class TestNumericFailures:
 class TestFamilyOptions:
     @staticmethod
     def spec(*argv):
-        return _family_spec(_merge_config(build_parser().parse_args(list(argv))))
+        return _family_spec(_options(build_parser().parse_args(list(argv))))
 
     def test_poisson_shorthand_builds_one_atom(self):
         fam = family_from_config(self.spec("simulate", "--family", "poisson", "--c", "2"))
@@ -251,6 +257,81 @@ class TestFamilyOptions:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"qv-paths": 10}))  # a verify flag, not a simulate one
         assert execute(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+#: a well-formed and a malformed value for each option type (None: no
+#: value of the type is malformed); the family flags, passed on as given,
+#: fail in family_from_config
+_SAMPLES = {
+    int: ("7", "1e3"),
+    float: ("0.25", "nan"),
+    str: ("abc", None),
+    cli._time_grid: ("0:2:8", "1:2:4"),
+    cli._linspace: ("-1:1:5", "1:-1:5"),
+    None: ("2", "abc"),
+}
+#: options whose values a command checks itself
+_KEY_SAMPLES = {"mode": ("event", "jump")}
+_EVERY_OPTION = [
+    (command, key, kind)
+    for command, (_, options) in cli._OPTIONS.items()
+    for key, (kind, _, _) in {**cli._SHARED, **options}.items()
+]
+
+
+def _typed(*argv):
+    return _options(build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize(
+    "command, key, kind", _EVERY_OPTION, ids=[f"{c} {k}" for c, k, _ in _EVERY_OPTION]
+)
+class TestOptionTable:
+    """Each option is declared once: a flag and the config key of the same
+    name convert alike, fail alike, and the help shows the default used."""
+
+    def test_flag_and_config_agree(self, tmp_path, capsys, command, key, kind):
+        good, bad = _KEY_SAMPLES.get(key, _SAMPLES[kind])
+        try:  # the natural JSON form of the value, where there is one
+            cfg_value = good if kind is None else json.loads(good)
+        except json.JSONDecodeError:
+            cfg_value = good
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: cfg_value}))
+        from_flag = _typed(command, f"--{key}={good}")[key]
+        from_config = _typed(command, "--config", str(cfg))[key]
+        assert type(from_flag) is type(from_config)
+        assert np.array_equal(from_flag, from_config)
+        if bad is None:
+            return
+        cfg.write_text(json.dumps({key: bad}))
+        errors = []
+        for argv in ([command, f"--{key}={bad}"], [command, "--config", str(cfg)]):
+            assert execute(argv + ["--out" if command != "verify" else "--report",
+                                   str(tmp_path / "out")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ")
+        if kind is not None:
+            assert errors[0].startswith(f"error: bad value for {key}: {bad!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_help_shows_the_default_used(self, capsys, command, key, kind):
+        assert execute([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith(f"  --{key} "))
+        end = start + 1
+        while end < len(lines) and lines[end].startswith("   "):  # continuation
+            end += 1
+        text = " ".join(" ".join(lines[start:end]).split())
+        used = _typed(command)[key]
+        if used is None:  # not set: the help says what happens then
+            if key == "threads":
+                assert text.endswith("(default one per CPU)")
+                assert _chunks(20_000, used) == _chunks(20_000, os.cpu_count())
+            return
+        shown = re.search(r"\(default ([^ )]*)\)$", text).group(1)
+        assert np.array_equal(_typed(command, f"--{key}={shown}")[key], used)
 
 
 class TestConfigPrecedence:

@@ -361,6 +361,47 @@ class TestContinuity:
         assert rep.passed
 
 
+@pytest.mark.parametrize("gate", ["marginal", "jumps", "mode"])
+def test_one_sample_gates_refuse_non_1d_samples(poisson_fam, gate):
+    u = verify_bundle(37, 20_000).uniforms(1)[0]
+    sample = {
+        "marginal": ndtri(u),
+        "jumps": u ** (-2.0 / nu_total(poisson_fam)),
+        "mode": ndtri(u),
+    }[gate]
+    check = {
+        "marginal": lambda z: check_gaussian_marginal(z, 1.0),
+        "jumps": lambda z: check_jump_times(z, 1.0, poisson_fam),
+        "mode": lambda z: check_mode_agreement(z, z),
+    }[gate]
+    assert check(sample).passed  # the same values as a 1-d sample are fine
+    for shaped in (sample.reshape(2, -1), sample[:, None], np.float64(1.0)):
+        with pytest.raises(DomainError, match="1-d"):
+            check(shaped)
+
+
+def test_each_gate_states_one_tolerance_on_every_branch(brownian_fam, poisson_fam):
+    xs, xt = brownian_pairs(38, 150, 0.5, 2.0)
+    many_xs, many_xt = brownian_pairs(4, 100_000, 0.5, 2.0)
+    grid = np.linspace(0.0, 1.0, 9)
+    coarse = simulate_grid_ensemble(poisson_fam, grid, 39, 10)
+    fine_grid = np.linspace(0.0, 1.0, 65)
+    fine = simulate_grid_ensemble(poisson_fam, fine_grid, 39, 10)
+    pairs = [
+        (check_gaussian_marginal(np.zeros(2000), 1.0),
+         check_gaussian_marginal(verify_bundle(1, 2000).normals(), 1.0)),
+        (check_martingale_binned(xs, xt, 0.5, 2.0),
+         check_martingale_binned(many_xs, many_xt, 0.5, 2.0)),
+        (check_conditional_kurtosis(xs, xt, 0.5, 2.0, brownian_fam),
+         check_conditional_kurtosis(many_xs, many_xt, 0.5, 2.0, brownian_fam)),
+        (check_quadratic_variation(coarse, grid, poisson_fam),
+         check_quadratic_variation(fine, fine_grid, poisson_fam)),
+    ]
+    for degenerate, regular in pairs:
+        assert degenerate.status != "pass" and regular.status != "inconclusive"
+        assert degenerate.tolerance == regular.tolerance
+
+
 class TestHarness:
     def test_reports_reproducible(self, poisson_fam):
         a = standard_battery(poisson_fam, 99, n_paths=100_000, n_qv=1_000,
