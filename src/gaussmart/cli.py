@@ -145,10 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _value(key: str, raw, kind):
-    """Option ``key`` converted by ``kind`` (None: as given); a malformed or
-    non-finite value is a usage error."""
+    """Option ``key`` converted by ``kind`` (None: as given); a malformed,
+    non-finite or boolean value, or an int option's float, is a usage error."""
     if raw is None or kind is None:
         return raw
+    if isinstance(raw, bool) or (kind is int and not isinstance(raw, (int, str))):
+        raise DomainError(f"bad value for {key}: {raw!r}")
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -29,6 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 from scipy.special import ndtri
@@ -356,19 +357,20 @@ def simulate_event_terminals(
 
 
 def write_grid_csv(path, times, values) -> None:
-    """Rows ``path_id,time,value``; repr formatting for exact round-trips."""
+    """Rows ``path_id,time,value`` in ``repr`` form (exact round-trip, so the
+    bytes are stable), one path at a time: memory stays flat in the path
+    count.  Values not of shape (paths, times >= 1) raise before any write."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     times = np.asarray(times, dtype=float)
+    if values.ndim != 2 or times.ndim != 1 or not 0 < times.size == values.shape[1]:
+        raise DomainError(f"grid values {values.shape} do not fit {times.size} times")
+    cells = [f",{t!r}," for t in times.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("path_id,time,value\n")
-        for i in range(values.shape[0]):
-            fh.write(
-                "\n".join(
-                    f"{i},{float(t)!r},{float(v)!r}"
-                    for t, v in zip(times, values[i])
-                )
-            )
-            fh.write("\n")
+        for i, row in enumerate(values):
+            # every line starts with the path id, so the id joins the lines
+            pid = str(i)
+            fh.write(pid + f"\n{pid}".join(map(add, cells, map(repr, row.tolist()))) + "\n")
 
 
 def write_event_csv(path, paths: list[EventPath]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -60,6 +61,32 @@ class TestSimulate:
         assert rows[0] == "path_id,event_index,time,pre_value,post_value"
         assert len(rows) > 1
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--family", "poisson", "--grid", "0:1:16"],
+             "3918d52b3f7b8c8fc0b4856a3725adc0b9bce8d4c195fadfaa805214559552c5"),
+            (["--family", "gamma", "--grid", "0:1:16"],
+             "4d182bd071447ff34538ba6c52537bf44a5cc42b55440c79503ac1c642f0a4b8"),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--grid", "0:1:16"],
+             "4619c813323c3702bd3a20b91d021bdcfc73a78669e1242b90917e722705664b"),
+            (["--family", "poisson", "--mode", "event", "--start", "1", "--horizon", "4"],
+             "4e26cae7a0ffb4e375a365ab1dedf475243bdff98c64b34cdef356d8035fb674"),
+        ],
+        ids=["grid-poisson", "grid-gamma", "grid-compound", "event-poisson"],
+    )
+    def test_golden_digests(self, tmp_path, argv, digest):
+        """The same argv writes the same bytes, release after release.
+
+        Only a new ``STREAM_LAYOUT`` (the random streams) or a new schema
+        (the CSV columns or their text form) may change these digests; a
+        speed-up or a refactor that changes one has changed the output.
+        """
+        out = tmp_path / "out.csv"
+        assert execute(["simulate", *argv, "--paths", "7", "--seed", "5",
+                        "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_nonzero_grid_start_rejected(self, tmp_path):
         code = execute(
             ["simulate", "--family", "poisson", "--grid", "1:2:4",
@@ -111,6 +138,23 @@ class TestUsageErrors:
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key, config, flag",
+        [("paths", '{"paths": 12.7}', "12.7"), ("seed", '{"seed": true}', "true"),
+         ("paths", '{"paths": 1e1}', "1e1"), ("start", '{"start": true}', "true")],
+        ids=["fractional", "boolean", "float-integral", "boolean-float"],
+    )
+    def test_no_truncated_or_boolean_numbers(self, tmp_path, capsys, key, config, flag):
+        # an integer option takes a JSON integer or an integer string only,
+        # and no option takes a boolean, from the config file and the flag alike
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "x.csv"
+        for argv in (["--config", str(cfg)], [f"--{key}", flag]):
+            assert execute(["simulate", *argv, "--grid", "0:1:2", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: bad value for {key}: ")
+            assert not out.exists()
 
     def test_numeric_failure_exit_code(self, monkeypatch):
         from gaussmart import QuadratureError

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +329,33 @@ class TestMartingaleStep:
         assert abs(draws.mean() - x) < 4.0 * se
 
 
+def _reference_grid_csv(path, times, values):
+    """Reference grid writer: one f-string per row, each number converted
+    with ``float`` and formatted with ``repr`` on the spot."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    times = np.asarray(times, dtype=float)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("path_id,time,value\n")
+        for i in range(values.shape[0]):
+            fh.write(
+                "\n".join(
+                    f"{i},{float(t)!r},{float(v)!r}"
+                    for t, v in zip(times, values[i])
+                )
+            )
+            fh.write("\n")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: repr edge cases: negative zero, the least subnormal, exponent forms on
+#: both sides of repr's switch, a long fraction and the largest double
+#: below 1e16
+_EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, 1.0 / 3.0, 9999999999999998.0]
+
+
 class TestCsv:
     def test_grid_format(self, tmp_path, poisson_fam):
         times = np.linspace(0.0, 1.0, 5)
@@ -352,3 +381,59 @@ class TestCsv:
         assert lines[0] == "path_id,event_index,time,pre_value,post_value"
         n_jumps = sum(len(p.jumps) for p in paths)
         assert len(lines) == 1 + n_jumps
+
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
+    def test_grid_bytes_match_reference(self, tmp_path, kind, poisson_fam, gamma_fam,
+                                        compound_fam):
+        fam = {"poisson": poisson_fam, "gamma": gamma_fam, "compound": compound_fam}[kind]
+        times = np.linspace(0.0, 2.0, 33)
+        vals = simulate_grid_ensemble(fam, times, 4, 25)
+        write_grid_csv(tmp_path / "new.csv", times, vals)
+        _reference_grid_csv(tmp_path / "ref.csv", times, vals)
+        assert _sha256(tmp_path / "new.csv") == _sha256(tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            (_EDGE_VALUES, [_EDGE_VALUES, [-v for v in _EDGE_VALUES]]),
+            ([0.0, 1e-5, 1.0 / 3.0], [[5e-324, -0.0, 9999999999999998.0]]),  # one path
+            ([0.0, 1e16], [[0.0, 1e16], [-0.0, 1.0 / 3.0], [1e-5, 5e-324]]),  # two times
+            ([0.0, 0.5, 1.0], [0.25, -1e-5, 1e16]),  # a 1-d path
+        ],
+        ids=["edges", "one-path", "two-times", "one-d"],
+    )
+    def test_edge_values_bytes_match_reference(self, tmp_path, times, values):
+        write_grid_csv(tmp_path / "new.csv", times, values)
+        _reference_grid_csv(tmp_path / "ref.csv", times, values)
+        assert _sha256(tmp_path / "new.csv") == _sha256(tmp_path / "ref.csv")
+        rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        back = np.array([float(r.split(",")[2]) for r in rows])
+        want = np.atleast_2d(np.asarray(values, dtype=float)).ravel()
+        assert np.array_equal(np.signbit(back), np.signbit(want))
+        assert np.array_equal(back, want)
+
+    @pytest.mark.parametrize(
+        "times, shape",
+        [(np.linspace(0, 1, 5), (3, 4)), (np.linspace(0, 1, 3), (3, 4)),
+         (np.linspace(0, 1, 4), (2, 3, 4)), (np.zeros((2, 2)), (2, 4)),
+         (np.zeros(0), (2, 0))],
+        ids=["too-few-values", "too-few-times", "3-d-values", "2-d-times", "no-times"],
+    )
+    def test_mismatched_grid_refused_before_writing(self, tmp_path, times, shape):
+        out = tmp_path / "grid.csv"
+        with pytest.raises(DomainError, match="do not fit"):
+            write_grid_csv(out, times, np.zeros(shape))
+        assert not out.exists()
+
+    def test_grid_memory_flat_in_path_count(self, tmp_path):
+        # one path's row is converted at a time: ~0.03 MiB here, where
+        # converting the whole 4000 x 65 array at once peaks near 8 MiB
+        times = np.linspace(0.0, 1.0, 65)
+        vals = np.random.default_rng(0).standard_normal((4000, 65))
+        tracemalloc.start()
+        try:
+            write_grid_csv(tmp_path / "grid.csv", times, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
