@@ -1,7 +1,7 @@
 """Simulation and numerical verification of martingales with exactly
 Gaussian marginals built from log-convolution semigroups of mixing laws."""
 
-from .errors import CalibrationError, DomainError, FamilyError, QuadratureError
+from .errors import CalibrationError, DomainError, FamilyError, LatticeError, QuadratureError
 from .generator import (
     Polynomial,
     SqrtTaylorMeasure,

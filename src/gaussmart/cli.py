@@ -9,8 +9,8 @@ belong to the chosen kind.  Flags and config values share one conversion,
 so a bad value fails alike from either: every bad value prints ``error:
 ...`` and exits 2.  ``--threads`` defaults to one worker per CPU.  Exit
 codes: 0 success / all gated checks pass, 1 gated test failure, 2 usage
-error, 3 numeric failure (a quadrature that cannot converge, or a float
-overflow).
+error, 3 numeric failure (a quadrature that cannot converge, finite atoms
+on no lattice fine enough for an accurate law, or a float overflow).
 
 Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
 stream layout (``"stream_layout": 2``) at top level; ``verify`` and
@@ -381,7 +381,7 @@ def execute(argv) -> int:
             file=sys.stderr,
         )
         return 3
-    except ArithmeticError as exc:  # QuadratureError
+    except ArithmeticError as exc:  # QuadratureError, LatticeError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DomainError, FamilyError, OSError, json.JSONDecodeError) as exc:

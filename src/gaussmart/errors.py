@@ -24,3 +24,7 @@ class QuadratureError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+class LatticeError(ArithmeticError):
+    """Finite atoms lie on no lattice fine enough for an accurate exact law."""

@@ -14,11 +14,14 @@ and the step from s = 0 is exactly Gaussian.
   also behind ``Polynomial.gaussian_expectation``); one closed form serves
   every family;
 - *finite-atom densities*: ``U = beta ln sigma + sum_i x_i N_i`` with
-  independent ``N_i ~ Poisson(w_i ln sigma)``, so the law is an exact
-  Gaussian mixture over count vectors.  Components are enumerated
-  heaviest-first from the mode with log-space weights until the dropped
-  mass is at most 1e-12; a family that would need more than ``_MC_DRAWS``
-  components falls back to Monte Carlo over mixing draws;
+  independent ``N_i ~ Poisson(w_i ln sigma)`` is compound Poisson, so the
+  law is an exact Gaussian mixture over the values of U.  On the atoms'
+  common lattice ``x_i = h j_i`` Panjer's recursion gives those weights,
+  coincident sums merged, and the lightest points are dropped while the
+  mass left out is at most 1e-12.  Atoms with no lattice within
+  ``_LATTICE_POINTS`` points are rounded to one, with a bound on the
+  density error they cause; past ``ROUNDING_LIMIT`` the law is refused
+  (``LatticeError``).  No random numbers are drawn;
 - *gamma densities*: the mixing density is integrated by adaptive
   Gauss-Kronrod panels; shapes below one are handled by the exact
   ``w = u**shape`` substitution (see
@@ -33,17 +36,17 @@ separately.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import stats
 from scipy.integrate import simpson
 
-from .errors import DomainError
+from .errors import DomainError, LatticeError
 from .quadrature import gamma_expectation
-from .sampler import sample_subordinator_increment, verify_bundle
+from .sampler import sample_subordinator_increment  # noqa: F401 (traced by perfbench; ROADMAP 6)
 from .semigroup import (
     GAMMA,
     SubordinatorFamily,
@@ -55,8 +58,17 @@ from .semigroup import (
 #: mixture components are kept until the dropped mass is at most this
 POISSON_TAIL = 1e-12
 
-#: Monte Carlo mixing draws, and the most mixture components built exactly
+#: inert: perfbench records it in its provenance (ROADMAP item 6)
 _MC_DRAWS = 20000
+
+#: lattice points the law of U may span before the atoms are rounded
+_LATTICE_POINTS = 1 << 16
+
+#: the largest density error, times sqrt(t), that rounding atoms may cause
+ROUNDING_LIMIT = 1e-8
+
+#: the lattice recursion runs until at most this mass is left beyond it
+_UNSEEN = 1e-3 * POISSON_TAIL
 
 #: start values per gamma quadrature; each block shares one subdivision
 _GAMMA_BLOCK = 64
@@ -110,63 +122,119 @@ def _check_step(s: float, t: float) -> None:
         raise DomainError(f"the scale t/s = {t}/{s} overflows")
 
 
-def _count_mixture(family: SubordinatorFamily, log_sigma: float, budget: int):
-    """Count vectors of the atoms' Poisson counts, heaviest first.
+def _lattice(locs, weights, count_bound: float):
+    """``(h, j, offsets)`` with atom i at ``h j_i + offsets_i``, ``j_i >= 1``:
+    the coarsest ``h = x_min / k`` that holds every atom to a relative 1e-12
+    (offsets then zero), else the one with the least ``sum_i w_i
+    |offset_i|``, no finer than keeps ``count_bound`` jumps of the largest
+    atom within ``_LATTICE_POINTS`` points."""
+    h_floor = locs.max() * count_bound / _LATTICE_POINTS
+    k = np.arange(1, int(locs.min() / h_floor) + 1)
+    h = locs.min() / k if k.size else np.array([h_floor])
+    steps = np.maximum(np.rint(locs[:, None] / h), 1.0)
+    offsets = locs[:, None] - h * steps
+    exact = np.all(np.abs(offsets) <= 1e-12 * locs[:, None], axis=0)
+    best = int(np.argmax(exact)) if exact.any() else int(np.argmin(weights @ np.abs(offsets)))
+    return h[best], steps[:, best].astype(np.int64), offsets[:, best] * (not exact[best])
 
-    Returns ``(weights, jump_sums, dropped_mass)`` once the kept weights
-    reach ``1 - POISSON_TAIL``, or None as soon as more than ``budget``
-    components would be needed.  The counts are independent Poisson, so
-    the joint weight is log-concave and a best-first walk from the mode
-    visits count vectors in decreasing weight.
+
+def _panjer(lam: float, p, j, n_max: int):
+    """``(g, unseen)``: ``g[n] = P(sum_i j_i N_i = n)`` for independent
+    ``N_i ~ Poisson(lam p_i)``, until at most ``unseen <= _UNSEEN`` of the
+    mass is left beyond (or past ``n_max``).
+
+    Panjer's recursion ``g_n = (lam / n) sum_i j_i p_i g_{n - j_i}`` (Panjer
+    1981, ASTIN Bulletin 12) advances ``min j`` points at a time, since a
+    new point reads only points at least that far back.  It runs from 1 in
+    place of ``g_0 = e^-lam`` and renormalises on the way, so no weight
+    underflows even for lam > 745.  A chunk adds at most ``min(j) lam <=
+    n_max`` (about ``_LATTICE_POINTS``) times the largest earlier value, so
+    renormalising past 1e300 cannot overflow.
     """
-    locs = [x for x, _ in family.atoms]
-    means = [w * log_sigma for _, w in family.atoms]
-
-    def log_pmf(i: int, n: int) -> float:
-        return (n * math.log(means[i]) if n else 0.0) - means[i] - math.lgamma(n + 1.0)
-
-    start = tuple(int(m) for m in means)
-    heap = [(-sum(log_pmf(i, n) for i, n in enumerate(start)), start)]
-    seen = {start}
-    weights, jump_sums = [], []
-    mass = 0.0
-    while heap and 1.0 - mass > POISSON_TAIL:
-        if len(weights) == budget:
-            return None
-        neg_logw, counts = heapq.heappop(heap)
-        weight = math.exp(-neg_logw)
-        weights.append(weight)
-        jump_sums.append(sum(x * n for x, n in zip(locs, counts)))
-        mass += weight
-        for i, n in enumerate(counts):
-            for m in (n - 1, n + 1):
-                if m < 0 or means[i] == 0.0:
-                    continue
-                nxt = counts[:i] + (m,) + counts[i + 1:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    logw = -neg_logw - log_pmf(i, n) + log_pmf(i, m)
-                    heapq.heappush(heap, (-logw, nxt))
-    return np.array(weights), np.array(jump_sums), max(1.0 - mass, 0.0)
+    step, pad = int(j.min()), int(j.max())
+    coef, rate = p * j, lam / np.arange(1, n_max + step + 1)
+    g = np.zeros(pad + n_max + step + 1)  # the first pad entries are n < 0
+    g[pad] = 1.0
+    reach = (pad - j)[:, None] + np.arange(step)  # g_{n + r - j_i} at reach + n
+    log_scale, total, n = -lam, 1.0, 1  # g = e^log_scale times the stored values
+    while n <= n_max and math.log(total) + log_scale < math.log1p(-_UNSEEN):
+        g[pad + n:pad + n + step] = coef @ g[reach + n] * rate[n - 1:n - 1 + step]
+        total += g[pad + n:pad + n + step].sum()
+        if total > 1e300:
+            log_scale += math.log(total)
+            g, total = g / total, 1.0
+        n += step
+    mass = math.exp(math.log(total) + log_scale)
+    return g[pad:pad + n] * (mass / total), max(1.0 - mass, 0.0)
 
 
-def _ac_law(family: SubordinatorFamily, s: float, t: float):
+def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
+    """``(u, w, meta)``: the kept values of the finite-atom mixing increment
+    of the step s -> t, s > 0 (the atom's u = 0 among them when beta = 0),
+    their weights, and the record of the law.
+
+    ``U = beta ln sigma + sum_i x_i N_i`` with ``N_i ~ Poisson(w_i ln
+    sigma)`` is compound Poisson with rate ``lam = nu ln sigma``; on the
+    atoms' lattice ``x_i = h j_i`` :func:`_panjer` gives its law, and the
+    lightest points (empty ones first) are dropped while at most
+    ``POISSON_TAIL`` is left out.  Rounding atom i by ``offset_i`` moves U
+    by at most ``sum_i |offset_i| N_i``; for |x| <= ``x_abs`` the density,
+    in units of ``1/sqrt(t)`` (its scale), moves by at most ``K(u) =
+    phi(1) x_abs e^{-u/2} / (2 sqrt(s) r) + phi(0) e^{-u} / (2 r^1.5)`` per
+    unit of u, ``r = 1 - e^{-u}``, which decreases in u.  So the rounding
+    bound ``K(u_min) ln sigma sum_i w_i |offset_i|`` is a sup-norm density
+    error times ``sqrt(t)``, and a law past ``ROUNDING_LIMIT`` is refused.
+    """
+    log_sigma = 0.5 * math.log(t / s)
+    drift = family.beta * log_sigma
+    u, w = np.array([drift]), np.ones(1)  # pure drift: one increment
+    meta = {"method": "finite-atom-mixture", "lattice": "exact", "h": 0.0, "tail": 0.0,
+            "rounding_bound": 0.0}
+    if family.atoms:
+        locs, weights = np.array(family.atoms).T
+        lam = float(weights.sum()) * log_sigma
+        count_bound = max(float(stats.poisson.isf(_UNSEEN, lam)), 1.0)
+        h, j, offsets = _lattice(locs, weights, count_bound)
+        if offsets.any():
+            u_min = drift + min(locs.min(), h * j.min())
+            r = -math.expm1(-u_min)  # divided in turn, so nothing overflows
+            slope = (math.exp(-0.5 - 0.5 * u_min) * x_abs / (2 * math.sqrt(s)) / r
+                     + math.exp(-u_min) / 2 / r / math.sqrt(r)) / math.sqrt(2 * math.pi)
+            bound = slope * log_sigma * float(weights @ np.abs(offsets))
+            if not bound <= ROUNDING_LIMIT:
+                raise LatticeError(
+                    f"the law of the atoms {family.atoms} at t/s = {t / s:.6g} fits on no "
+                    f"lattice of at most {_LATTICE_POINTS} points; rounding them to h = "
+                    f"{h:.6g} bounds the density error by {bound:.3g} > {ROUNDING_LIMIT:g}"
+                )
+            meta.update(lattice="rounded", rounding_bound=bound)
+        g, unseen = _panjer(lam, weights / weights.sum(), j, int(j.max() * count_bound))
+        order = np.argsort(g, kind="stable")
+        dropped = order[np.cumsum(g[order]) <= POISSON_TAIL - unseen]
+        keep = g > 0.0
+        keep[dropped] = False
+        u, w = drift + h * np.flatnonzero(keep), g[keep]
+        meta.update(h=float(h), tail=unseen + float(g[dropped].sum()))
+    meta["components"] = int(np.count_nonzero(u > 0.0))
+    return u, w, meta
+
+
+def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     """The absolutely continuous part of the step s -> t, s > 0.
 
     Returns ``(meta, density)``: ``density(xs, ys)[i, j]`` is the AC
-    density of the step (s, xs[i]) -> t at ys[j].  Given the mixing
-    increment u > 0 the step is Gaussian with mean ``sigma e^{-u/2} x`` and
-    variance ``t (1 - e^{-u})``.  Finite atoms sum one Gaussian per kept
-    component (the ``u = 0`` component is the atom and is left out); past
-    ``_MC_DRAWS`` exact components, the components are ``_MC_DRAWS``
-    equally weighted mixing draws instead.  Gamma integrates the mixing
+    density of the step (s, xs[i]) -> t at ys[j], for start values |xs[i]|
+    <= ``x_abs`` (the bound of a rounded lattice holds up to it).  Given
+    the mixing increment u > 0 the step is Gaussian with mean ``sigma
+    e^{-u/2} x`` and variance ``t (1 - e^{-u})``.  Finite atoms sum one
+    Gaussian per kept lattice point of :func:`_lattice_law` (the ``u = 0``
+    point is the atom and is left out).  Gamma integrates the mixing
     density, one subdivision per block of start values.
     """
     require_calibrated(family)
     sigma = math.sqrt(t / s)
-    log_sigma = math.log(sigma)
     if family.kind == GAMMA:
-        alpha = family.a * log_sigma
+        alpha = family.a * math.log(sigma)
         abs_tol = 1e-13 / math.sqrt(t)
         meta = {"method": "gamma-quadrature", "shape": alpha, "rel_tol": 1e-8,
                 "abs_tol": abs_tol}
@@ -186,25 +254,20 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float):
 
         return meta, density
 
-    exact = _count_mixture(family, log_sigma, _MC_DRAWS)
-    if exact is None:
-        u = sample_subordinator_increment(family, sigma, verify_bundle(0, _MC_DRAWS))
-        w = np.full(u.shape, 1.0 / _MC_DRAWS)
-        meta = {"method": "monte-carlo", "draws": _MC_DRAWS, "seed": 0}
-    else:
-        w, jump_sums, tail = exact
-        u = family.beta * log_sigma + jump_sums
-        meta = {"method": "finite-atom-mixture", "components": int(np.sum(u > 0.0)),
-                "tail": tail}
+    u, w, meta = _lattice_law(family, s, t, x_abs)
     w, u = w[u > 0.0], u[u > 0.0]
     scale = sigma * np.exp(-0.5 * u)
     var = t * -np.expm1(-u)
 
     def density(xs, ys):
         out = np.empty((xs.size, ys.size))
-        rows = max(1, _MIXTURE_CELLS // max(1, ys.size * w.size))
+        per_point = max(1, w.size)
+        cols = max(1, min(ys.size, _MIXTURE_CELLS // per_point))
+        rows = max(1, _MIXTURE_CELLS // (cols * per_point))
         for lo in range(0, xs.size, rows):
-            out[lo:lo + rows] = _phi(scale * xs[lo:lo + rows, None, None], var, ys[:, None]) @ w
+            for c in range(0, ys.size, cols):
+                out[lo:lo + rows, c:c + cols] = _phi(
+                    scale * xs[lo:lo + rows, None, None], var, ys[c:c + cols, None]) @ w
         return out
 
     return meta, density
@@ -219,7 +282,7 @@ def kernel_eval(family: SubordinatorFamily, s: float, t: float, x: float) -> Ker
 
         return KernelEval(0.0, math.nan, density, {"method": "exact-gaussian"})
 
-    meta, law = _ac_law(family, s, t)
+    meta, law = _ac_law(family, s, t, abs(x))
 
     def density(y):
         y = np.asarray(y, dtype=float)
@@ -271,7 +334,7 @@ def kernel_moment(family: SubordinatorFamily, s: float, t: float, x: float, k: i
 
 def _density_matrix(family, s: float, t: float, ygrid, zgrid):
     """Matrix D[i, j] = AC density of the step (s, y_i) -> t evaluated at z_j."""
-    return _ac_law(family, s, t)[1](ygrid, zgrid)
+    return _ac_law(family, s, t, float(np.max(np.abs(ygrid), initial=0.0)))[1](ygrid, zgrid)
 
 
 def ck_residual(

@@ -442,6 +442,26 @@ class TestKernel:
         sidecar = json.loads((tmp_path / "d.csv.json").read_text())
         assert sidecar["mass_check"] == pytest.approx(1.0, abs=tol)
 
+    def test_sidecar_records_the_lattice(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", "--family", "compound", "--atoms", "0.5:1,2:0.25",
+                        "--out", str(out)]) == 0
+        method = json.loads((tmp_path / "d.csv.json").read_text())["method"]
+        assert method["method"] == "finite-atom-mixture"
+        assert method["lattice"] == "exact" and method["h"] == 0.5
+        assert method["rounding_bound"] == 0.0
+        assert method["components"] == 47 and method["tail"] <= 1e-12
+
+    def test_atoms_on_no_lattice_exit_three(self, tmp_path, capsys):
+        argv = ["kernel", "--family", "compound", "--atoms", "1:1,1.000001:1",
+                "--out", str(tmp_path / "d.csv")]
+        assert execute(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the law of the atoms ((1.0, ")
+        assert "(1.000001, " in err
+        # neither a table nor a sidecar
+        assert not any(tmp_path.iterdir())
+
     def test_default_grid_at_zero(self, tmp_path):
         out = tmp_path / "d.csv"
         assert execute(["kernel", "--out", str(out)]) == 0

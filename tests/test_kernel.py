@@ -1,14 +1,20 @@
+import dataclasses
 import heapq
 import math
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import simpson
 
 from gaussmart import (
     DomainError,
     GridSpec,
+    LatticeError,
     Polynomial,
     QuadratureError,
     calibrate,
@@ -17,8 +23,15 @@ from gaussmart import (
     conditional_moments,
     kernel_eval,
     kernel_moment,
+    sampler,
 )
-from gaussmart.kernel import _MC_DRAWS, _density_matrix, gaussian_moments
+from gaussmart.kernel import (
+    POISSON_TAIL,
+    ROUNDING_LIMIT,
+    _density_matrix,
+    _lattice_law,
+    gaussian_moments,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -148,9 +161,61 @@ def mixture_moment(family, s, t, x, k, max_count=60):
     return float(np.sum(weights * Polynomial.monomial(k).gaussian_expectation(mean, var)))
 
 
-#: eight small atoms: the exact mixture would need far more than _MC_DRAWS
-#: components, so the density falls back to Monte Carlo
+#: eight small atoms (nu ~ 45): more than 20,000 count vectors carry the
+#: mass, but their sums lie on the lattice 0.01 j
 MANY_ATOMS = [(0.01 * i, 1.0) for i in range(1, 9)]
+
+
+def count_mixture(family, log_sigma):
+    """Reference law of ``sum_i x_i N_i`` by enumerating count vectors.
+
+    The counts are independent Poisson, so the joint weight is log-concave
+    and a best-first walk from the mode visits count vectors in decreasing
+    weight.  Returns ``(weights, jump_sums)`` once the kept weights reach
+    ``1 - POISSON_TAIL``.
+    """
+    locs = [x for x, _ in family.atoms]
+    means = [w * log_sigma for _, w in family.atoms]
+
+    def log_pmf(i, n):
+        return (n * math.log(means[i]) if n else 0.0) - means[i] - math.lgamma(n + 1.0)
+
+    start = tuple(int(m) for m in means)
+    heap = [(-sum(log_pmf(i, n) for i, n in enumerate(start)), start)]
+    seen = {start}
+    weights, jump_sums = [], []
+    mass = 0.0
+    while heap and 1.0 - mass > POISSON_TAIL:
+        neg_logw, counts = heapq.heappop(heap)
+        weights.append(math.exp(-neg_logw))
+        jump_sums.append(sum(x * n for x, n in zip(locs, counts)))
+        mass += weights[-1]
+        for i, n in enumerate(counts):
+            for m in (n - 1, n + 1):
+                nxt = counts[:i] + (m,) + counts[i + 1:]
+                if m >= 0 and nxt not in seen:
+                    seen.add(nxt)
+                    logw = -neg_logw - log_pmf(i, n) + log_pmf(i, m)
+                    heapq.heappush(heap, (-logw, nxt))
+    return np.array(weights), np.array(jump_sums)
+
+
+def lattice_against_reference(family, s, t):
+    """``(meta, largest weight difference, distinct positive sums)`` of the
+    lattice law against the enumeration, coincident sums merged."""
+    log_sigma = 0.5 * math.log(t / s)
+    u, w, meta = _lattice_law(family, s, t, 0.0)
+    ref_w, sums = count_mixture(family, log_sigma)
+    h = meta["h"]
+    points = np.rint(sums / h).astype(int)
+    assert np.allclose(sums, h * points, rtol=1e-12, atol=1e-12)  # sums sit on it
+    ref = defaultdict(float)
+    for n, weight in zip(points, ref_w):
+        ref[n] += weight
+    got = dict(zip(np.rint((u - family.beta * log_sigma) / h).astype(int), w))
+    diff = max(abs(ref.get(n, 0.0) - got.get(n, 0.0)) for n in set(ref) | set(got))
+    distinct = len({n for n in ref if family.beta > 0 or n > 0})
+    return meta, diff, distinct
 
 
 class TestCompoundKernel:
@@ -168,6 +233,8 @@ class TestCompoundKernel:
         assert ev.atom_weight == pytest.approx(math.sqrt(2.0) ** -total, rel=1e-12)
         assert ev.quadrature["method"] == "finite-atom-mixture"
         assert ev.quadrature["tail"] <= 1e-12
+        assert ev.quadrature["lattice"] == "exact" and ev.quadrature["h"] == 0.5
+        assert ev.quadrature["rounding_bound"] == 0.0
 
     def test_mass_and_mean_by_quadrature(self, compound_fam):
         ev = kernel_eval(compound_fam, 0.5, 2.0, 1.0)
@@ -177,27 +244,98 @@ class TestCompoundKernel:
         mean = simpson(y * dens, x=y) + ev.atom_weight * ev.atom_location
         assert mean == pytest.approx(1.0, abs=1e-8)
 
-    def test_many_atoms_take_monte_carlo_without_full_mixture(self, monkeypatch):
+    def test_many_atoms_mass_and_mean_known_answers(self):
         fam = calibrate(compound_family(MANY_ATOMS))
-        pops = 0
-        heappop = heapq.heappop
+        s, t, x = 0.5, 2.0, 0.7
+        ev = kernel_eval(fam, s, t, x)
+        assert ev.quadrature["h"] == 0.01 and ev.quadrature["components"] == 386
+        y = np.linspace(-15, 17, 20001)
+        dens = ev.density(y)
+        mass = ev.atom_weight + simpson(dens, x=y)
+        mean = ev.atom_weight * ev.atom_location + simpson(y * dens, x=y)
+        assert mass == pytest.approx(kernel_moment(fam, s, t, x, 0), abs=1e-8)
+        assert mean == pytest.approx(kernel_moment(fam, s, t, x, 1), abs=1e-8)
 
-        def counted(heap):
-            nonlocal pops
-            pops += 1
-            return heappop(heap)
+    def test_many_atoms_table_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel drew random numbers")
 
-        monkeypatch.setattr(heapq, "heappop", counted)
-        ev = kernel_eval(fam, 0.5, 2.0, 1.0)
-        assert ev.quadrature["method"] == "monte-carlo"
-        assert pops <= _MC_DRAWS
-
-    def test_density_deterministic_given_seed(self):
+        monkeypatch.setattr(sampler, "philox_block", refuse)
         fam = calibrate(compound_family(MANY_ATOMS))
-        y = np.linspace(-3, 3, 11)
-        a = kernel_eval(fam, 0.5, 2.0, 1.0).density(y)
-        b = kernel_eval(fam, 0.5, 2.0, 1.0).density(y)
-        assert np.array_equal(a, b)
+        y = np.linspace(-6.0, 6.0, 2001)  # the default table size
+        tracemalloc.start()
+        try:
+            dens = kernel_eval(fam, 0.5, 2.0, 0.7).density(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(dens)) and dens.min() >= 0.0
+        assert peak < 50 * 2**20
+
+
+_LATTICE_ATOMS = st.lists(
+    st.tuples(st.integers(1, 6), st.floats(0.05, 2.0)), min_size=1, max_size=3
+)
+
+
+class TestLatticeLaw:
+    """The lattice recursion against the count-vector enumeration."""
+
+    @pytest.mark.parametrize(
+        "atoms", [None, [(0.5, 1.0), (2.0, 0.7)], [(0.123, 1.0), (1.0, 1.0)]],
+        ids=["1:c", "0.5:1,2:0.7", "0.123:1,1:1"],
+    )
+    @pytest.mark.parametrize("s, t", [(0.5, 1.0), (0.5, 2.0)])
+    def test_weights_match_enumeration(self, poisson_fam, atoms, s, t):
+        fam = poisson_fam if atoms is None else calibrate(compound_family(atoms))
+        meta, diff, distinct = lattice_against_reference(fam, s, t)
+        assert diff <= 1e-12
+        assert meta["lattice"] == "exact" and meta["rounding_bound"] == 0.0
+        assert meta["tail"] <= POISSON_TAIL
+        # coincident sums merge, and empty lattice points are left out
+        assert meta["components"] <= distinct
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        steps=_LATTICE_ATOMS,
+        h=st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.3]),
+        beta=st.sampled_from([0.0, 0.4]),
+        log_sigma=st.floats(0.05, 1.2),
+    )
+    def test_small_lattices_match_enumeration(self, steps, h, beta, log_sigma):
+        fam = compound_family([(h * j, w) for j, w in steps], beta=beta)
+        meta, diff, distinct = lattice_against_reference(fam, 1.0, math.exp(2.0 * log_sigma))
+        assert diff <= 1e-12
+        assert meta["lattice"] == "exact" and meta["tail"] <= POISSON_TAIL
+        assert meta["components"] <= distinct
+
+    def test_rounded_atoms_within_the_bound(self):
+        # 1 + 1e-11 is off the lattice 0.5 j by more than a relative 1e-12,
+        # and no lattice within the budget holds it, so it is rounded to 1
+        rounded = calibrate(compound_family([(0.5, 1.0), (1.0 + 1e-11, 0.7)]))
+        ev = kernel_eval(rounded, 0.5, 2.0, 0.7)
+        meta = ev.quadrature
+        assert meta["lattice"] == "rounded" and meta["h"] == 0.5
+        assert 0.0 < meta["rounding_bound"] <= ROUNDING_LIMIT
+        (_, w0), (_, w1) = rounded.atoms
+        on_lattice = dataclasses.replace(rounded, atoms=((0.5, w0), (1.0, w1)))
+        y = np.linspace(-6.0, 6.0, 401)
+        diff = np.abs(ev.density(y) - kernel_eval(on_lattice, 0.5, 2.0, 0.7).density(y))
+        assert diff.max() * math.sqrt(2.0) <= meta["rounding_bound"]  # in units of 1/sqrt(t)
+
+    def test_step_too_short_for_a_jump(self, poisson_fam):
+        # lam ~ 6e-16: the whole law is the atom, with no component to sum
+        ev = kernel_eval(poisson_fam, 1.0, 1.0 + 4.4e-16, 0.3)
+        assert ev.quadrature["components"] == 0
+        assert np.array_equal(ev.density(np.array([0.3, 0.31])), [0.0, 0.0])
+
+    @pytest.mark.parametrize("atoms", [[(1.0, 1.0), (1.000001, 1.0)], [(1e-6, 1.0), (1.0, 1.0)]])
+    def test_unrepresentable_atoms_refused(self, atoms):
+        fam = calibrate(compound_family(atoms))
+        with pytest.raises(LatticeError, match=r"atoms \(\(") as err:
+            kernel_eval(fam, 0.5, 2.0, 0.7)
+        assert isinstance(err.value, ArithmeticError)
+        assert repr(fam.atoms[0][0]) in str(err.value)
 
 
 class TestSharedEvaluator:
@@ -253,6 +391,21 @@ class TestHugeStep:
     def test_density_finite_with_unit_mass(self, poisson_fam):
         s, t = 1e-200, 1e60
         ev = kernel_eval(poisson_fam, s, t, 0.0)
+        y = np.linspace(-10.0, 10.0, 4001) * math.sqrt(t)
+        dens = ev.density(y)
+        assert np.all(np.isfinite(dens))
+        assert ev.atom_weight + simpson(dens, x=y) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "atoms, s, t",
+        [(None, 1e-150, 1e150), (MANY_ATOMS, 1.0, 1e20)],
+        ids=["poisson-1e300", "eight-atoms-1e20"],
+    )
+    def test_rate_past_exp_underflow(self, poisson_fam, atoms, s, t):
+        # lam = nu ln sigma is 877.8 and about 1,038: e^-lam underflows
+        fam = poisson_fam if atoms is None else calibrate(compound_family(atoms))
+        ev = kernel_eval(fam, s, t, 0.0)
+        assert ev.quadrature["tail"] <= POISSON_TAIL and ev.quadrature["components"] > 100
         y = np.linspace(-10.0, 10.0, 4001) * math.sqrt(t)
         dens = ev.density(y)
         assert np.all(np.isfinite(dens))
