@@ -10,7 +10,8 @@ so a bad value fails alike from either: every bad value prints ``error:
 ...`` and exits 2.  ``--threads`` defaults to one worker per CPU.  Exit
 codes: 0 success / all gated checks pass, 1 gated test failure, 2 usage
 error, 3 numeric failure (a quadrature that cannot converge, finite atoms
-on no lattice fine enough for an accurate law, or a float overflow).
+on no lattice fine enough for an accurate law, a float overflow, or a step
+whose conditional variance is below the smallest normal float).
 
 Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
 stream layout (``"stream_layout": 2``) at top level; ``verify`` and

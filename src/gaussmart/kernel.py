@@ -29,9 +29,12 @@ and the step from s = 0 is exactly Gaussian.
 
 One evaluator per step (``_ac_law``) serves a whole table of start values
 and evaluation points: :func:`kernel_eval` reads its single row and the
-Chapman-Kolmogorov check its matrix.  Densities returned everywhere are the
-absolutely continuous part only; the atom (weight, location) is reported
-separately.
+Chapman-Kolmogorov check its matrix.  Both kinds build their Gaussians as
+(component, start value, point) blocks (:func:`_gaussians`), points last,
+the exponent formed in place and ``1 / sqrt(2 pi var)`` folded into the
+weights; finite mixtures go in cache-sized blocks of ``_MIXTURE_CELLS``.
+Densities returned everywhere are the absolutely continuous part only; the
+atom (weight, location) is reported separately.
 """
 
 from __future__ import annotations
@@ -73,8 +76,10 @@ _UNSEEN = 1e-3 * POISSON_TAIL
 #: start values per gamma quadrature; each block shares one subdivision
 _GAMMA_BLOCK = 64
 
-#: (start value, point, component) cells per block of a finite mixture
-_MIXTURE_CELLS = 1 << 20
+#: (component, start value, point) cells per block of a finite mixture;
+#: 1 << 15 to 1 << 18 timed within 25% of each other on a poisson 2048 x
+#: 2048 matrix (2-vCPU Xeon VM, 2 MiB L2 per core)
+_MIXTURE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,16 @@ class KernelEval:
 def _phi(mean, var, y):
     """Gaussian density, broadcasting over all arguments."""
     return np.exp(-0.5 * (y - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+
+
+def _gaussians(scale, var, xs, ys):
+    """``block[k, i, j] = exp(-(ys[j] - scale[k] xs[i])**2 / (2 var[k]))``,
+    built by one allocation and worked in place; the caller folds ``1 /
+    sqrt(2 pi var[k])`` into its weights."""
+    block = ys - (scale[:, None] * xs)[:, :, None]
+    np.square(block, out=block)
+    block *= (-0.5 / var)[:, None, None]
+    return np.exp(block, out=block)
 
 
 def gaussian_moments(mean, var, k: int) -> list:
@@ -228,8 +243,11 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     the mixing increment u > 0 the step is Gaussian with mean ``sigma
     e^{-u/2} x`` and variance ``t (1 - e^{-u})``.  Finite atoms sum one
     Gaussian per kept lattice point of :func:`_lattice_law` (the ``u = 0``
-    point is the atom and is left out).  Gamma integrates the mixing
-    density, one subdivision per block of start values.
+    point is the atom and is left out): each block of ``_MIXTURE_CELLS``
+    cells is contracted with the normalised weights.  Gamma integrates the
+    mixing density, one subdivision per block of start values, its 15
+    Kronrod nodes the block's components, returned nodes-last.  A step
+    whose smallest variance is not a normal float is refused.
     """
     require_calibrated(family)
     sigma = math.sqrt(t / s)
@@ -238,38 +256,42 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         abs_tol = 1e-13 / math.sqrt(t)
         meta = {"method": "gamma-quadrature", "shape": alpha, "rel_tol": 1e-8,
                 "abs_tol": abs_tol}
+        var_min = t  # the variances t (1 - e^-u) fill (0, t)
 
         def density(xs, ys):
             out = np.empty((xs.size, ys.size))
             for lo in range(0, xs.size, _GAMMA_BLOCK):
-                block = xs[lo:lo + _GAMMA_BLOCK, None, None]
-
-                def g(u, block=block):
-                    return _phi(sigma * np.exp(-0.5 * u) * block, t * -np.expm1(-u), ys[:, None])
+                def g(u, rows=xs[lo:lo + _GAMMA_BLOCK]):
+                    var = t * -np.expm1(-u)
+                    block = _gaussians(sigma * np.exp(-0.5 * u), var, rows, ys)
+                    block *= (1.0 / np.sqrt(2.0 * math.pi * var))[:, None, None]
+                    return np.moveaxis(block, 0, -1)
 
                 out[lo:lo + _GAMMA_BLOCK], _ = gamma_expectation(
                     alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol
                 )
             return out
+    else:
+        u, w, meta = _lattice_law(family, s, t, x_abs)
+        w, u = w[u > 0.0], u[u > 0.0]
+        scale, var = sigma * np.exp(-0.5 * u), t * -np.expm1(-u)
+        var_min = var.min(initial=math.inf)
 
-        return meta, density
+        def density(xs, ys):
+            out = np.empty((xs.size, ys.size))
+            w_norm = w / np.sqrt(2.0 * math.pi * var)
+            per_point = max(1, w.size)
+            cols = max(1, min(ys.size, _MIXTURE_CELLS // per_point))
+            rows = max(1, _MIXTURE_CELLS // (cols * per_point))
+            for lo in range(0, xs.size, rows):
+                for c in range(0, ys.size, cols):
+                    block = _gaussians(scale, var, xs[lo:lo + rows], ys[c:c + cols])
+                    out[lo:lo + rows, c:c + cols] = np.tensordot(w_norm, block, 1)
+            return out
 
-    u, w, meta = _lattice_law(family, s, t, x_abs)
-    w, u = w[u > 0.0], u[u > 0.0]
-    scale = sigma * np.exp(-0.5 * u)
-    var = t * -np.expm1(-u)
-
-    def density(xs, ys):
-        out = np.empty((xs.size, ys.size))
-        per_point = max(1, w.size)
-        cols = max(1, min(ys.size, _MIXTURE_CELLS // per_point))
-        rows = max(1, _MIXTURE_CELLS // (cols * per_point))
-        for lo in range(0, xs.size, rows):
-            for c in range(0, ys.size, cols):
-                out[lo:lo + rows, c:c + cols] = _phi(
-                    scale * xs[lo:lo + rows, None, None], var, ys[c:c + cols, None]) @ w
-        return out
-
+    if not var_min >= np.finfo(float).tiny:  # -0.5 / var would overflow into NaN
+        raise FloatingPointError(f"the step s = {s!r} -> t = {t!r} is too short: its variance "
+                                 f"t (1 - e^-u) falls to {var_min:.3g}, below a normal float")
     return meta, density
 
 

@@ -115,27 +115,28 @@ def adaptive_panels(
                 raise QuadratureError(f"integrand is not finite on [{lo!r}, {hi!r}]")
             heapq.heappush(heap, (key, seq, lo, hi, val, err))
             seq += 1
+            return val, err
 
-        push(a, b)
+        total, total_err = push(a, b)  # running totals, for the stopping test only
         n_panels = 1
         while True:
-            total = sum(item[4] for item in heap)
-            total_err = sum(item[5] for item in heap)
             bound = np.maximum(abs_tol, rel_tol * np.abs(total))
             bound = np.maximum(bound, 1e3 * np.finfo(float).tiny)
             if np.all(total_err <= bound):
-                return total, total_err
+                return sum(item[4] for item in heap), sum(item[5] for item in heap)
             if n_panels >= MAX_PANELS:
+                total_err = sum(item[5] for item in heap)
                 raise QuadratureError(
                     f"quadrature did not converge within {MAX_PANELS} panels "
                     f"(max error {float(np.max(total_err)):.3e})",
-                    estimate=total,
+                    estimate=sum(item[4] for item in heap),
                     error_bound=total_err,
                 )
-            _, _, pa, pb, _, _ = heapq.heappop(heap)
+            _, _, pa, pb, val, err = heapq.heappop(heap)
             mid = 0.5 * (pa + pb)
-            push(pa, mid)
-            push(mid, pb)
+            (v1, e1), (v2, e2) = push(pa, mid), push(mid, pb)
+            total = total - val + v1 + v2
+            total_err = total_err - err + e1 + e2
             n_panels += 1
 
 

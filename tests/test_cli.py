@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ class TestNumericFailures:
         if argv in _OVERFLOWS:
             assert "float overflow" in err and "--x" in err and "--s/--t" in err
         # a failed run writes neither a table nor a sidecar
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--family", "compound", "--atoms",
+             ",".join(f"0.0{i}:1" for i in range(1, 9)), "--s", "1e-322", "--t", "2e-322"],
+            ["kernel", "--family", "poisson", "--s", "1e-323", "--t", "3e-323"],
+        ],
+        ids=["eight-atoms", "poisson"],
+    )
+    def test_underflowing_variance_exits_three(self, tmp_path, capsys, argv):
+        # t (1 - e^-u) is subnormal or zero: refused before any Gaussian is
+        # formed, where the table used to be NaN or to lose half its mass
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert execute(argv + ["--out", str(tmp_path / "k.csv")]) == 3
+        assert not caught
+        err = capsys.readouterr().err
+        s, t = argv[argv.index("--s") + 1], argv[argv.index("--t") + 1]
+        assert err.startswith("numeric failure: ") and f"s = {s} -> t = {t}" in err
         assert not any(tmp_path.iterdir())
 
 

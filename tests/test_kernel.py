@@ -3,10 +3,11 @@ import heapq
 import math
 import tracemalloc
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import simpson
@@ -17,12 +18,15 @@ from gaussmart import (
     LatticeError,
     Polynomial,
     QuadratureError,
+    brownian_family,
     calibrate,
     ck_residual,
     compound_family,
     conditional_moments,
+    kernel,
     kernel_eval,
     kernel_moment,
+    poisson_family,
     sampler,
 )
 from gaussmart.kernel import (
@@ -30,8 +34,10 @@ from gaussmart.kernel import (
     ROUNDING_LIMIT,
     _density_matrix,
     _lattice_law,
+    _phi,
     gaussian_moments,
 )
+from gaussmart.quadrature import gamma_expectation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -370,6 +376,82 @@ class TestSharedEvaluator:
             assert np.allclose(got, ref, rtol=1e-14, atol=0)
         assert [float(v) for v in gaussian_moments(0.0, 1.0, 4)] == [1.0, 0.0, 1.0, 0.0, 3.0]
         assert len(gaussian_moments(0.3, 2.0, 0)) == 1
+
+
+#: (family, s, t) of mixtures with 0, 1, 13, 38 and 386 Gaussian components
+_MIXTURES = {
+    0: (calibrate(poisson_family()), 1.0, 1.0 + 4.4e-16),
+    1: (brownian_family(), 0.5, 2.0),
+    13: (calibrate(poisson_family()), 1.0, 2.0),
+    38: (calibrate(compound_family([(0.5, 1.0), (2.0, 0.25)])), 0.5, 1.0),
+    386: (calibrate(compound_family(MANY_ATOMS)), 0.5, 2.0),
+}
+
+#: table sides, none a multiple of a block
+_SIDES = st.sampled_from([1, 7, 70, 2049])
+
+
+class TestComponentMajorEvaluator:
+    """The blocked, component-major mixture against an explicit sum of
+    ``scipy.stats.norm.pdf`` over its components."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.sampled_from(sorted(_MIXTURES)), n_x=_SIDES, n_y=_SIDES,
+           row=st.integers(0, 2048), tight=st.booleans())
+    @example(k=386, n_x=2049, n_y=7, row=1000, tight=False)
+    @example(k=13, n_x=2049, n_y=70, row=2047, tight=False)
+    @example(k=1, n_x=2049, n_y=2049, row=5, tight=False)
+    @example(k=386, n_x=7, n_y=70, row=3, tight=True)
+    def test_matches_per_component_sum(self, k, n_x, n_y, row, tight):
+        # tight: a cell budget below the component count (or of one cell),
+        # so a block holds one row and one point
+        assume(max(k, 1) * n_x * n_y <= 2e7 and (not tight or n_x * n_y <= 500))
+        fam, s, t = _MIXTURES[k]
+        xs = np.linspace(-1.5, 1.5, n_x)
+        ys = np.linspace(-3.0, 3.0, n_y) * math.sqrt(t)
+        cells = max(1, k // 2) if tight else kernel._MIXTURE_CELLS
+        with mock.patch.object(kernel, "_MIXTURE_CELLS", cells):
+            got = _density_matrix(fam, s, t, xs, ys)
+        u, w, meta = _lattice_law(fam, s, t, 1.5)
+        assert meta["components"] == k and got.shape == (n_x, n_y)
+        rows = sorted({0, row % n_x, n_x - 1})
+        want = np.zeros((len(rows), n_y))
+        for uk, wk in zip(u[u > 0.0], w[u > 0.0]):
+            loc = math.sqrt(t / s) * math.exp(-0.5 * uk) * xs[rows, None]
+            want += wk * stats.norm.pdf(ys, loc=loc, scale=math.sqrt(-t * math.expm1(-uk)))
+        assert np.abs(got[rows] - want).max() <= 1e-13 * want.max()
+
+    def test_gamma_integrand_nodes_last(self, gamma_fam, monkeypatch):
+        integrands = []
+
+        def record(alpha, rate, g, **kwargs):
+            integrands.append(g)
+            return gamma_expectation(alpha, rate, g, **kwargs)
+
+        monkeypatch.setattr(kernel, "gamma_expectation", record)
+        s, t = 0.5, 2.0
+        xs, ys = np.linspace(-2.0, 2.0, 70), np.linspace(-5.0, 5.0, 41)
+        _density_matrix(gamma_fam, s, t, xs, ys)
+        assert len(integrands) == 2  # one full block of 64 start values, one of 6
+        nodes = 0.8 + 0.75 * np.array([-0.99, -0.5, 0.0, 0.3, 0.9])
+        values = integrands[1](nodes)
+        assert values.shape == (6, 41, nodes.size)
+        for j, u in enumerate(nodes):
+            want = _phi(math.sqrt(t / s) * math.exp(-0.5 * u) * xs[64:, None],
+                        -t * math.expm1(-u), ys)
+            assert np.abs(values[..., j] - want).max() <= 1e-13 * want.max()
+
+    def test_ck_grid_memory(self, poisson_fam):
+        # the 2,048 x 2,048 output is 32 MiB; the blocks add little to it
+        y = np.linspace(-6.0 * math.sqrt(2.0), 6.0 * math.sqrt(2.0), 2048)
+        _density_matrix(poisson_fam, 1.0, 2.0, y[:2], y)  # imports and caches first
+        tracemalloc.start()
+        try:
+            _density_matrix(poisson_fam, 1.0, 2.0, y, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20
 
 
 class TestBrownianKernel:
