@@ -16,12 +16,14 @@ and the step from s = 0 is exactly Gaussian.
 - *finite-atom densities*: ``U = beta ln sigma + sum_i x_i N_i`` with
   independent ``N_i ~ Poisson(w_i ln sigma)`` is compound Poisson, so the
   law is an exact Gaussian mixture over the values of U.  On the atoms'
-  common lattice ``x_i = h j_i`` Panjer's recursion gives those weights,
-  coincident sums merged, and the lightest points are dropped while the
-  mass left out is at most 1e-12.  Atoms with no lattice within
-  ``_LATTICE_POINTS`` points are rounded to one, with a bound on the
-  density error they cause; past ``ROUNDING_LIMIT`` the law is refused
-  (``LatticeError``).  No random numbers are drawn;
+  common lattice ``x_i = h j_i`` those weights are one convolution of the
+  counts' Poisson probabilities, each taken only on a window around its
+  own mass, so coincident sums merge; the lightest points are dropped
+  while the mass left out is at most 1e-12.  Atoms whose windows fit on no
+  lattice of ``_LATTICE_POINTS`` points are rounded to one, with a bound
+  on the density error they cause; past ``ROUNDING_LIMIT``, or with
+  windows that are not finite, the law is refused (``LatticeError``).  No
+  random numbers are drawn;
 - *gamma densities*: the mixing density is integrated by adaptive
   Gauss-Kronrod panels; shapes below one are handled by the exact
   ``w = u**shape`` substitution (see
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.integrate import simpson
 
 from .errors import DomainError, LatticeError
@@ -70,7 +72,7 @@ _LATTICE_POINTS = 1 << 16
 #: the largest density error, times sqrt(t), that rounding atoms may cause
 ROUNDING_LIMIT = 1e-8
 
-#: the lattice recursion runs until at most this mass is left beyond it
+#: the counts' windows together leave out at most this mass
 _UNSEEN = 1e-3 * POISSON_TAIL
 
 #: start values per gamma quadrature; each block shares one subdivision
@@ -137,13 +139,13 @@ def _check_step(s: float, t: float) -> None:
         raise DomainError(f"the scale t/s = {t}/{s} overflows")
 
 
-def _lattice(locs, weights, count_bound: float):
+def _lattice(locs, weights, span: float):
     """``(h, j, offsets)`` with atom i at ``h j_i + offsets_i``, ``j_i >= 1``:
     the coarsest ``h = x_min / k`` that holds every atom to a relative 1e-12
     (offsets then zero), else the one with the least ``sum_i w_i
-    |offset_i|``, no finer than keeps ``count_bound`` jumps of the largest
-    atom within ``_LATTICE_POINTS`` points."""
-    h_floor = locs.max() * count_bound / _LATTICE_POINTS
+    |offset_i|``, no finer than keeps a ``span`` of U within
+    ``_LATTICE_POINTS`` points."""
+    h_floor = span / _LATTICE_POINTS
     k = np.arange(1, int(locs.min() / h_floor) + 1)
     h = locs.min() / k if k.size else np.array([h_floor])
     steps = np.maximum(np.rint(locs[:, None] / h), 1.0)
@@ -153,52 +155,27 @@ def _lattice(locs, weights, count_bound: float):
     return h[best], steps[:, best].astype(np.int64), offsets[:, best] * (not exact[best])
 
 
-def _panjer(lam: float, p, j, n_max: int):
-    """``(g, unseen)``: ``g[n] = P(sum_i j_i N_i = n)`` for independent
-    ``N_i ~ Poisson(lam p_i)``, until at most ``unseen <= _UNSEEN`` of the
-    mass is left beyond (or past ``n_max``).
-
-    Panjer's recursion ``g_n = (lam / n) sum_i j_i p_i g_{n - j_i}`` (Panjer
-    1981, ASTIN Bulletin 12) advances ``min j`` points at a time, since a
-    new point reads only points at least that far back.  It runs from 1 in
-    place of ``g_0 = e^-lam`` and renormalises on the way, so no weight
-    underflows even for lam > 745.  A chunk adds at most ``min(j) lam <=
-    n_max`` (about ``_LATTICE_POINTS``) times the largest earlier value, so
-    renormalising past 1e300 cannot overflow.
-    """
-    step, pad = int(j.min()), int(j.max())
-    coef, rate = p * j, lam / np.arange(1, n_max + step + 1)
-    g = np.zeros(pad + n_max + step + 1)  # the first pad entries are n < 0
-    g[pad] = 1.0
-    reach = (pad - j)[:, None] + np.arange(step)  # g_{n + r - j_i} at reach + n
-    log_scale, total, n = -lam, 1.0, 1  # g = e^log_scale times the stored values
-    while n <= n_max and math.log(total) + log_scale < math.log1p(-_UNSEEN):
-        g[pad + n:pad + n + step] = coef @ g[reach + n] * rate[n - 1:n - 1 + step]
-        total += g[pad + n:pad + n + step].sum()
-        if total > 1e300:
-            log_scale += math.log(total)
-            g, total = g / total, 1.0
-        n += step
-    mass = math.exp(math.log(total) + log_scale)
-    return g[pad:pad + n] * (mass / total), max(1.0 - mass, 0.0)
-
-
 def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     """``(u, w, meta)``: the kept values of the finite-atom mixing increment
     of the step s -> t, s > 0 (the atom's u = 0 among them when beta = 0),
     their weights, and the record of the law.
 
-    ``U = beta ln sigma + sum_i x_i N_i`` with ``N_i ~ Poisson(w_i ln
-    sigma)`` is compound Poisson with rate ``lam = nu ln sigma``; on the
-    atoms' lattice ``x_i = h j_i`` :func:`_panjer` gives its law, and the
-    lightest points (empty ones first) are dropped while at most
-    ``POISSON_TAIL`` is left out.  Rounding atom i by ``offset_i`` moves U
-    by at most ``sum_i |offset_i| N_i``; for |x| <= ``x_abs`` the density,
-    in units of ``1/sqrt(t)`` (its scale), moves by at most ``K(u) =
-    phi(1) x_abs e^{-u/2} / (2 sqrt(s) r) + phi(0) e^{-u} / (2 r^1.5)`` per
-    unit of u, ``r = 1 - e^{-u}``, which decreases in u.  So the rounding
-    bound ``K(u_min) ln sigma sum_i w_i |offset_i|`` is a sup-norm density
-    error times ``sqrt(t)``, and a law past ``ROUNDING_LIMIT`` is refused.
+    ``U = beta ln sigma + sum_i x_i N_i`` with independent ``N_i ~
+    Poisson(w_i ln sigma)``.  On the atoms' lattice ``x_i = h j_i`` its law
+    is the convolution of the counts' probabilities, each count kept on its
+    window between its ``_UNSEEN / (2 m)`` quantiles (m atoms), with the
+    window's exact mass, and spread ``j_i`` points apart; the lightest
+    points (empty ones first) are dropped while at most ``POISSON_TAIL`` is
+    left out, windows included.  Windows that are not finite, or span more
+    than twice ``_LATTICE_POINTS`` (rounded atoms can stretch a lattice
+    past the budget), are refused before anything is allocated.  Rounding
+    atom i by ``offset_i`` moves U by at most ``sum_i |offset_i| N_i``; for
+    |x| <= ``x_abs`` the density, in units of ``1/sqrt(t)`` (its scale),
+    moves by at most ``K(u) = phi(1) x_abs e^{-u/2} / (2 sqrt(s) r) + phi(0)
+    e^{-u} / (2 r^1.5)`` per unit of u, ``r = 1 - e^{-u}``, which decreases
+    in u.  So the rounding bound ``K(u_min) ln sigma sum_i w_i |offset_i|``
+    is a sup-norm density error times ``sqrt(t)``, and a law past
+    ``ROUNDING_LIMIT`` is refused.
     """
     log_sigma = 0.5 * math.log(t / s)
     drift = family.beta * log_sigma
@@ -207,9 +184,16 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
             "rounding_bound": 0.0}
     if family.atoms:
         locs, weights = np.array(family.atoms).T
-        lam = float(weights.sum()) * log_sigma
-        count_bound = max(float(stats.poisson.isf(_UNSEEN, lam)), 1.0)
-        h, j, offsets = _lattice(locs, weights, count_bound)
+        means = weights * log_sigma
+        q = _UNSEEN / (2 * means.size)
+        # the q and 1 - q quantiles (the upper one up to the rounding of 1 - q)
+        lo, hi = np.ceil(special.pdtrik([[q], [1.0 - q]], means))
+        span = float(locs @ (hi - lo))
+        refused = (f"the law of the atoms {family.atoms} at t/s = {t / s:.6g} (Poisson means "
+                   f"up to {means.max():.6g})")
+        if not math.isfinite(span):  # the quantiles are NaN past means of about 1e11
+            raise LatticeError(f"{refused} has count windows that are not finite")
+        h, j, offsets = _lattice(locs, weights, max(span, locs.max()))
         if offsets.any():
             u_min = drift + min(locs.min(), h * j.min())
             r = -math.expm1(-u_min)  # divided in turn, so nothing overflows
@@ -218,17 +202,33 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
             bound = slope * log_sigma * float(weights @ np.abs(offsets))
             if not bound <= ROUNDING_LIMIT:
                 raise LatticeError(
-                    f"the law of the atoms {family.atoms} at t/s = {t / s:.6g} fits on no "
-                    f"lattice of at most {_LATTICE_POINTS} points; rounding them to h = "
-                    f"{h:.6g} bounds the density error by {bound:.3g} > {ROUNDING_LIMIT:g}"
+                    f"{refused} fits on no lattice of at most {_LATTICE_POINTS} points; "
+                    f"rounding them to h = {h:.6g} bounds the density error by {bound:.3g} "
+                    f"> {ROUNDING_LIMIT:g}"
                 )
             meta.update(lattice="rounded", rounding_bound=bound)
-        g, unseen = _panjer(lam, weights / weights.sum(), j, int(j.max() * count_bound))
+        width = float(j @ (hi - lo))
+        if not width <= 2 * _LATTICE_POINTS:
+            raise LatticeError(f"{refused} spans {width:.6g} points of the lattice h = {h:.6g}, "
+                               f"more than {2 * _LATTICE_POINTS}")
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        outside = np.where(lo > 0, special.pdtr(lo - 1, means), 0.0) + special.pdtrc(hi, means)
+        g = np.ones(1)
+        for lam, a, b, step, out in zip(means, lo, hi, j, outside):
+            # P(N = k) / P(N = a) = prod_{a < i <= k} lam / i, summed as logs
+            # and scaled to the window's exact mass: within 2e-13 of exact up
+            # to lam = 1.6e7, where k ln lam - ln k! - lam cancels to 4e-8
+            log_ratio = np.cumsum(np.log(lam / np.arange(a + 1, b + 1)))
+            spread = np.zeros(step * (b - a) + 1)
+            spread[::step] = np.exp(np.concatenate(([0.0], log_ratio))
+                                    - log_ratio.max(initial=0.0))
+            g = np.convolve(g, spread * ((1.0 - out) / spread.sum()))
+        unseen = float(outside.sum())
         order = np.argsort(g, kind="stable")
         dropped = order[np.cumsum(g[order]) <= POISSON_TAIL - unseen]
         keep = g > 0.0
         keep[dropped] = False
-        u, w = drift + h * np.flatnonzero(keep), g[keep]
+        u, w = drift + h * (j @ lo + np.flatnonzero(keep)), g[keep]
         meta.update(h=float(h), tail=unseen + float(g[dropped].sum()))
     meta["components"] = int(np.count_nonzero(u > 0.0))
     return u, w, meta

@@ -64,6 +64,8 @@ _MAX_STREAM_ID = 2**64 - 2
 #: as much as generating 500 unneeded blocks (11.5 us per call vs ~23 ns per
 #: block, measured on a 2-vCPU VM)
 _RUN_GAP = 500
+#: largest Poisson mean drawn: every count PTRS accepts below it fits int64
+POISSON_MEAN_LIMIT = 2.0**62
 _INV53 = float(2.0**-53)
 
 
@@ -248,6 +250,8 @@ def poisson_draw(bundle: StreamBundle, mean: float) -> np.ndarray:
     mean = float(mean)
     if not 0.0 <= mean < np.inf:  # NaN fails both
         raise DomainError("poisson mean must be finite and >= 0")
+    if mean > POISSON_MEAN_LIMIT:
+        raise DomainError(f"poisson mean {mean:.6g} is above 2**62: its counts overflow int64")
     if mean <= 10.0:
         return _poisson_table_inversion(bundle.uniforms(1)[0], mean)
     return _poisson_ptrs(bundle, mean)

@@ -32,10 +32,13 @@ from .pathsim import (
 from .sampler import path_bundle, verify_bundle
 from .semigroup import (
     SubordinatorFamily,
+    brownian_family,
+    calibrate,
     compound_poisson,
     delta,
     laplace,
     nu_total,
+    poisson_family,
     require_calibrated,
 )
 
@@ -542,69 +545,45 @@ def null_calibration(seed: int, reps: int = 100) -> dict:
     Reference draws use the reserved verification stream range.  Returns
     {test_name: number of passing repetitions} plus the repetition count.
     """
-    from .semigroup import brownian_family
-
     brown = brownian_family()
+    poisson = calibrate(poisson_family())
     counts: dict[str, int] = {}
 
-    def tally(name: str, passed: bool) -> None:
-        counts[name] = counts.get(name, 0) + int(passed)
+    def tally(report: StatReport) -> None:
+        counts[report.test_name] = counts.get(report.test_name, 0) + int(report.passed)
 
-    c_pois = 1.0 / -math.expm1(-0.5)
     for rep in range(reps):
         sub = derive_seed(seed, f"null-{rep}")
 
         z = verify_bundle(sub, 10_000, offset=0).normals()
-        tally("gaussian_marginal", test_gaussian_marginal(z, 1.0, seed=sub).passed)
+        tally(test_gaussian_marginal(z, 1.0, seed=sub))
 
         s, t = 0.5, 2.0
-        n = 100_000
-        b = verify_bundle(sub, n, offset=20_000)
+        b = verify_bundle(sub, 100_000, offset=20_000)
         xs = math.sqrt(s) * b.normals()
         xt = xs + math.sqrt(t - s) * b.normals()
-        tally("martingale_binned", test_martingale_binned(xs, xt, s, t, seed=sub).passed)
-        tally("cross_moment", test_cross_moment(xs, xt, s, t, brown, seed=sub).passed)
-        tally(
-            "continuity_in_probability",
-            test_continuity_in_probability(xs, xt, s, t, (1.0, 2.0, 3.0), seed=sub).passed,
-        )
+        tally(test_martingale_binned(xs, xt, s, t, seed=sub))
+        tally(test_cross_moment(xs, xt, s, t, brown, seed=sub))
+        tally(test_continuity_in_probability(xs, xt, s, t, (1.0, 2.0, 3.0), seed=sub))
 
-        nk = 30_000
-        bk = verify_bundle(sub, nk, offset=150_000)
+        bk = verify_bundle(sub, 30_000, offset=150_000)
         xs_k = bk.normals()
         xt_k = xs_k + math.sqrt(3.0) * bk.normals()
-        tally(
-            "conditional_kurtosis",
-            test_conditional_kurtosis(xs_k, xt_k, 1.0, 4.0, brown, seed=sub).passed,
-        )
+        tally(test_conditional_kurtosis(xs_k, xt_k, 1.0, 4.0, brown, seed=sub))
 
         times = np.linspace(0.0, 1.0, 65)
         values = simulate_grid_ensemble(brown, times, sub, 200)
-        tally(
-            "quadratic_variation",
-            test_quadratic_variation(values, times, brown, seed=sub).passed,
-        )
+        tally(test_quadratic_variation(values, times, brown, seed=sub))
 
         # the 1% median gate needs 1e5 draws: the median's standard error at
         # 1e4 would be comparable to the band itself
         bj = verify_bundle(sub, 100_000, offset=200_000)
-        pareto = bj.uniforms(1)[0] ** (-2.0 / c_pois)
-        from .semigroup import calibrate, poisson_family
+        pareto = bj.uniforms(1)[0] ** (-2.0 / nu_total(poisson))
+        tally(test_jump_times(pareto, 1.0, poisson, seed=sub))
 
-        tally(
-            "jump_times",
-            test_jump_times(pareto, 1.0, calibrate(poisson_family()), seed=sub).passed,
-        )
-
-        bm = verify_bundle(sub, 20_000, offset=220_000)
-        sample_a = math.sqrt(2.0) * bm.normals()
-        sample_b = math.sqrt(2.0) * bm.normals()
-        tally(
-            "mode_agreement",
-            test_mode_agreement(
-                sample_a[:10_000], sample_b[:10_000], seed=sub,
-                meta_grid=(1.0, 2.0), meta_event=(1.0, 2.0),
-            ).passed,
-        )
+        bm = verify_bundle(sub, 10_000, offset=220_000)
+        sample_a, sample_b = math.sqrt(2.0) * bm.normals(), math.sqrt(2.0) * bm.normals()
+        tally(test_mode_agreement(sample_a, sample_b, seed=sub,
+                                  meta_grid=(1.0, 2.0), meta_event=(1.0, 2.0)))
     counts["repetitions"] = reps
     return counts

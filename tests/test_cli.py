@@ -88,6 +88,37 @@ class TestSimulate:
                         "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_event_horizon_near_the_largest_float(self, tmp_path):
+        # candidate times past the largest float overflow, silently: they lie
+        # beyond the horizon; the bytes are those written while numpy warned
+        out = tmp_path / "ev.csv"
+        assert execute(["simulate", "--mode", "event", "--horizon", "1e308",
+                        "--paths", "10", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3965acac63c8b62512e96f27a98f0aa84dc40aa326769507bb60376bc940c306")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_poisson_mean_past_the_limit_exits_two(self, tmp_path, capsys):
+        # a count mean of 7e299 used to write NaN after the first step
+        out = tmp_path / "g.csv"
+        assert execute(["simulate", "--family", "compound", "--atoms", "1e-300:1",
+                        "--grid", "0:1:4", "--paths", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: poisson mean 6.93147e+299 is above")
+        assert not out.exists()
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("atoms", ["1e-300:1", "1e-12:1"])
+    def test_event_mode_refuses_endless_paths(self, tmp_path, capsys, atoms):
+        # nu ~ 2 / x jumps per unit of log time: the run could not end
+        out = tmp_path / "ev.csv"
+        assert execute(["simulate", "--family", "compound", "--atoms", atoms,
+                        "--mode", "event", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: an event path on [1.0, 2.0] expects")
+        assert "jumps, more than 5000" in err
+        assert not out.exists()
+
     def test_nonzero_grid_start_rejected(self, tmp_path):
         code = execute(
             ["simulate", "--family", "poisson", "--grid", "1:2:4",
@@ -296,6 +327,29 @@ class TestNumericFailures:
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.usefixtures("time_limit")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNewRefusals:
+    """Inputs past the numerics' reach exit 3 at once, with no warning."""
+
+    def test_counts_without_finite_windows(self, tmp_path, capsys):
+        # Poisson means of 7e299: the count quantiles are not finite
+        assert execute(["kernel", "--family", "compound", "--atoms", "1e-300:1",
+                        "--out", str(tmp_path / "d.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the law of the atoms ((1e-300, ")
+        assert "not finite" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_first_jump_time_overflow(self, tmp_path, capsys):
+        # it used to warn twice and then fail its own gate on inf draws (exit 1)
+        assert execute(["jump-times", "--s", "1e308", "--n", "10000",
+                        "--out", str(tmp_path / "j.csv"),
+                        "--report", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: float overflow")
+        assert not any(tmp_path.iterdir())
+
+
 class TestFamilyOptions:
     @staticmethod
     def spec(*argv):
@@ -473,6 +527,25 @@ class TestKernel:
         assert method["lattice"] == "exact" and method["h"] == 0.5
         assert method["rounding_bound"] == 0.0
         assert method["components"] == 47 and method["tail"] <= 1e-12
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--atoms", "0.01:1", "--s", "1e-150", "--t", "1e150"],
+            ["--atoms", ",".join(f"0.0{i}:1" for i in range(1, 9)), "--s", "1", "--t", "1e160"],
+        ],
+        ids=["one-atom-1e300", "eight-atoms-1e160"],
+    )
+    def test_mass_far_from_zero(self, tmp_path, argv):
+        # counts of mean 138,000 and 1,000 or so: each count's window starts
+        # at its own lower quantile, so the point budget pays for the window
+        # only, not for the empty points below it
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", "--family", "compound", *argv, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "d.csv.json").read_text())
+        assert sidecar["mass_check"] == pytest.approx(1.0, abs=1e-8)
+        assert sidecar["method"]["lattice"] == "exact" and sidecar["method"]["tail"] <= 1e-12
 
     def test_atoms_on_no_lattice_exit_three(self, tmp_path, capsys):
         argv = ["kernel", "--family", "compound", "--atoms", "1:1,1.000001:1",

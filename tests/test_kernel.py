@@ -344,6 +344,80 @@ class TestLatticeLaw:
         assert repr(fam.atoms[0][0]) in str(err.value)
 
 
+def assert_law_of_u(family, log_sigma, u, w, meta):
+    """The kept law of U against its closed forms: mass at least 1 - tail,
+    mean ``beta ln sigma + ln sigma sum_i w_i x_i`` and variance ``ln sigma
+    sum_i w_i x_i^2``."""
+    locs, weights = np.array(family.atoms).T
+    mean = family.beta * log_sigma + log_sigma * float(weights @ locs)
+    assert meta["tail"] <= POISSON_TAIL
+    assert 1.0 - meta["tail"] - 1e-9 <= w.sum() <= 1.0 + 1e-9
+    assert w @ u == pytest.approx(mean, rel=1e-9)
+    assert w @ (u - mean) ** 2 == pytest.approx(log_sigma * float(weights @ locs**2), rel=1e-9)
+
+
+class TestWindowedLaw:
+    """The windowed convolution where the enumeration cannot reach, against
+    closed forms: the moments of U, and ``E[e^{-U/2}] = 1 / sigma`` for
+    calibrated families."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        steps=_LATTICE_ATOMS,
+        h=st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.3]),
+        beta=st.sampled_from([0.0, 0.4]),
+        log_sigma=st.floats(0.05, 350.0),
+    )
+    @example(steps=[(1, 2.0), (6, 2.0), (5, 2.0)], h=1.0, beta=0.4, log_sigma=350.0)
+    def test_mass_mean_and_variance(self, steps, h, beta, log_sigma):
+        fam = compound_family([(h * j, w) for j, w in steps], beta=beta)
+        t = math.exp(2.0 * log_sigma)
+        u, w, meta = _lattice_law(fam, 1.0, t, 0.0)
+        assert meta["lattice"] == "exact"
+        assert_law_of_u(fam, 0.5 * math.log(t), u, w, meta)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        steps=_LATTICE_ATOMS,
+        h=st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.3]),
+        beta=st.sampled_from([0.0, 0.4]),
+        log_sigma=st.floats(0.05, 5.0),
+    )
+    def test_calibrated_laplace_transform(self, steps, h, beta, log_sigma):
+        # psi(1/2) = 1, so E[e^{-U/2}] = sigma^-1; e^{-u/2} <= 1, so the
+        # mass left out moves the sum by at most the tail
+        fam = calibrate(compound_family([(h * j, w) for j, w in steps], beta=beta))
+        sigma = math.exp(log_sigma)
+        u, w, meta = _lattice_law(fam, 1.0, sigma**2, 0.0)
+        assert abs(w @ np.exp(-0.5 * u) - 1.0 / sigma) <= meta["tail"] + 1e-12
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_near_the_point_budget(self):
+        # two counts of mean 1.5e6 with windows of about 20,000 points each,
+        # the second's points two apart: the windows span about 60,000 of
+        # the 65,536 points, and the mass kept about 39,000
+        fam = compound_family([(0.01, 1e4), (0.02, 1e4)])
+        t = math.exp(300.0)
+        u, w, meta = _lattice_law(fam, 1.0, t, 0.0)
+        assert meta["lattice"] == "exact" and meta["h"] == 0.01
+        assert meta["components"] > 35_000
+        assert_law_of_u(fam, 0.5 * math.log(t), u, w, meta)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_windows_that_are_not_finite_refused(self):
+        # Poisson means of about 7e299 have no finite quantiles
+        fam = calibrate(compound_family([(1e-300, 1.0)]))
+        with pytest.raises(LatticeError, match=r"atoms \(\(1e-300, .* not finite"):
+            kernel_eval(fam, 0.5, 2.0, 0.0)
+
+    def test_windows_past_the_point_budget_refused(self):
+        # a drift of 350 shrinks the rounding bound below e^-175, so only the
+        # window's length refuses a count of mean 3.5e9 at one point per count
+        fam = compound_family([(1e-3, 1e7)], beta=1.0)
+        with pytest.raises(LatticeError, match=r"more than 131072"):
+            _lattice_law(fam, 1.0, math.exp(700.0), 0.0)
+
+
 class TestSharedEvaluator:
     """kernel_eval and the composition check's matrix share one evaluator."""
 

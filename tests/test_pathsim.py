@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from gaussmart import (
     FamilyError,
     RandomStream,
     StreamBundle,
+    calibrate,
+    compound_family,
     conditional_moments,
     first_jump_times,
     nu_total,
@@ -22,7 +25,13 @@ from gaussmart import (
     simulate_grid_ensemble,
     transition_pairs,
 )
-from gaussmart.pathsim import _MIN_CHUNK, _chunks, write_event_csv, write_grid_csv
+from gaussmart.pathsim import (
+    _MIN_CHUNK,
+    EVENT_JUMP_LIMIT,
+    _chunks,
+    write_event_csv,
+    write_grid_csv,
+)
 from gaussmart.sampler import sample_subordinator_increment
 
 
@@ -290,6 +299,43 @@ class TestEventMode:
     def test_one_lane_bundle_required(self, poisson_fam):
         with pytest.raises(DomainError):
             simulate_event(poisson_fam, 1.0, 0.0, 2.0, path_bundle(0, 2))
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("x", [1e-300, 1e-12])
+    def test_too_many_expected_jumps_refused(self, x):
+        # nu ~ 2 / x: about 7e11 jumps per path at x = 1e-12; at 1e-300 the
+        # waiting times round to zero, so t never advances
+        fam = calibrate(compound_family([(x, 1.0)]))
+        for run in (simulate_events, simulate_event_terminals):
+            with pytest.raises(DomainError, match=r"ln\(horizon/s0\) = 6\.93147e\+\d+ jumps"):
+                run(fam, 1.0, 0.0, 2.0, path_bundle(0, 3))
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_jump_limit_is_the_expected_count(self):
+        fam = calibrate(compound_family([(1e-3, 1.0)]))
+        log_span = 2.0 * EVENT_JUMP_LIMIT / nu_total(fam)  # ln(horizon/s0) at the limit
+        with pytest.raises(DomainError, match="more than 5000"):
+            simulate_event_terminals(fam, 1.0, 0.0, math.exp(log_span * 1.001), path_bundle(0, 1))
+        terminal = simulate_event_terminals(fam, 1.0, 0.0, math.exp(log_span * 0.999),
+                                            path_bundle(0, 1))
+        assert np.isfinite(terminal).all()
+
+    def test_horizon_near_the_largest_float(self, poisson_fam):
+        # candidates past the largest float overflow to inf, beyond the
+        # horizon: the paths end there, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = simulate_events(poisson_fam, 1.0, 0.3, 1e308, path_bundle(5, 20))
+        for p in paths:
+            p.validate()
+            assert 0 < p.jump_times.size and p.jump_times[-1] <= 1e308
+
+    def test_first_jump_time_overflow_raises(self, poisson_fam):
+        # s0 u^(-2/nu) passes the largest float for u below about 0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"s0 = 1e\+308"):
+                first_jump_times(poisson_fam, 1e308, path_bundle(0, 10_000))
 
 
 class TestCompoundEventMode:

@@ -17,6 +17,7 @@ from gaussmart import (
     verify_bundle,
 )
 from gaussmart.sampler import (
+    POISSON_MEAN_LIMIT,
     VERIFY_STREAM_BASE,
     _poisson_table_inversion,
     gamma_draw,
@@ -411,6 +412,14 @@ class TestNonFiniteParameters:
     def test_poisson_mean(self, mean):
         with pytest.raises(DomainError):
             poisson_draw(path_bundle(1, 10), mean)
+
+    def test_poisson_mean_past_the_limit(self):
+        # a count of 2**63 or more would not fit int64 (it used to turn into
+        # a negative number or NaN); refused, with the mean named
+        with pytest.raises(DomainError, match=r"poisson mean 9\.3e\+18 is above 2\*\*62"):
+            poisson_draw(path_bundle(1, 10), 9.3e18)
+        k = poisson_draw(path_bundle(1, 1000), POISSON_MEAN_LIMIT)
+        assert np.all(np.abs(k - POISSON_MEAN_LIMIT) < 10.0 * math.sqrt(POISSON_MEAN_LIMIT))
 
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("shape, rate", [
