@@ -249,7 +249,11 @@ def _cmd_kernel(opts: dict) -> int:
     # the moments use Python floats, so an overflow raises here, before the
     # array computations below can print numpy warnings
     values = {k: kernel_moment(family, s, t, x, k) for k in (0, 1, 2)}
-    references = {0: 1.0, 1: x, 2: conditional_moments(family, s, t, x)[1] if s > 0 else t + x * x}
+    references = {0: 1.0, 1: x}
+    if s > 0:
+        references[2] = conditional_moments(family, s, t, x)[1]
+    else:
+        references[2] = t + x * x
     moments = {
         f"k{k}": {"value": mk, "reference": references[k], "abs_error": abs(mk - references[k])}
         for k, mk in values.items()

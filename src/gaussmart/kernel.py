@@ -19,11 +19,12 @@ and the step from s = 0 is exactly Gaussian.
   common lattice ``x_i = h j_i`` those weights are one convolution of the
   counts' Poisson probabilities, each taken only on a window around its
   own mass, so coincident sums merge; the lightest points are dropped
-  while the mass left out is at most 1e-12.  Atoms whose windows fit on no
-  lattice of ``_LATTICE_POINTS`` points are rounded to one, with a bound
-  on the density error they cause; past ``ROUNDING_LIMIT``, or with
-  windows that are not finite, the law is refused (``LatticeError``).  No
-  random numbers are drawn;
+  while the mass left out is at most 1e-12.  The law spans the fewer of
+  the windows' points and the total count's reach from zero.  Atoms whose
+  law fits on no lattice of ``_LATTICE_POINTS`` points are rounded to one,
+  with a bound on the density error they cause; past ``ROUNDING_LIMIT``,
+  or with windows that are not finite, the law is refused
+  (``LatticeError``).  No random numbers are drawn;
 - *gamma densities*: the mixing density is integrated by adaptive
   Gauss-Kronrod panels; shapes below one are handled by the exact
   ``w = u**shape`` substitution (see
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
+from scipy import special, stats
 from scipy.integrate import simpson
 
 from .errors import DomainError, LatticeError
@@ -66,7 +67,9 @@ POISSON_TAIL = 1e-12
 #: inert: perfbench records it in its provenance (ROADMAP item 6)
 _MC_DRAWS = 20000
 
-#: lattice points the law of U may span before the atoms are rounded
+#: lattice points the law of U may span before the atoms are rounded; a
+#: law at the limit took up to 0.2 s (two equal atoms, each count's window
+#: half of it; 2-vCPU Xeon VM)
 _LATTICE_POINTS = 1 << 16
 
 #: the largest density error, times sqrt(t), that rounding atoms may cause
@@ -139,20 +142,48 @@ def _check_step(s: float, t: float) -> None:
         raise DomainError(f"the scale t/s = {t}/{s} overflows")
 
 
-def _lattice(locs, weights, span: float):
-    """``(h, j, offsets)`` with atom i at ``h j_i + offsets_i``, ``j_i >= 1``:
+def _lattice(locs, weights, lo, hi, count_bound: float):
+    """``(h, j, offsets, points)`` with atom i at ``h j_i + offsets_i``,
+    ``j_i >= 1``, and the law of U kept on the ``points + 1`` lattice points
+    from ``h j @ lo``: the fewer of the counts' windows ``j @ (hi - lo)``
+    and ``count_bound`` jumps of the largest atom from zero.  The lattice is
     the coarsest ``h = x_min / k`` that holds every atom to a relative 1e-12
     (offsets then zero), else the one with the least ``sum_i w_i
-    |offset_i|``, no finer than keeps a ``span`` of U within
-    ``_LATTICE_POINTS`` points."""
-    h_floor = span / _LATTICE_POINTS
+    |offset_i|``, among those of at most ``_LATTICE_POINTS`` points (when
+    none is, the caller refuses the one returned)."""
+    span = np.fmin(locs @ (hi - lo), locs.max() * count_bound)
+    h_floor = max(span, locs.max()) / _LATTICE_POINTS
     k = np.arange(1, int(locs.min() / h_floor) + 1)
     h = locs.min() / k if k.size else np.array([h_floor])
     steps = np.maximum(np.rint(locs[:, None] / h), 1.0)
     offsets = locs[:, None] - h * steps
+
+    def points(j):
+        return np.fmin((hi - lo) @ j, j.max(axis=0) * count_bound - lo @ j)
+
     exact = np.all(np.abs(offsets) <= 1e-12 * locs[:, None], axis=0)
-    best = int(np.argmax(exact)) if exact.any() else int(np.argmin(weights @ np.abs(offsets)))
-    return h[best], steps[:, best].astype(np.int64), offsets[:, best] * (not exact[best])
+    if exact.any():  # h >= h_floor, so an exact lattice fits
+        best = int(np.argmax(exact))
+    else:
+        misfit = weights @ np.abs(offsets)
+        best = int(np.argmin(np.where(points(steps) <= _LATTICE_POINTS, misfit, np.inf)))
+    j = steps[:, best]
+    return h[best], j.astype(np.int64), offsets[:, best] * (not exact[best]), points(j)
+
+
+def _spread_convolve(g, p, step: int, n: int):
+    """The first n points of g convolved with p spread ``step`` points
+    apart, by one np.convolve per residue mod ``step`` or one shifted add
+    per entry of p, whichever are fewer (at most about ``sqrt(n)``)."""
+    p = p[:(n - 1) // step + 1]
+    out = np.zeros(min(g.size + step * (p.size - 1), n))
+    if step <= p.size:
+        for r in range(min(step, g.size)):
+            out[r::step] = np.convolve(g[r::step], p)[:out[r::step].size]
+    else:
+        for k, pk in enumerate(p):
+            out[step * k:step * k + g.size] += pk * g[:n - step * k]
+    return out
 
 
 def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
@@ -163,19 +194,21 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     ``U = beta ln sigma + sum_i x_i N_i`` with independent ``N_i ~
     Poisson(w_i ln sigma)``.  On the atoms' lattice ``x_i = h j_i`` its law
     is the convolution of the counts' probabilities, each count kept on its
-    window between its ``_UNSEEN / (2 m)`` quantiles (m atoms), with the
-    window's exact mass, and spread ``j_i`` points apart; the lightest
-    points (empty ones first) are dropped while at most ``POISSON_TAIL`` is
-    left out, windows included.  Windows that are not finite, or span more
-    than twice ``_LATTICE_POINTS`` (rounded atoms can stretch a lattice
-    past the budget), are refused before anything is allocated.  Rounding
-    atom i by ``offset_i`` moves U by at most ``sum_i |offset_i| N_i``; for
-    |x| <= ``x_abs`` the density, in units of ``1/sqrt(t)`` (its scale),
-    moves by at most ``K(u) = phi(1) x_abs e^{-u/2} / (2 sqrt(s) r) + phi(0)
-    e^{-u} / (2 r^1.5)`` per unit of u, ``r = 1 - e^{-u}``, which decreases
-    in u.  So the rounding bound ``K(u_min) ln sigma sum_i w_i |offset_i|``
-    is a sup-norm density error times ``sqrt(t)``, and a law past
-    ``ROUNDING_LIMIT`` is refused.
+    window between its ``_UNSEEN / (2 m)`` quantiles (m atoms; the upper one
+    at no less than 2**-53), with the window's exact mass, and spread
+    ``j_i`` points apart.  Where the total
+    count's ``_UNSEEN`` quantile bounds U more tightly than the windows do
+    (small means), the points past it are cut off.  The lightest points
+    (empty ones first) are dropped while at most ``POISSON_TAIL`` is left
+    out, windows and cut included.  Windows that are not finite, or atoms
+    that fit on no lattice of ``_LATTICE_POINTS`` points, are refused
+    before anything is allocated.  Rounding atom i by ``offset_i`` moves U
+    by at most ``sum_i |offset_i| N_i``; for |x| <= ``x_abs`` the density,
+    in units of ``1/sqrt(t)`` (its scale), moves by at most ``K(u) = phi(1)
+    x_abs e^{-u/2} / (2 sqrt(s) r) + phi(0) e^{-u} / (2 r^1.5)`` per unit of
+    u, ``r = 1 - e^{-u}``, which decreases in u.  So the rounding bound
+    ``K(u_min) ln sigma sum_i w_i |offset_i|`` is a sup-norm density error
+    times ``sqrt(t)``, and a law past ``ROUNDING_LIMIT`` is refused.
     """
     log_sigma = 0.5 * math.log(t / s)
     drift = family.beta * log_sigma
@@ -186,14 +219,20 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         locs, weights = np.array(family.atoms).T
         means = weights * log_sigma
         q = _UNSEEN / (2 * means.size)
-        # the q and 1 - q quantiles (the upper one up to the rounding of 1 - q)
-        lo, hi = np.ceil(special.pdtrik([[q], [1.0 - q]], means))
-        span = float(locs @ (hi - lo))
+        # the q and 1 - q quantiles; from 10 atoms on 1 - q rounds to 1.0, which
+        # has none, so the upper q is held at 2**-53 (the mass outside the
+        # windows is counted exactly below)
+        lo, hi = np.ceil(special.pdtrik([[q], [1.0 - max(q, 2.0**-53)]], means))
         refused = (f"the law of the atoms {family.atoms} at t/s = {t / s:.6g} (Poisson means "
                    f"up to {means.max():.6g})")
-        if not math.isfinite(span):  # the quantiles are NaN past means of about 1e11
+        if not math.isfinite(locs @ (hi - lo)):  # NaN quantiles past means of about 1e11
             raise LatticeError(f"{refused} has count windows that are not finite")
-        h, j, offsets = _lattice(locs, weights, max(span, locs.max()))
+        lam = float(means.sum())
+        count_bound = max(float(stats.poisson.isf(_UNSEEN, lam)), 1.0)  # NaN past about 1e11
+        h, j, offsets, points = _lattice(locs, weights, lo, hi, count_bound)
+        if not points <= _LATTICE_POINTS:
+            raise LatticeError(f"{refused} spans more than {_LATTICE_POINTS} points on every "
+                               f"lattice it may take")
         if offsets.any():
             u_min = drift + min(locs.min(), h * j.min())
             r = -math.expm1(-u_min)  # divided in turn, so nothing overflows
@@ -207,23 +246,19 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
                     f"> {ROUNDING_LIMIT:g}"
                 )
             meta.update(lattice="rounded", rounding_bound=bound)
-        width = float(j @ (hi - lo))
-        if not width <= 2 * _LATTICE_POINTS:
-            raise LatticeError(f"{refused} spans {width:.6g} points of the lattice h = {h:.6g}, "
-                               f"more than {2 * _LATTICE_POINTS}")
         lo, hi = lo.astype(np.int64), hi.astype(np.int64)
         outside = np.where(lo > 0, special.pdtr(lo - 1, means), 0.0) + special.pdtrc(hi, means)
         g = np.ones(1)
-        for lam, a, b, step, out in zip(means, lo, hi, j, outside):
+        for lam_i, a, b, step, out in zip(means, lo, hi, j, outside):
             # P(N = k) / P(N = a) = prod_{a < i <= k} lam / i, summed as logs
             # and scaled to the window's exact mass: within 2e-13 of exact up
             # to lam = 1.6e7, where k ln lam - ln k! - lam cancels to 4e-8
-            log_ratio = np.cumsum(np.log(lam / np.arange(a + 1, b + 1)))
-            spread = np.zeros(step * (b - a) + 1)
-            spread[::step] = np.exp(np.concatenate(([0.0], log_ratio))
-                                    - log_ratio.max(initial=0.0))
-            g = np.convolve(g, spread * ((1.0 - out) / spread.sum()))
+            log_ratio = np.cumsum(np.log(lam_i / np.arange(a + 1, b + 1)))
+            p = np.exp(np.concatenate(([0.0], log_ratio)) - log_ratio.max(initial=0.0))
+            g = _spread_convolve(g, p * ((1.0 - out) / p.sum()), int(step), int(points) + 1)
         unseen = float(outside.sum())
+        if points < j @ (hi - lo):  # U past count_bound jumps was cut off
+            unseen += float(special.pdtrc(count_bound, lam))
         order = np.argsort(g, kind="stable")
         dropped = order[np.cumsum(g[order]) <= POISSON_TAIL - unseen]
         keep = g > 0.0

@@ -534,13 +534,15 @@ class TestKernel:
         [
             ["--atoms", "0.01:1", "--s", "1e-150", "--t", "1e150"],
             ["--atoms", ",".join(f"0.0{i}:1" for i in range(1, 9)), "--s", "1", "--t", "1e160"],
+            ["--atoms", ",".join(f"{0.01 * i:.2f}:1" for i in range(1, 13))],
         ],
-        ids=["one-atom-1e300", "eight-atoms-1e160"],
+        ids=["one-atom-1e300", "eight-atoms-1e160", "twelve-atoms"],
     )
-    def test_mass_far_from_zero(self, tmp_path, argv):
+    def test_finite_atom_laws_in_reach(self, tmp_path, argv):
         # counts of mean 138,000 and 1,000 or so: each count's window starts
         # at its own lower quantile, so the point budget pays for the window
-        # only, not for the empty points below it
+        # only, not for the empty points below it; and from 10 atoms on,
+        # each count's 1 - q quantile would be taken at 1 - q = 1.0
         out = tmp_path / "d.csv"
         assert execute(["kernel", "--family", "compound", *argv, "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "d.csv.json").read_text())

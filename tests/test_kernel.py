@@ -335,6 +335,16 @@ class TestLatticeLaw:
         assert ev.quadrature["components"] == 0
         assert np.array_equal(ev.density(np.array([0.3, 0.31])), [0.0, 0.0])
 
+    def test_fine_lattice_at_a_short_step(self):
+        # counts of mean 5e-4 stay within 4 jumps in all, so U fits on the
+        # lattice 1e-4 within about 40,000 points from zero, where the two
+        # counts' own windows would need twice as many
+        fam = compound_family([(1.0, 1.0), (1.0001, 1.0)])
+        meta, diff, distinct = lattice_against_reference(fam, 1.0, math.exp(1e-3))
+        assert meta["lattice"] == "exact" and meta["h"] == pytest.approx(1e-4, rel=1e-9)
+        assert diff <= 1e-12 and meta["tail"] <= POISSON_TAIL
+        assert meta["components"] <= distinct
+
     @pytest.mark.parametrize("atoms", [[(1.0, 1.0), (1.000001, 1.0)], [(1e-6, 1.0), (1.0, 1.0)]])
     def test_unrepresentable_atoms_refused(self, atoms):
         fam = calibrate(compound_family(atoms))
@@ -403,6 +413,16 @@ class TestWindowedLaw:
         assert meta["components"] > 35_000
         assert_law_of_u(fam, 0.5 * math.log(t), u, w, meta)
 
+    @pytest.mark.parametrize("log_sigma", [0.35, 5.0, 150.0])
+    def test_a_dozen_atoms(self, log_sigma):
+        # from 10 atoms on, each count's 1 - q quantile would be taken at
+        # 1 - q = 1.0, which has none
+        fam = compound_family([(0.01 * i, 1.0) for i in range(1, 13)])
+        t = math.exp(2.0 * log_sigma)
+        u, w, meta = _lattice_law(fam, 1.0, t, 0.0)
+        assert meta["lattice"] == "exact" and meta["h"] == pytest.approx(0.01, rel=1e-9)
+        assert_law_of_u(fam, 0.5 * math.log(t), u, w, meta)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_windows_that_are_not_finite_refused(self):
         # Poisson means of about 7e299 have no finite quantiles
@@ -410,11 +430,21 @@ class TestWindowedLaw:
         with pytest.raises(LatticeError, match=r"atoms \(\(1e-300, .* not finite"):
             kernel_eval(fam, 0.5, 2.0, 0.0)
 
+    def test_rounded_lattice_within_the_point_budget(self):
+        # the spacing of least rounding error would need more than 65,536
+        # points, so the best one that fits is taken; a drift of 20 keeps u
+        # far from 0, where the rounding bound is large
+        fam = compound_family([(1.0, 0.0033), (1.00048, 1.8)], beta=20.0)
+        u, w, meta = _lattice_law(fam, 1.0, math.exp(18.0), 1.0)
+        assert meta["lattice"] == "rounded" and 0.0 < meta["rounding_bound"] <= ROUNDING_LIMIT
+        assert (u.max() - u.min()) / meta["h"] <= 65_536
+        assert 1.0 - meta["tail"] - 1e-12 <= w.sum() <= 1.0 + 1e-12
+
     def test_windows_past_the_point_budget_refused(self):
         # a drift of 350 shrinks the rounding bound below e^-175, so only the
         # window's length refuses a count of mean 3.5e9 at one point per count
         fam = compound_family([(1e-3, 1e7)], beta=1.0)
-        with pytest.raises(LatticeError, match=r"more than 131072"):
+        with pytest.raises(LatticeError, match=r"more than 65536 points"):
             _lattice_law(fam, 1.0, math.exp(700.0), 0.0)
 
 
