@@ -44,7 +44,6 @@ from .semigroup import (
     compound_family,
     compound_poisson,
     delta,
-    family_from_config,
     gamma_atom,
     gamma_family,
     laplace,

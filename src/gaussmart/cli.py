@@ -3,15 +3,17 @@
 Subcommands: ``simulate``, ``kernel``, ``generator-check``, ``verify``,
 ``jump-times``.  Each option's type, default and help are declared once,
 in ``_OPTIONS`` (the family flags in ``_SHARED``).  Options come from flags
-or a JSON config file (``--config``); explicit flags override file values,
-unknown config keys are rejected, and so are family parameters that do not
-belong to the chosen kind.  Flags and config values share one conversion,
-so a bad value fails alike from either: every bad value prints ``error:
-...`` and exits 2.  ``--threads`` defaults to one worker per CPU.  Exit
-codes: 0 success / all gated checks pass, 1 gated test failure, 2 usage
-error, 3 numeric failure (a quadrature that cannot converge, finite atoms
-on no lattice fine enough for an accurate law, a float overflow, or a step
-whose conditional variance is below the smallest normal float).
+or a JSON config file (``--config``) whose keys are the flags; a config
+``family`` object holds the family flags as keys.  Flags override the file
+and top-level keys the family object.  Unknown config keys are rejected,
+and so are family parameters that do not belong to the chosen kind.  Flags
+and config values share one conversion, so a bad value fails alike from
+either: every bad value prints ``error: ...`` and exits 2.  ``--threads``
+defaults to one worker per CPU.  Exit codes: 0 success / all gated checks
+pass, 1 gated test failure, 2 usage error, 3 numeric failure (a quadrature
+that cannot converge, finite atoms on no lattice fine enough for an
+accurate law, a float overflow, or a step whose conditional variance is
+below the smallest normal float).
 
 Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
 stream layout (``"stream_layout": 2``) at top level; ``verify`` and
@@ -43,23 +45,12 @@ from .pathsim import (  # noqa: F401 (simulate_event: perfbench traces cli.simul
     write_grid_csv,
 )
 from .sampler import STREAM_LAYOUT, path_bundle
-from .semigroup import calibrate, family_from_config
+from .semigroup import brownian_family, calibrate, compound_family, gamma_family, poisson_family
 from .verify import derive_seed, standard_battery, test_jump_times
 
 SCHEMA = "gaussmart/3"
 #: top-level fields of every JSON report and sidecar
 _HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
-#: the family flags every subcommand takes; family_from_config converts and
-#: checks them (and which parameters belong to a kind), so they pass as given
-_SHARED = {
-    "family": (None, "poisson", "family kind: poisson, gamma, compound or brownian "
-               "(pre-calibration parameters via --c/--a/--b/--beta/--atoms)"),
-    "c": (None, None, "poisson intensity per unit log-scale"),
-    "a": (None, None, "gamma shape rate per unit log-scale"),
-    "b": (None, None, "gamma inverse scale"),
-    "beta": (None, None, "compound drift (>= 0)"),
-    "atoms": (None, None, "compound atoms as 'loc:weight,loc:weight,...'"),
-}
 
 
 def _linspace(spec, extra: int = 0) -> np.ndarray:
@@ -80,9 +71,38 @@ def _time_grid(spec) -> np.ndarray:
     return times
 
 
-#: subcommand -> (help, {option: (type, default, help)}); a type of None
-#: passes the value on as given, a default of None means "not set" and the
-#: help says what happens then
+def _atoms(spec) -> tuple:
+    """``loc:weight,...`` or a JSON list of [loc, weight] pairs as a tuple of
+    float pairs, each number converted as a float option is."""
+    pairs = [p.split(":") for p in spec.split(",")] if isinstance(spec, str) else spec
+    if not (isinstance(pairs, list) and pairs
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise ValueError(spec)
+    return tuple((_value("atoms", x, float), _value("atoms", w, float)) for x, w in pairs)
+
+
+#: the family flags every subcommand takes; a config ``family`` object
+#: holds the same keys, with the kind under ``kind``
+_SHARED = {
+    "family": (str, "poisson", "family kind: poisson, gamma, compound or brownian "
+               "(pre-calibration parameters via --c/--a/--b/--beta/--atoms)"),
+    "c": (float, None, "poisson intensity per unit log-scale (default 1)"),
+    "a": (float, None, "gamma shape rate per unit log-scale (default 1)"),
+    "b": (float, None, "gamma inverse scale (default 1)"),
+    "beta": (float, None, "compound drift >= 0 (default 0)"),
+    "atoms": (_atoms, None, "compound atoms as 'loc:weight,loc:weight,...'"),
+}
+#: family kind -> (constructor, the family flags it takes)
+_KINDS = {
+    "poisson": (poisson_family, ("c",)),
+    "gamma": (gamma_family, ("a", "b")),
+    "compound": (compound_family, ("atoms", "beta")),
+    "brownian": (brownian_family, ()),
+}
+
+
+#: subcommand -> (help, {option: (type, default, help)}); a default of None
+#: means "not set" and the help says what happens then
 _OPTIONS = {
     "simulate": ("simulate paths and write them as CSV", {
         "paths": (int, 100, "number of paths"),
@@ -146,11 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _value(key: str, raw, kind):
-    """Option ``key`` converted by ``kind`` (None: as given); a malformed,
-    non-finite or boolean value, or an int option's float, is a usage error."""
-    if raw is None or kind is None:
-        return raw
-    if isinstance(raw, bool) or (kind is int and not isinstance(raw, (int, str))):
+    """Option ``key`` converted by ``kind``; a malformed, non-finite or
+    boolean value, an int option's float or a str option's non-string is a
+    usage error."""
+    if isinstance(raw, bool) or (kind in (int, str) and not isinstance(raw, (kind, str))):
         raise DomainError(f"bad value for {key}: {raw!r}")
     try:
         value = kind(raw)
@@ -166,40 +185,55 @@ def _options(args: argparse.Namespace) -> dict:
     flags given (flags win), each converted once and defaulted by the table.
 
     The allowed config keys are the subcommand's own flags (dashed, as on
-    the command line), the ``family`` value being a kind or a family object.
+    the command line).  ``family`` is a kind or a family object: the kind
+    under ``kind`` and family flags as keys, overridden by the same keys at
+    the top level of the file.
     """
     table = {**_SHARED, **_OPTIONS[args.command][1]}
-    given: dict = {}
+    layers = [vars(args)]  # highest precedence first; None is "not given"
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise DomainError(f"config file {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
         unknown = set(cfg) - set(table)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        given.update(cfg)
-    given.update({k: v for k, v in vars(args).items() if k in table and v is not None})
+        layers.append(cfg)
+        if isinstance(cfg.get("family"), dict):
+            fam = cfg.pop("family")
+            fam["family"] = fam.pop("kind", None)
+            if fam["family"] is None:
+                raise DomainError("a family object needs a 'kind' key")
+            unknown = set(fam) - set(_SHARED)
+            if unknown:
+                raise DomainError(f"unknown family keys: {sorted(unknown)}")
+            layers.append(fam)
     opts = {}
     for key, (kind, default, _) in table.items():
-        raw = given.get(key)
-        opts[key] = _value(key, default if raw is None else raw, kind)
+        raw = next((layer[key] for layer in layers if layer.get(key) is not None), default)
+        opts[key] = None if raw is None else _value(key, raw, kind)
     return opts
 
 
-def _family_spec(opts: dict) -> dict:
-    """The family config object: the config's family object or the family
-    kind, overlaid with every family parameter given."""
-    fam = opts["family"]
-    spec = dict(fam) if isinstance(fam, dict) else {"kind": fam}
-    spec.update({k: opts[k] for k in _SHARED if k != "family" and opts[k] is not None})
-    if isinstance(spec.get("atoms"), str):
-        spec["atoms"] = [pair.split(":") for pair in spec["atoms"].split(",")]
-    return spec
-
-
 def _family(opts: dict):
-    return calibrate(family_from_config(_family_spec(opts)))
+    """The calibrated family: the kind's constructor called with the family
+    flags given, each of which must belong to the kind."""
+    kind = opts["family"]
+    if kind not in _KINDS:
+        raise DomainError(f"bad value for family: {kind!r}")
+    build, keys = _KINDS[kind]
+    params = {k: opts[k] for k in _SHARED if k != "family" and opts[k] is not None}
+    stray = set(params) - set(keys)
+    if stray:
+        raise DomainError(f"keys {sorted(stray)} do not belong to the {kind} kind")
+    if kind == "compound" and "atoms" not in params:
+        raise DomainError("the compound kind needs --atoms; "
+                          "for Brownian motion use --family brownian")
+    return calibrate(build(**params))
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -376,16 +410,15 @@ def execute(argv) -> int:
     try:
         return _COMMANDS[args.command](_options(args))
     except OverflowError:
-        print(
-            "numeric failure: float overflow; lower the magnitude of the "
-            "inputs (the start value --x, the times --s/--t)",
-            file=sys.stderr,
-        )
+        floats = [f"--{k}" for k, (kind, _, _) in _OPTIONS[args.command][1].items()
+                  if kind is float]
+        print("numeric failure: float overflow; lower the magnitude of the inputs"
+              + (f" ({'/'.join(floats)})" if floats else ""), file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # QuadratureError, LatticeError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, FamilyError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, FamilyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

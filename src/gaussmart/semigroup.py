@@ -188,44 +188,3 @@ def laplace(family: SubordinatorFamily, sigma: float, lam: float) -> float:
     if sigma < 1.0:
         raise DomainError(f"sigma must be >= 1, got {sigma}")
     return math.exp(-psi(family, lam) * math.log(sigma))
-
-
-_FAMILY_KEYS = {
-    "poisson": {"c"},
-    GAMMA: {"a", "b"},
-    COMPOUND: {"beta", "atoms", "degenerate"},
-    "brownian": set(),
-}
-
-
-def family_from_config(spec: dict) -> SubordinatorFamily:
-    """Build an uncalibrated family from the CLI config object.
-
-    Schema: ``{"kind": "poisson"|"gamma"|"compound"|"brownian", ...parameters}``.
-    "poisson" is shorthand for the unit-atom compound family and "brownian"
-    for the degenerate one.  Keys that do not belong to the kind are rejected.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise FamilyError("family spec must be an object with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
-        raise FamilyError(f"unknown family kind: {kind!r}")
-    unknown = set(spec) - _FAMILY_KEYS[kind]
-    if unknown:
-        raise FamilyError(f"keys {sorted(unknown)} do not belong to the {kind} kind")
-    if kind == "brownian":
-        return brownian_family()
-    try:
-        num = {k: float(spec[k]) for k in ("c", "a", "b", "beta") if k in spec}
-        atoms = [(float(x), float(w)) for x, w in spec.get("atoms", [])]
-    except (TypeError, ValueError) as exc:
-        raise FamilyError(f"malformed {kind} family parameters: {exc}") from exc
-    if kind == "poisson":
-        return poisson_family(c=num.get("c", 1.0))
-    if kind == GAMMA:
-        return gamma_family(a=num.get("a", 1.0), b=num.get("b", 1.0))
-    beta = num.get("beta", 0.0)
-    if spec.get("degenerate", False):
-        return SubordinatorFamily(kind=COMPOUND, beta=beta, atoms=(), degenerate=True)
-    return compound_family(atoms, beta=beta)

@@ -8,10 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from gaussmart import calibrate, cli, poisson_family
-from gaussmart.cli import _family_spec, _options, build_parser, execute
+from gaussmart import (
+    brownian_family,
+    calibrate,
+    cli,
+    compound_family,
+    gamma_family,
+    poisson_family,
+)
+from gaussmart.cli import _family, _options, build_parser, execute
 from gaussmart.pathsim import _chunks
-from gaussmart.semigroup import family_from_config
 
 
 def run(tmp_path, *argv):
@@ -198,6 +204,24 @@ class TestUsageErrors:
         monkeypatch.setitem(cli_mod._COMMANDS, "kernel", boom)
         assert execute(["kernel", "--family", "poisson"]) == 3
 
+    def test_text_option_takes_only_a_string(self, tmp_path, capsys, monkeypatch):
+        # a JSON list used to become the file name "['a']"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text('{"out": ["a"]}')
+        assert execute(["simulate", "--config", "cfg.json", "--paths", "2",
+                        "--grid", "0:1:2"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad value for out: ['a']")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "x.csv"
+        assert execute(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert execute(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -274,7 +298,14 @@ _OVERFLOWS = [
     ["kernel", "--x", "1e300"],
     ["generator-check", "--x", "1e200"],
     ["generator-check", "--family", "gamma", "--x", "1e200"],
+    ["jump-times", "--s", "1e308", "--n", "10000"],
 ]
+#: the float flags each overflow message names: the subcommand's own
+_OVERFLOW_FLAGS = {
+    "kernel": {"--s", "--t", "--x"},
+    "generator-check": {"--s", "--x", "--h"},
+    "jump-times": {"--s"},
+}
 
 
 @pytest.mark.usefixtures("time_limit")
@@ -301,7 +332,9 @@ class TestNumericFailures:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
         if argv in _OVERFLOWS:
-            assert "float overflow" in err and "--x" in err and "--s/--t" in err
+            named = set(re.findall(r"--[\w-]+", err))
+            assert "float overflow" in err and named == _OVERFLOW_FLAGS[argv[0]]
+            assert named & set(argv)  # the flag given among them
         # a failed run writes neither a table nor a sidecar
         assert not any(tmp_path.iterdir())
 
@@ -350,17 +383,108 @@ class TestNewRefusals:
         assert not any(tmp_path.iterdir())
 
 
+def _config_run(tmp_path, capsys, config):
+    """Exit code and stderr of ``simulate --config`` with ``config``, and
+    whether it wrote its CSV."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    code = execute(["simulate", "--config", str(cfg), "--grid", "0:1:2", "--paths", "3",
+                    "--out", str(out)])
+    return code, capsys.readouterr().err, out.exists()
+
+
 class TestFamilyOptions:
+    """A family comes from the family flags, or from a config ``family``
+    object whose keys are those flags; both take one conversion."""
+
     @staticmethod
-    def spec(*argv):
-        return _family_spec(_options(build_parser().parse_args(list(argv))))
+    def family(tmp_path, *argv, config=None):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = ("--config", str(cfg), *argv)
+        return _family(_typed("simulate", *argv))
 
-    def test_poisson_shorthand_builds_one_atom(self):
-        fam = family_from_config(self.spec("simulate", "--family", "poisson", "--c", "2"))
-        assert fam.atoms == ((1.0, 2.0),) and not fam.calibrated
+    def test_poisson_shorthand_builds_one_atom(self, tmp_path):
+        expected = calibrate(poisson_family(2.0))
+        assert self.family(tmp_path, "--family", "poisson", "--c", "2") == expected
+        assert self.family(tmp_path, config={"family": {"kind": "poisson", "c": 2.0}}) == expected
 
-    def test_default_kind_is_poisson(self):
-        assert family_from_config(self.spec("verify")) == poisson_family()
+    def test_default_kind_is_poisson(self, tmp_path):
+        assert self.family(tmp_path) == calibrate(poisson_family())
+        assert _family(_typed("verify")) == calibrate(poisson_family())
+
+    def test_drift_and_atoms(self, tmp_path):
+        expected = calibrate(compound_family([(1.0, 2.0)], beta=0.1))
+        config = {"family": {"kind": "compound", "beta": 0.1, "atoms": [[1, 2.0]]}}
+        assert self.family(tmp_path, config=config) == expected
+        assert self.family(tmp_path, "--family", "compound", "--beta", "0.1",
+                           "--atoms", "1:2") == expected
+        flat = {"family": "compound", "atoms": "1:2", "beta": "0.1"}
+        assert self.family(tmp_path, config=flat) == expected
+
+    def test_brownian(self, tmp_path):
+        assert self.family(tmp_path, config={"family": {"kind": "brownian"}}) == brownian_family()
+        assert self.family(tmp_path, "--family", "brownian") == brownian_family()
+
+    def test_precedence(self, tmp_path):
+        # family object < top-level config key < flag
+        config = {"family": {"kind": "gamma", "a": 2, "b": 2}}
+        assert self.family(tmp_path, config=config) == calibrate(gamma_family(2.0, 2.0))
+        # null is "not given" at every level, so it hides no lower value
+        assert self.family(tmp_path, config={**config, "b": None}) \
+            == calibrate(gamma_family(2.0, 2.0))
+        config["b"] = 3
+        assert self.family(tmp_path, config=config) == calibrate(gamma_family(2.0, 3.0))
+        assert self.family(tmp_path, "--b", "4", config=config) == calibrate(gamma_family(2.0, 4.0))
+        assert self.family(tmp_path, "--a", "5", config=config) == calibrate(gamma_family(5.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param({"kind": "poisson", "rate": 1.0}, id="unknown-key"),
+            pytest.param({"c": 2.0}, id="no-kind"),
+            pytest.param({"kind": "gamma", "c": 2.0}, id="key-of-another-kind"),
+            pytest.param({"kind": "brownian", "beta": 1.0}, id="brownian-with-drift"),
+            pytest.param({"kind": "stable"}, id="unknown-kind"),
+            pytest.param({"kind": []}, id="kind-not-a-string"),
+            pytest.param({"kind": "gamma", "a": -1.0}, id="bad-value"),
+            pytest.param({"kind": "compound", "atoms": [[1.0, "nan"]]}, id="non-finite-atom"),
+            pytest.param({"kind": "compound", "atoms": []}, id="no-atoms"),
+            pytest.param({"kind": "compound", "atoms": [[1.0, 1.0, 1.0]]}, id="atom-triple"),
+        ],
+    )
+    def test_bad_family_object_exits_two(self, tmp_path, capsys, family):
+        code, err, wrote = _config_run(tmp_path, capsys, {"family": family})
+        assert (code, wrote) == (2, False)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # Brownian motion is only --family brownian: a compound object
+            # that says "degenerate" is refused, not run as pure drift
+            {"family": {"kind": "compound", "atoms": [[0.5, 1]], "beta": 1, "degenerate": True}},
+            {"family": {"kind": "compound", "beta": 1, "degenerate": "false"}},
+            # no family value is a boolean
+            {"c": True},
+            {"family": {"kind": "compound", "atoms": [[True, 1]]}},
+        ],
+        ids=["degenerate", "degenerate-string", "boolean-c", "boolean-atom"],
+    )
+    def test_config_defects_exit_two(self, tmp_path, capsys, config):
+        code, err, wrote = _config_run(tmp_path, capsys, config)
+        assert (code, wrote) == (2, False)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_compound_without_atoms_names_the_flags(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert execute(["simulate", "--family", "compound", "--beta", "1",
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--atoms" in err and "--family brownian" in err
+        assert "degenerate" not in err and not out.exists()
 
     def test_flag_of_another_kind_exits_two(self, tmp_path, capsys):
         code = execute(["simulate", "--family", "gamma", "--c", "2",
@@ -378,20 +502,39 @@ class TestFamilyOptions:
         cfg.write_text(json.dumps({"qv-paths": 10}))  # a verify flag, not a simulate one
         assert execute(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, family",
+        [
+            (["--family", "poisson", "--c", "2"], {"kind": "poisson", "c": 2}),
+            (["--family", "gamma", "--b", "1"], {"kind": "gamma", "b": 1.0}),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25"],
+             {"kind": "compound", "atoms": [[0.5, "1"], [2, 0.25]]}),
+        ],
+        ids=["poisson", "gamma", "compound"],
+    )
+    def test_report_family_record_is_the_same(self, tmp_path, flags, family):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": family}))
+        records = []
+        for argv in (flags, ["--config", str(cfg)]):
+            out = tmp_path / "gen.json"
+            assert execute(["generator-check", *argv, "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text())["family"])
+        assert records[0] == records[1]
+
 
 #: a well-formed and a malformed value for each option type (None: no
-#: value of the type is malformed); the family flags, passed on as given,
-#: fail in family_from_config
+#: value of the type is malformed)
 _SAMPLES = {
     int: ("7", "1e3"),
     float: ("0.25", "nan"),
     str: ("abc", None),
     cli._time_grid: ("0:2:8", "1:2:4"),
     cli._linspace: ("-1:1:5", "1:-1:5"),
-    None: ("2", "abc"),
+    cli._atoms: ("0.5:1,2:0.25", "1:x"),
 }
 #: options whose values a command checks itself
-_KEY_SAMPLES = {"mode": ("event", "jump")}
+_KEY_SAMPLES = {"mode": ("event", "jump"), "family": ("gamma", "stable")}
 _EVERY_OPTION = [
     (command, key, kind)
     for command, (_, options) in cli._OPTIONS.items()
@@ -413,7 +556,7 @@ class TestOptionTable:
     def test_flag_and_config_agree(self, tmp_path, capsys, command, key, kind):
         good, bad = _KEY_SAMPLES.get(key, _SAMPLES[kind])
         try:  # the natural JSON form of the value, where there is one
-            cfg_value = good if kind is None else json.loads(good)
+            cfg_value = json.loads(good)
         except json.JSONDecodeError:
             cfg_value = good
         cfg = tmp_path / "cfg.json"
@@ -431,9 +574,7 @@ class TestOptionTable:
                                    str(tmp_path / "out")]) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert errors[0].startswith("error: ")
-        if kind is not None:
-            assert errors[0].startswith(f"error: bad value for {key}: {bad!r}")
+        assert errors[0].startswith(f"error: bad value for {key}: {bad!r}")
         assert not (tmp_path / "out").exists()
 
     def test_help_shows_the_default_used(self, capsys, command, key, kind):
@@ -452,6 +593,12 @@ class TestOptionTable:
             return
         shown = re.search(r"\(default ([^ )]*)\)$", text).group(1)
         assert np.array_equal(_typed(command, f"--{key}={shown}")[key], used)
+
+
+def test_every_option_has_a_type():
+    # no value skips the one conversion
+    rows = [cli._SHARED, *(options for _, options in cli._OPTIONS.values())]
+    assert all(kind is not None for row in rows for kind, _, _ in row.values())
 
 
 class TestConfigPrecedence:

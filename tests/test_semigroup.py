@@ -12,7 +12,6 @@ from gaussmart import (
     calibrate,
     compound_family,
     delta,
-    family_from_config,
     gamma_atom,
     gamma_family,
     laplace,
@@ -187,37 +186,12 @@ def test_gamma_atom_multiplicative(fam, sigma, tau):
 
 
 class TestFamilyFromConfig:
-    def test_poisson(self):
-        fam = family_from_config({"kind": "poisson", "c": 2.0})
-        assert fam.kind == "compound" and fam.atoms == ((1.0, 2.0),)
-        assert fam == poisson_family(2.0)
-
-    def test_compound(self):
-        fam = family_from_config(
-            {"kind": "compound", "beta": 0.1, "atoms": [[1.0, 2.0]]}
-        )
-        assert fam.atoms == ((1.0, 2.0),)
-
-    def test_brownian_shorthand(self):
-        assert family_from_config({"kind": "brownian"}).degenerate
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(FamilyError):
-            family_from_config({"kind": "poisson", "rate": 1.0})
-
-    def test_key_of_another_kind_rejected(self):
-        with pytest.raises(FamilyError):
-            family_from_config({"kind": "gamma", "c": 2.0})
-        with pytest.raises(FamilyError):
-            family_from_config({"kind": "brownian", "beta": 1.0})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(FamilyError):
-            family_from_config({"kind": "stable"})
+    """The constructors every config or flag family goes through refuse
+    invalid parameters; the parsing itself is tested in test_cli."""
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(FamilyError):
-            family_from_config({"kind": "gamma", "a": -1.0})
+            gamma_family(a=-1.0)
         with pytest.raises(FamilyError):
             SubordinatorFamily(kind="compound", atoms=((1.0, -1.0),))
 
@@ -232,7 +206,6 @@ class TestFamilyFromConfig:
             lambda: compound_family([(1.0, bad)]),
             lambda: compound_family([(1.0, 1.0)], beta=bad),
             lambda: SubordinatorFamily(kind="compound", beta=bad, degenerate=True),
-            lambda: family_from_config({"kind": "compound", "atoms": [[1.0, str(bad)]]}),
         ]
         for build in constructors:
             with pytest.raises(FamilyError):
