@@ -189,6 +189,11 @@ class TestFamilyFromConfig:
     """The constructors every config or flag family goes through refuse
     invalid parameters; the parsing itself is tested in test_cli."""
 
+    def test_poisson(self):
+        fam = poisson_family(2.0)
+        assert fam.kind == "compound" and fam.atoms == ((1.0, 2.0),)
+        assert fam == compound_family([(1.0, 2.0)])
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(FamilyError):
             gamma_family(a=-1.0)
