@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -461,3 +462,70 @@ class TestHarness:
         for name, n_pass in counts.items():
             if name != "repetitions":
                 assert n_pass == 3, name
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedReports:
+    """Every report of the battery and of the null calibration, pinned bit
+    for bit: a change to how the experiments are run that moves a sub-seed,
+    a reference draw, a size or a statistic changes a digest.  The digests
+    are of this numpy/scipy build's floats (numpy 2.4, scipy 1.17); another
+    build may round a statistic differently."""
+
+    BATTERY = {
+        "poisson_fam": "37db76882bce1452967ec999c3142f29364d8a8a2c67151cdadca68cf7cc5d3b",
+        "gamma_fam": "f81c05d9316b650f135dc99b1ada426e706d9e0c920b169db27260c391765640",
+        "compound_fam": "ef586db28da29dca7b6f93e3fc73fe496438d82fa41d886596e423ed2b795df1",
+        "brownian_fam": "17ed30f057a977ab3f647e8ac77d8b563f0d9af75fde3ec80bec167e1261eaaa",
+    }
+    NULL = "404717d96f3e7cc96f6759b50c2de78fbe24cf52098580e3c7df283aa8abb514"
+
+    @pytest.mark.parametrize("fam_name", sorted(BATTERY))
+    def test_battery_reports(self, request, fam_name):
+        reports = standard_battery(
+            request.getfixturevalue(fam_name), 7, n_paths=20_000, n_qv=2_500
+        )
+        assert _digest([r.to_dict() for r in reports]) == self.BATTERY[fam_name]
+
+    def test_null_calibration_reports(self, monkeypatch):
+        from gaussmart import verify
+
+        recorded = []
+
+        def recording(gate):
+            def wrapper(*args, **kwargs):
+                report = gate(*args, **kwargs)
+                recorded.append(report.to_dict())
+                return report
+            return wrapper
+
+        gates = [name for name in vars(verify) if name.startswith("test_")]
+        for name in gates:
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+        counts = null_calibration(seed=5, reps=2)
+        assert len(recorded) == 2 * (len(counts) - 1) == 16
+        assert _digest(recorded) == self.NULL
+
+
+def test_gates_are_looked_up_when_called(monkeypatch, compound_fam):
+    # callers replace a gate by its module attribute (tracing, mutants), so
+    # neither the battery nor the null calibration may hold the functions
+    from gaussmart import verify
+
+    calls = []
+    gate = verify.test_cross_moment
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "test_cross_moment", spy)
+    reports = standard_battery(compound_fam, 3, n_paths=1_000, n_qv=2,
+                               n_jumps=10_000, n_mode=10_000)
+    assert calls == [derive_seed(3, "pairs")]
+    counts = null_calibration(seed=3, reps=1)
+    assert calls == [derive_seed(3, "pairs"), derive_seed(3, "null-0")]
+    assert list(counts) == [r.test_name for r in reports] + ["repetitions"]
