@@ -8,7 +8,6 @@ any gated check fails.  Full-scale run; expect a few minutes.
 """
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
@@ -23,7 +22,7 @@ from gaussmart import (
     poisson_family,
     standard_battery,
 )
-from gaussmart.cli import SCHEMA
+from gaussmart.cli import SCHEMA, verify_report
 from gaussmart.sampler import STREAM_LAYOUT
 
 FAMILIES = {
@@ -51,13 +50,7 @@ def main() -> int:
         reports = standard_battery(
             family, args.seed, n_paths=args.paths, threads=args.threads
         )
-        payload = {
-            "schema": SCHEMA,
-            "stream_layout": STREAM_LAYOUT,
-            "family": dataclasses.asdict(family),
-            "seed": args.seed,
-            "reports": [r.to_dict() for r in reports],
-        }
+        payload = verify_report(family, args.seed, reports)
         (outdir / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
         for r in reports:
             print(f"{name:9s} {r.status.upper():6s} {r.test_name:28s} "

@@ -345,6 +345,12 @@ def _cmd_generator_check(opts: dict) -> int:
     return 0
 
 
+def verify_report(family, seed: int, reports) -> dict:
+    """The JSON report of one family's battery, as ``verify`` writes it."""
+    return {**_HEADER, "family": dataclasses.asdict(family), "seed": seed,
+            "reports": [r.to_dict() for r in reports]}
+
+
 def _cmd_verify(opts: dict) -> int:
     family = _family(opts)
     reports = standard_battery(
@@ -356,13 +362,7 @@ def _cmd_verify(opts: dict) -> int:
         n_mode=opts["mode-paths"],
         threads=opts["threads"],
     )
-    payload = {
-        **_HEADER,
-        "family": dataclasses.asdict(family),
-        "seed": opts["seed"],
-        "reports": [r.to_dict() for r in reports],
-    }
-    _write_json(opts["report"], payload)
+    _write_json(opts["report"], verify_report(family, opts["seed"], reports))
     all_pass = True
     for r in reports:
         print(f"{r.status.upper():6s} {r.test_name}: stat={r.statistic:.6g} "

@@ -153,15 +153,19 @@ def _lattice(locs, weights, lo, hi, count_bound: float):
     none is, the caller refuses the one returned)."""
     span = np.fmin(locs @ (hi - lo), locs.max() * count_bound)
     h_floor = max(span, locs.max()) / _LATTICE_POINTS
-    k = np.arange(1, int(locs.min() / h_floor) + 1)
-    h = locs.min() / k if k.size else np.array([h_floor])
-    steps = np.maximum(np.rint(locs[:, None] / h), 1.0)
-    offsets = locs[:, None] - h * steps
+    k_max = int(locs.min() / h_floor)
+    for n in (1, 16, 256, 4096, k_max):  # the first n candidates, up to an exact one
+        k = np.arange(1, min(n, k_max) + 1)
+        h = locs.min() / k if k.size else np.array([h_floor])
+        steps = np.maximum(np.rint(locs[:, None] / h), 1.0)
+        offsets = locs[:, None] - h * steps
+        exact = np.all(np.abs(offsets) <= 1e-12 * locs[:, None], axis=0)
+        if exact.any() or n >= k_max:
+            break
 
     def points(j):
         return np.fmin((hi - lo) @ j, j.max(axis=0) * count_bound - lo @ j)
 
-    exact = np.all(np.abs(offsets) <= 1e-12 * locs[:, None], axis=0)
     if exact.any():  # h >= h_floor, so an exact lattice fits
         best = int(np.argmax(exact))
     else:

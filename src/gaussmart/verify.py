@@ -3,8 +3,10 @@
 Gate thresholds are fixed package-wide: Kolmogorov-Smirnov p-values must
 exceed 0.001 and moment statistics must sit within 4 standard errors, sizes
 chosen so the family-wise false-failure rate of a full battery stays well
-under 5% at the documented sample sizes.  Every report records the inputs
-needed to re-run it bit-for-bit (test name, sample size, seed).
+under 5% at the documented sample sizes.  ``standard_battery`` and
+``null_calibration`` iterate one table, ``EXPERIMENTS``: adding a gate is
+one row plus its function.  A report records its sample size and sub-seed
+``derive_seed(seed, tag)``; a rerun also needs the family, tag and sizes.
 
 Heavy-tail policy: the first-jump-time *mean* is reported but never gated,
 because the jump law has an infinite second moment and the sample mean's
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,8 +48,7 @@ from .semigroup import (
 KS_P_FLOOR = 0.001
 Z_BOUND = 4.0
 
-#: smallest samples the gates accept; standard_battery checks its sizes
-#: against them before it simulates anything
+#: smallest samples the gates accept, and the floors of the EXPERIMENTS rows
 MIN_MARGINAL = 1000  # gaussian_marginal samples
 MIN_PAIRS = 100_000  # cross_moment pairs
 MIN_QV_PATHS = 2  # quadratic_variation paths: one has no standard error
@@ -454,8 +456,86 @@ def test_continuity_in_probability(
 
 
 # ---------------------------------------------------------------------------
-# batteries
+# the experiments, and the battery and null calibration that iterate them
 # ---------------------------------------------------------------------------
+
+Experiment = namedtuple("Experiment", "tag size floor jumps simulate streams reference gates")
+
+
+def _pair_row(tag, s, t, streams, gates):
+    """Data ``(X_s, X_t, s, t)``: simulated (at least ``MIN_PAIRS``) or Brownian."""
+
+    def simulate(family, sub, n, threads):
+        return (*transition_pairs(family, s, t, sub, max(n, MIN_PAIRS), threads=threads), s, t)
+
+    def reference(family, bundle):
+        xs = math.sqrt(s) * bundle.normals()
+        return xs, xs + math.sqrt(t - s) * bundle.normals(), s, t
+
+    return Experiment(tag, "n_paths", MIN_MARGINAL, False, simulate, streams, reference, gates)
+
+
+def _mode_row(s, t, streams):
+    """Terminal values at t from N(0, s) at s by the grid and the event simulators."""
+
+    def simulate(family, sub, n, threads):
+        start = math.sqrt(s) * verify_bundle(sub, n).normals()
+        grid = simulate_grid_ensemble(family, np.linspace(s, t, 17), derive_seed(sub, "grid"),
+                                      n, start_values=start, threads=threads)
+        bundle = path_bundle(derive_seed(sub, "event"), n)
+        return grid[:, -1], simulate_event_terminals(family, s, start, t, bundle)
+
+    def reference(family, bundle):
+        return math.sqrt(t) * bundle.normals(), math.sqrt(t) * bundle.normals()
+
+    return Experiment("mode", "n_mode", MIN_MODE, True, simulate, streams, reference,
+                      lambda terminals, family, seed: [test_mode_agreement(
+                          *terminals, seed=seed, meta_grid=(s, t), meta_event=(s, t))])
+
+
+#: Every sub-experiment, in report order.  The battery draws a row's data by
+#: ``simulate(family, sub_seed, size, threads)``, ``size`` being its argument
+#: of that name (at least ``floor``); the null calibration by the exact
+#: ``reference(family, bundle)`` from the verify streams ``(lanes, offset)``.
+#: ``gates(data, family, seed)`` returns the row's reports.  ``jumps`` rows
+#: need a drift-free finite-atom family.  Simulators and gates are looked up
+#: when called, so replacing one (a tracer, a mutant) reaches every row.
+EXPERIMENTS = (
+    Experiment("marginal", "n_paths", MIN_MARGINAL, False,
+               lambda family, sub, n, threads: simulate_grid_ensemble(
+                   family, np.linspace(0.0, 1.0, 21), sub, n, threads=threads)[:, -1],
+               (10_000, 0), lambda family, bundle: bundle.normals(),
+               lambda z, family, seed: [test_gaussian_marginal(z, 1.0, seed=seed)]),
+    _pair_row("pairs", 0.5, 2.0, (100_000, 20_000), lambda pairs, family, seed: [
+        test_martingale_binned(*pairs, seed=seed),
+        test_cross_moment(*pairs, family, seed=seed),
+        test_continuity_in_probability(*pairs, (1.0, 2.0, 3.0), seed=seed),
+    ]),
+    _pair_row("kurtosis", 1.0, 4.0, (30_000, 150_000),
+              lambda pairs, family, seed: [test_conditional_kurtosis(*pairs, family, seed=seed)]),
+    Experiment("qv", "n_qv", MIN_QV_PATHS, False,
+               lambda family, sub, n, threads: simulate_grid_ensemble(
+                   family, np.linspace(0.0, 1.0, 257), sub, n, threads=threads),
+               # Brownian grids are exact: paths on the sub-seed's own streams
+               (0, 0), lambda family, bundle: simulate_grid_ensemble(
+                   family, np.linspace(0.0, 1.0, 65), bundle.seed, 200),
+               lambda values, family, seed: [test_quadratic_variation(
+                   values, np.linspace(0.0, 1.0, values.shape[1]), family, seed=seed)]),
+    Experiment("jumps", "n_jumps", MIN_JUMPS, True,
+               lambda family, sub, n, threads: first_jump_times(family, 1.0, path_bundle(sub, n)),
+               # the 1% median gate needs 1e5 draws: the median's standard error
+               # at 1e4 would be comparable to the band itself
+               (100_000, 200_000),
+               lambda family, bundle: bundle.uniforms(1)[0] ** (-2.0 / nu_total(family)),
+               lambda times, family, seed: [test_jump_times(times, 1.0, family, seed=seed)]),
+    _mode_row(1.0, 2.0, (10_000, 220_000)),
+)
+
+#: In the battery a row's arrays live until it returns or a row here takes
+#: them over; in the null calibration a repetition's streams and draws, until
+#: it ends.  Released after their gates they leave glibc's heap untrimmed, and
+#: perfbench's reference computation then runs 10-30% faster, moving op*_ref.
+_TAKES_OVER = {"kurtosis": "pairs", "qv": "marginal"}
 
 
 def standard_battery(
@@ -467,123 +547,38 @@ def standard_battery(
     n_mode: int = 10_000,
     threads: int | None = 1,
 ) -> list[StatReport]:
-    """The full gated battery for one calibrated family.
-
-    Each sub-experiment runs under its own derived seed, so reports are
-    individually reproducible from (seed, experiment tag).  Sizes below a
-    gate's floor raise DomainError before anything is simulated.
-    """
+    """The gated battery for one calibrated family: each row of
+    ``EXPERIMENTS`` the family admits, under the sub-seed ``derive_seed(seed,
+    tag)``.  A size below its floor raises DomainError before any simulation."""
     require_calibrated(family)
-    floors = [("n_paths", n_paths, MIN_MARGINAL), ("n_qv", n_qv, MIN_QV_PATHS)]
-    if compound_poisson(family):
-        floors += [("n_jumps", n_jumps, MIN_JUMPS), ("n_mode", n_mode, MIN_MODE)]
-    for name, size, floor in floors:
-        if size < floor:
-            raise DomainError(f"{name} must be at least {floor}, got {size}")
-    reports = []
-
-    tag = "marginal"
-    sub = derive_seed(seed, tag)
-    values = simulate_grid_ensemble(
-        family, np.linspace(0.0, 1.0, 21), sub, n_paths, threads=threads
-    )
-    reports.append(test_gaussian_marginal(values[:, -1], 1.0, seed=sub))
-
-    tag = "pairs"
-    sub = derive_seed(seed, tag)
-    n_pairs = max(n_paths, MIN_PAIRS)
-    xs, xt = transition_pairs(family, 0.5, 2.0, sub, n_pairs, threads=threads)
-    reports.append(test_martingale_binned(xs, xt, 0.5, 2.0, seed=sub))
-    reports.append(test_cross_moment(xs, xt, 0.5, 2.0, family, seed=sub))
-    reports.append(
-        test_continuity_in_probability(xs, xt, 0.5, 2.0, (1.0, 2.0, 3.0), seed=sub)
-    )
-
-    tag = "kurtosis"
-    sub = derive_seed(seed, tag)
-    xs, xt = transition_pairs(family, 1.0, 4.0, sub, n_pairs, threads=threads)
-    reports.append(test_conditional_kurtosis(xs, xt, 1.0, 4.0, family, seed=sub))
-
-    tag = "qv"
-    sub = derive_seed(seed, tag)
-    times = np.linspace(0.0, 1.0, 257)
-    values = simulate_grid_ensemble(family, times, sub, n_qv, threads=threads)
-    reports.append(test_quadratic_variation(values, times, family, seed=sub))
-
-    if compound_poisson(family):
-        tag = "jumps"
-        sub = derive_seed(seed, tag)
-        jumps = first_jump_times(family, 1.0, path_bundle(sub, n_jumps))
-        reports.append(test_jump_times(jumps, 1.0, family, seed=sub))
-
-        tag = "mode"
-        sub = derive_seed(seed, tag)
-        start = verify_bundle(sub, n_mode).normals()  # exact N(0, 1) state at s=1
-        grid_term = simulate_grid_ensemble(
-            family,
-            np.linspace(1.0, 2.0, 17),
-            derive_seed(sub, "grid"),
-            n_mode,
-            start_values=start,
-            threads=threads,
-        )[:, -1]
-        event_term = simulate_event_terminals(
-            family, 1.0, start, 2.0, path_bundle(derive_seed(sub, "event"), n_mode)
-        )
-        reports.append(
-            test_mode_agreement(
-                grid_term, event_term, seed=sub,
-                meta_grid=(1.0, 2.0), meta_event=(1.0, 2.0),
-            )
-        )
+    sizes = {"n_paths": n_paths, "n_qv": n_qv, "n_jumps": n_jumps, "n_mode": n_mode}
+    rows = [row for row in EXPERIMENTS if compound_poisson(family) or not row.jumps]
+    for row in rows:
+        if sizes[row.size] < row.floor:
+            raise DomainError(f"{row.size} must be at least {row.floor}, got {sizes[row.size]}")
+    reports, kept = [], {}
+    for row in rows:
+        sub = derive_seed(seed, row.tag)
+        data = kept[_TAKES_OVER.get(row.tag, row.tag)] = row.simulate(
+            family, sub, sizes[row.size], threads)
+        reports += row.gates(data, family, sub)
     return reports
 
 
 def null_calibration(seed: int, reps: int = 100) -> dict:
-    """Run every gated test on its exact reference law; count passes.
-
-    Reference draws use the reserved verification stream range.  Returns
-    {test_name: number of passing repetitions} plus the repetition count.
-    """
-    brown = brownian_family()
-    poisson = calibrate(poisson_family())
+    """Every row's gates on its exact reference draw (the jump rows' as the
+    calibrated poisson family, the others' as Brownian motion): {test_name:
+    passing repetitions} plus the repetition count."""
+    brown, poisson = brownian_family(), calibrate(poisson_family())
     counts: dict[str, int] = {}
-
-    def tally(report: StatReport) -> None:
-        counts[report.test_name] = counts.get(report.test_name, 0) + int(report.passed)
-
     for rep in range(reps):
         sub = derive_seed(seed, f"null-{rep}")
-
-        z = verify_bundle(sub, 10_000, offset=0).normals()
-        tally(test_gaussian_marginal(z, 1.0, seed=sub))
-
-        s, t = 0.5, 2.0
-        b = verify_bundle(sub, 100_000, offset=20_000)
-        xs = math.sqrt(s) * b.normals()
-        xt = xs + math.sqrt(t - s) * b.normals()
-        tally(test_martingale_binned(xs, xt, s, t, seed=sub))
-        tally(test_cross_moment(xs, xt, s, t, brown, seed=sub))
-        tally(test_continuity_in_probability(xs, xt, s, t, (1.0, 2.0, 3.0), seed=sub))
-
-        bk = verify_bundle(sub, 30_000, offset=150_000)
-        xs_k = bk.normals()
-        xt_k = xs_k + math.sqrt(3.0) * bk.normals()
-        tally(test_conditional_kurtosis(xs_k, xt_k, 1.0, 4.0, brown, seed=sub))
-
-        times = np.linspace(0.0, 1.0, 65)
-        values = simulate_grid_ensemble(brown, times, sub, 200)
-        tally(test_quadratic_variation(values, times, brown, seed=sub))
-
-        # the 1% median gate needs 1e5 draws: the median's standard error at
-        # 1e4 would be comparable to the band itself
-        bj = verify_bundle(sub, 100_000, offset=200_000)
-        pareto = bj.uniforms(1)[0] ** (-2.0 / nu_total(poisson))
-        tally(test_jump_times(pareto, 1.0, poisson, seed=sub))
-
-        bm = verify_bundle(sub, 10_000, offset=220_000)
-        sample_a, sample_b = math.sqrt(2.0) * bm.normals(), math.sqrt(2.0) * bm.normals()
-        tally(test_mode_agreement(sample_a, sample_b, seed=sub,
-                                  meta_grid=(1.0, 2.0), meta_event=(1.0, 2.0)))
+        kept = []
+        for row in EXPERIMENTS:
+            family = poisson if row.jumps else brown
+            bundle = verify_bundle(sub, *row.streams)
+            kept.append((bundle, row.reference(family, bundle)))
+            for report in row.gates(kept[-1][1], family, sub):
+                counts[report.test_name] = counts.get(report.test_name, 0) + int(report.passed)
     counts["repetitions"] = reps
     return counts
