@@ -53,8 +53,7 @@ def main() -> None:
         families["poisson"], 0.05, 0.0, 1.0, path_bundle(args.seed, args.n_paths)
     )
     out = outdir / "poisson_events.csv"
-    write_event_csv(out, events)
-    print(f"wrote {out} ({sum(len(p.jumps) for p in events)} jumps)")
+    print(f"wrote {out} ({write_event_csv(out, [events])} jumps)")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .kernel import (
     kernel_moment,
 )
 from .pathsim import (
-    EventPath,
+    EventPaths,
     conditional_moments,
     first_jump_times,
     simulate_event,

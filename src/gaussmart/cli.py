@@ -37,6 +37,7 @@ from .generator import Polynomial, generator_check
 from .kernel import kernel_eval, kernel_moment
 from .pathsim import (  # noqa: F401 (simulate_event: perfbench traces cli.simulate_event)
     conditional_moments,
+    event_jump_count,
     first_jump_times,
     simulate_event,
     simulate_events,
@@ -44,13 +45,18 @@ from .pathsim import (  # noqa: F401 (simulate_event: perfbench traces cli.simul
     write_event_csv,
     write_grid_csv,
 )
-from .sampler import STREAM_LAYOUT, path_bundle
+from .sampler import STREAM_LAYOUT, VERIFY_STREAM_BASE, path_bundle
 from .semigroup import brownian_family, calibrate, compound_family, gamma_family, poisson_family
 from .verify import derive_seed, standard_battery, test_jump_times
 
 SCHEMA = "gaussmart/3"
 #: top-level fields of every JSON report and sidecar
 _HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
+#: expected candidate jumps (jumps and one overshoot per path) per block of
+#: event-mode lanes: 1,000 paths of atom 1.5e-4 on [1, 2] took 21-24 / 17-18 /
+#: 20 s at 200 / 271 / 410 MiB peak RSS with 2**19 / 2**20 / 2**21, and 18-19 s
+#: at 562 MiB in one block (2-vCPU VM); smaller blocks pay more loop rounds
+_EVENT_BLOCK_JUMPS = 2**20
 
 
 def _linspace(spec, extra: int = 0) -> np.ndarray:
@@ -252,21 +258,21 @@ def _cmd_simulate(opts: dict) -> int:
         times = opts["grid"]
         values = simulate_grid_ensemble(family, times, seed, n_paths, threads=opts["threads"])
         write_grid_csv(out, times, values)
-        print(
-            f"simulate: {n_paths} grid paths on {times.size} times "
-            f"(seed {seed}) -> {out}"
-        )
-        return 0
-    if opts["mode"] != "event":
+        what = f"grid paths on {times.size} times (seed {seed})"
+    elif opts["mode"] == "event":
+        s0, horizon, x0 = opts["start"], opts["horizon"], opts["x0"]
+        expected = event_jump_count(family, s0, horizon)
+        if not 0 <= n_paths <= VERIFY_STREAM_BASE:  # path streams stay below the verify ones
+            raise DomainError(f"path count must be in [0, 2**63], got {n_paths}")
+        # blocks of whole streams, so the blocking changes no draw
+        lanes = max(1, int(_EVENT_BLOCK_JUMPS / (expected + 1.0)))
+        n_jumps = write_event_csv(out, (simulate_events(
+            family, s0, x0, horizon, path_bundle(seed, min(lanes, n_paths - lo), lo))
+            for lo in range(0, n_paths, lanes)))
+        what = f"event paths on [{s0}, {horizon}] ({n_jumps} jumps, seed {seed})"
+    else:
         raise DomainError(f"bad value for mode: {opts['mode']!r}")
-    s0, horizon, x0 = opts["start"], opts["horizon"], opts["x0"]
-    paths = simulate_events(family, s0, x0, horizon, path_bundle(seed, n_paths))
-    write_event_csv(out, paths)
-    n_jumps = sum(len(p.jumps) for p in paths)
-    print(
-        f"simulate: {n_paths} event paths on [{s0}, {horizon}] "
-        f"({n_jumps} jumps, seed {seed}) -> {out}"
-    )
+    print(f"simulate: {n_paths} {what} -> {out}")
     return 0
 
 

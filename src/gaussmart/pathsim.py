@@ -14,9 +14,9 @@ Two simulation modes:
   with probability ``w_i / nu`` and at time T moves the pre-jump value x to
   ``x + N((e^{-x_i/2}-1) x, T (1 - e^{-x_i}))``.
 
-The joint law of (jump time, jump size) beyond the first jump follows the
-generator reading of the dynamics; multi-jump horizons are cross-validated
-against grid mode distributionally rather than proven here.
+Event mode records every jump in one columnar :class:`EventPaths`; the law
+of the jumps beyond the first follows the generator reading of the dynamics
+and is cross-validated against grid mode in distribution, not proven here.
 
 Every path owns one random stream; ensemble routines assign path k the
 stream ``stream_base + k``, so results are independent of chunking and
@@ -43,46 +43,6 @@ from .semigroup import (
     nu_total,
     require_calibrated,
 )
-
-
-@dataclass(frozen=True)
-class EventPath:
-    """One piecewise-deterministic trajectory with its recorded jumps."""
-
-    start_time: float
-    start_value: float
-    horizon: float
-    jump_times: np.ndarray
-    pre_values: np.ndarray
-    post_values: np.ndarray
-    terminal_value: float
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "pre_values", np.asarray(self.pre_values, dtype=float))
-        object.__setattr__(self, "post_values", np.asarray(self.post_values, dtype=float))
-        if np.any(np.diff(jt) <= 0):
-            raise DomainError("jump times must be strictly increasing")
-        if jt.size and (jt[0] <= self.start_time or jt[-1] > self.horizon):
-            raise DomainError("jump times must lie in (start_time, horizon]")
-
-    @property
-    def jumps(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.jump_times, self.pre_values, self.post_values))
-
-    def validate(self, rtol: float = 1e-12) -> None:
-        """Check the deterministic-flow identities along the path."""
-        t_prev = self.start_time
-        x_prev = self.start_value
-        for t, pre, post in self.jumps:
-            expected = x_prev * math.sqrt(t / t_prev)
-            if abs(pre - expected) > rtol * max(1.0, abs(expected)):
-                raise AssertionError("pre-jump value breaks the sqrt(t/s) flow")
-            t_prev, x_prev = t, post
-        expected = x_prev * math.sqrt(self.horizon / t_prev)
-        if abs(self.terminal_value - expected) > rtol * max(1.0, abs(expected)):
-            raise AssertionError("terminal value breaks the sqrt(t/s) flow")
 
 
 def check_grid_times(times) -> np.ndarray:
@@ -243,6 +203,63 @@ def _require_event_family(family: SubordinatorFamily) -> None:
 EVENT_JUMP_LIMIT = 5000
 
 
+def event_jump_count(family: SubordinatorFamily, s0: float, horizon: float) -> float:
+    """The jumps an event path on [s0, horizon] expects, (nu/2) ln(horizon/s0):
+    a FamilyError unless the family admits events, a DomainError unless
+    0 < s0 < horizon < inf and the count is at most ``EVENT_JUMP_LIMIT``."""
+    _require_event_family(family)
+    if not 0 < s0 < horizon < math.inf:
+        raise DomainError(f"need 0 < s0 < horizon < inf, got s0 = {s0}, horizon = {horizon}")
+    expected = 0.5 * nu_total(family) * (math.log(horizon) - math.log(s0))
+    if not expected <= EVENT_JUMP_LIMIT:
+        raise DomainError(f"an event path on [{s0}, {horizon}] expects (nu/2) ln(horizon/s0) = "
+                          f"{expected:.6g} jumps, more than {EVENT_JUMP_LIMIT}")
+    return expected
+
+
+@dataclass(frozen=True)
+class EventPaths:
+    """Event-driven paths from ``start_time`` to ``horizon`` as columns: per
+    lane ``path_ids`` (its stream id), ``start_values`` and ``terminal_values``;
+    per jump, sorted by lane and then by time, ``lanes`` (the lane's index),
+    ``jump_times``, ``pre_values`` and ``post_values``."""
+
+    start_time: float
+    horizon: float
+    path_ids: np.ndarray
+    start_values: np.ndarray
+    terminal_values: np.ndarray
+    lanes: np.ndarray
+    jump_times: np.ndarray
+    pre_values: np.ndarray
+    post_values: np.ndarray
+
+    @property
+    def jumps(self):
+        """Every jump as a (time, pre-jump value, post-jump value) float triple."""
+        return zip(self.jump_times.tolist(), self.pre_values.tolist(), self.post_values.tolist())
+
+    def validate(self, rtol: float = 1e-12) -> None:
+        """An AssertionError unless the jumps are sorted by lane, each lane's
+        times increase strictly within (start_time, horizon], and its pre-jump
+        and terminal values follow the flow x(u) = x(s) sqrt(u/s)."""
+        lanes, t, n = self.lanes, self.jump_times, self.path_ids.size
+        first = np.diff(lanes, prepend=-1) != 0
+        last = np.diff(lanes, append=n) != 0
+        t_prev = np.where(first, self.start_time, np.roll(t, 1))
+        if np.any(np.diff(lanes) < 0) or not np.all((t_prev < t) & (t <= self.horizon)):
+            raise AssertionError("jumps must be sorted by lane, then by time in (start, horizon]")
+        x_prev = np.where(first, self.start_values[lanes], np.roll(self.post_values, 1))
+        t_end, x_end = np.full(n, float(self.start_time)), self.start_values.copy()
+        t_end[lanes[last]], x_end[lanes[last]] = t[last], self.post_values[last]
+        for name, got, want in (
+            ("pre-jump", self.pre_values, x_prev * np.sqrt(t / t_prev)),
+            ("terminal", self.terminal_values, x_end * np.sqrt(self.horizon / t_end)),
+        ):
+            if not np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want))):
+                raise AssertionError(f"a {name} value breaks the sqrt(t/s) flow")
+
+
 def first_jump_times(family: SubordinatorFamily, s0: float, bundle: StreamBundle) -> np.ndarray:
     """Exact draws of the first jump time after s0 (power-law survival), one
     per lane; an OverflowError when a draw is past the largest float."""
@@ -256,26 +273,23 @@ def first_jump_times(family: SubordinatorFamily, s0: float, bundle: StreamBundle
     return times
 
 
-def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, record: bool):
-    """One event-driven path per lane; returns (jump time, value) after the last jump.
+def simulate_events(
+    family: SubordinatorFamily,
+    s0: float,
+    x0,
+    horizon: float,
+    bundle: StreamBundle,
+) -> EventPaths:
+    """One event-driven path per lane from (s0, x0) up to the horizon.
 
     All paths share one site, and each lane's candidate jump j is its
     attempt j: word 0 of the block gives the waiting time (open interval,
     so the next jump is strictly after the current time), word 1 the jump
     normal and word 2 the atom.  The block of the first candidate beyond
-    the horizon is consumed as well.  With ``record`` the jumps come back
-    too, as arrays (lane, time, pre-value, post-value) in time order per
-    lane.  A path that expects more than ``EVENT_JUMP_LIMIT`` jumps is
-    refused before any draw.
+    the horizon is consumed as well.
     """
-    _require_event_family(family)
-    if not 0 < s0 < horizon < math.inf:
-        raise DomainError(f"need 0 < s0 < horizon < inf, got s0 = {s0}, horizon = {horizon}")
+    event_jump_count(family, s0, horizon)
     nu = nu_total(family)
-    expected = 0.5 * nu * (math.log(horizon) - math.log(s0))
-    if not expected <= EVENT_JUMP_LIMIT:
-        raise DomainError(f"an event path on [{s0}, {horizon}] expects (nu/2) ln(horizon/s0) = "
-                          f"{expected:.6g} jumps, more than {EVENT_JUMP_LIMIT}")
     # scalar libm factors, not numpy's vector exp, which may round another
     # way: they keep unit-atom event paths bit-identical to schema 2
     mean_factor = np.array([math.exp(-0.5 * x) - 1.0 for x, _ in family.atoms])
@@ -283,12 +297,12 @@ def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, rec
     atom_edges = np.cumsum([w for _, w in family.atoms])[:-1] / nu
     n = len(bundle)
     t = np.full(n, float(s0))
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy()
-    live = np.ones(n, dtype=bool)
+    start = np.broadcast_to(np.asarray(x0, dtype=float), (n,)).copy()
+    x = start.copy()
+    idx = np.arange(n)  # the lanes still live: each jumped in every round so far
     rounds = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
     bundle.new_site()
-    while np.any(live):
-        idx = np.nonzero(live)[0]
+    while idx.size:
         uu = bundle.uniforms(3, idx)
         # a candidate past the largest float lies beyond every finite
         # horizon, so its overflow to inf ends the path as it should
@@ -305,40 +319,12 @@ def _run_events(family, s0: float, x0, horizon: float, bundle: StreamBundle, rec
             ) * ndtri(uu[1][jumped])
             x[ji] = x_pre + z
             t[ji] = tj
-            if record:
-                rounds.append((ji, tj, x_pre, x[ji]))
-        live[idx[~jumped]] = False
-    if not record:
-        return t, x, None
+            rounds.append((ji, tj, x_pre, x[ji]))
+        idx = ji
     columns = [np.concatenate(col) for col in zip(*rounds)]
     order = np.argsort(columns[0], kind="stable")
-    return t, x, tuple(col[order] for col in columns)
-
-
-def simulate_events(
-    family: SubordinatorFamily,
-    s0: float,
-    x0,
-    horizon: float,
-    bundle: StreamBundle,
-) -> list[EventPath]:
-    """One event-driven path per lane from (s0, x0) up to the horizon, with its jumps."""
-    t, x, (lanes, times, pre, post) = _run_events(family, s0, x0, horizon, bundle, True)
-    starts = np.broadcast_to(np.asarray(x0, dtype=float), (len(bundle),))
-    cuts = np.searchsorted(lanes, np.arange(len(bundle) + 1))
-    terminal = x * np.sqrt(horizon / t)
-    return [
-        EventPath(
-            start_time=s0,
-            start_value=float(starts[k]),
-            horizon=horizon,
-            jump_times=times[lo:hi],
-            pre_values=pre[lo:hi],
-            post_values=post[lo:hi],
-            terminal_value=float(terminal[k]),
-        )
-        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
-    ]
+    return EventPaths(float(s0), float(horizon), bundle.stream_ids, start,
+                      x * np.sqrt(horizon / t), *(col[order] for col in columns))
 
 
 def simulate_event(
@@ -347,15 +333,11 @@ def simulate_event(
     x0: float,
     horizon: float,
     bundle: StreamBundle,
-) -> EventPath:
-    """Simulate one event-driven path from (s0, x0) up to the horizon.
-
-    The case of :func:`simulate_events` for a one-lane bundle, so it agrees
-    lane for lane with :func:`simulate_event_terminals`.
-    """
+) -> EventPaths:
+    """:func:`simulate_events` for a one-lane bundle."""
     if len(bundle) != 1:
         raise DomainError(f"need a one-lane bundle, got {len(bundle)} lanes")
-    return simulate_events(family, s0, x0, horizon, bundle)[0]
+    return simulate_events(family, s0, x0, horizon, bundle)
 
 
 def simulate_event_terminals(
@@ -366,8 +348,7 @@ def simulate_event_terminals(
     bundle: StreamBundle,
 ) -> np.ndarray:
     """Terminal values at the horizon for one event-driven path per lane."""
-    t, x, _ = _run_events(family, s0, x0, horizon, bundle, False)
-    return x * np.sqrt(horizon / t)
+    return simulate_events(family, s0, x0, horizon, bundle).terminal_values
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +373,23 @@ def write_grid_csv(path, times, values) -> None:
             fh.write(pid + f"\n{pid}".join(map(add, cells, map(repr, row.tolist()))) + "\n")
 
 
-def write_event_csv(path, paths: list[EventPath]) -> None:
-    """Rows ``path_id,event_index,time,pre_value,post_value`` (jumps only)."""
+#: event rows made into text at once (1M jumps: 33 MiB peak, 281 MiB all at once)
+_CSV_ROWS = 2**16
+
+
+def write_event_csv(path, records) -> int:
+    """Rows ``path_id,event_index,time,pre_value,post_value``, one per jump of
+    each :class:`EventPaths` in ``records`` (``path_id`` is the lane's stream
+    id), made into text ``_CSV_ROWS`` at a time; returns the row count."""
+    rows = 0
     with open(path, "w", encoding="ascii") as fh:
         fh.write("path_id,event_index,time,pre_value,post_value\n")
-        for i, p in enumerate(paths):
-            for j, (t, pre, post) in enumerate(p.jumps):
-                fh.write(f"{i},{j},{float(t)!r},{float(pre)!r},{float(post)!r}\n")
+        for rec in records:
+            lanes = rec.lanes
+            index = np.arange(lanes.size) - np.searchsorted(lanes, lanes)
+            cols = (rec.path_ids[lanes], index, rec.jump_times, rec.pre_values, rec.post_values)
+            for lo in range(0, lanes.size, _CSV_ROWS):
+                fh.write("".join([f"{i},{j},{t!r},{a!r},{b!r}\n" for i, j, t, a, b
+                                  in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in cols))]))
+            rows += lanes.size
+    return rows

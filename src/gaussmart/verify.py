@@ -528,7 +528,7 @@ EXPERIMENTS = (
                (100_000, 200_000),
                lambda family, bundle: bundle.uniforms(1)[0] ** (-2.0 / nu_total(family)),
                lambda times, family, seed: [test_jump_times(times, 1.0, family, seed=seed)]),
-    _mode_row(1.0, 2.0, (10_000, 220_000)),
+    _mode_row(1.0, 2.0, (10_000, 300_000)),
 )
 
 #: In the battery a row's arrays live until it returns or a row here takes

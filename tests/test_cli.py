@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +46,38 @@ class TestSimulate:
         assert execute(base + [str(one), "--threads", "1"]) == 0
         assert execute(base + [str(four), "--threads", "4"]) == 0
         assert one.read_bytes() == four.read_bytes()
+
+    def test_event_blocks_do_not_change_output(self, tmp_path, monkeypatch):
+        # one block of every lane against one lane per block: lanes are whole
+        # streams, so the blocks change no draw and no byte
+        base = ["simulate", "--family", "compound", "--atoms", "0.5:1,2:0.25", "--mode",
+                "event", "--paths", "200", "--start", "1", "--horizon", "40", "--seed", "3",
+                "--out"]
+        whole = tmp_path / "whole.csv"
+        single = tmp_path / "single.csv"
+        assert execute(base + [str(whole)]) == 0
+        monkeypatch.setattr(cli, "_EVENT_BLOCK_JUMPS", 1)
+        assert execute(base + [str(single)]) == 0
+        assert whole.read_bytes() == single.read_bytes()
+        ids = [int(row.split(",")[0]) for row in whole.read_text().splitlines()[1:]]
+        assert ids == sorted(ids)
+        assert max(ids.count(k) for k in set(ids)) >= 5  # paths of several jumps
+
+    def test_event_memory_flat_in_path_count(self, tmp_path, monkeypatch):
+        # blocks of about 300 lanes: 5,000 paths peak near where 500 do, where
+        # one block of every lane peaks about 8x higher (0.4 -> 3.5 MiB)
+        monkeypatch.setattr(cli, "_EVENT_BLOCK_JUMPS", 1024)
+        peaks = []
+        for n in (500, 5000):
+            tracemalloc.start()
+            try:
+                assert execute(["simulate", "--family", "compound", "--atoms", "0.5:1,2:0.25",
+                                "--mode", "event", "--paths", str(n), "--start", "1",
+                                "--horizon", "4", "--out", str(tmp_path / "ev.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     def test_event_mode(self, tmp_path):
         out = tmp_path / "ev.csv"
@@ -256,6 +289,7 @@ class TestNonFiniteInputs:
             ["simulate", "--mode", "event", "--x0", "nan"],
             ["simulate", "--mode", "event", "--start", "inf"],
             ["simulate", "--mode", "event", "--paths", "-3"],
+            ["simulate", "--mode", "event", "--paths", str(2**63 + 1)],  # past the path streams
             ["simulate", "--paths", "-3"],
             ["simulate", "--grid", "0:inf:4"],
             ["kernel", "--s", "nan"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -210,15 +211,15 @@ class TestEventMode:
         path = simulate_event(poisson_fam, 1.0, 0.4, 6.0, RandomStream(19, 0))
         path.validate()
         assert path.start_time == 1.0 and path.horizon == 6.0
-        if len(path.jumps):
-            times = path.jump_times
-            assert np.all((times > 1.0) & (times <= 6.0))
+        assert path.path_ids.tolist() == [0] and np.all(path.lanes == 0)
+        times = path.jump_times
+        assert np.all((times > 1.0) & (times <= 6.0))
 
     def test_drift_identity_between_jumps(self, poisson_fam):
         # value(u2-)/value(u1+) == sqrt(u2/u1) exactly along each segment
         for k in range(20):
             path = simulate_event(poisson_fam, 1.0, 1.0, 8.0, RandomStream(20, k))
-            t_prev, x_prev = path.start_time, path.start_value
+            t_prev, x_prev = path.start_time, path.start_values[0]
             for t, pre, post in path.jumps:
                 if x_prev != 0.0:
                     assert pre / x_prev == pytest.approx(
@@ -232,23 +233,16 @@ class TestEventMode:
         )
         for k in range(50):
             p = simulate_event(poisson_fam, 1.0, 0.5, 2.0, RandomStream(21, k))
-            assert p.terminal_value == terms[k]
+            assert p.terminal_values.tolist() == [terms[k]]
 
     def test_post_jump_value_moments_from_zero_start(self, poisson_fam):
         # starting at x0 = 0: first-jump post value has mean 0 and variance
         # E[T] (1 - e^{-1}) restricted to jumps inside the horizon
         horizon = 50.0
-        bundle = StreamBundle(22, np.arange(200_000))
-        terms = []
-        jumps_t, jumps_v = [], []
-        for k in range(2000):
-            p = simulate_event(poisson_fam, 1.0, 0.0, horizon, RandomStream(22, k))
-            if len(p.jumps):
-                t0, _, post0 = p.jumps[0]
-                jumps_t.append(t0)
-                jumps_v.append(post0)
-        jumps_t = np.array(jumps_t)
-        jumps_v = np.array(jumps_v)
+        paths = simulate_events(poisson_fam, 1.0, 0.0, horizon, path_bundle(22, 2000))
+        first = np.diff(paths.lanes, prepend=-1) != 0  # each lane's first jump
+        jumps_t = paths.jump_times[first]
+        jumps_v = paths.post_values[first]
         assert abs(jumps_v.mean()) < 4.0 * jumps_v.std() / math.sqrt(jumps_v.size)
         # conditional variance given T: T (1 - e^{-1})
         ratio = jumps_v**2 / (jumps_t * -math.expm1(-1.0))
@@ -257,11 +251,14 @@ class TestEventMode:
 
     def test_batch_matches_single_paths(self, poisson_fam):
         paths = simulate_events(poisson_fam, 1.0, 0.5, 4.0, path_bundle(24, 40))
-        for k, p in enumerate(paths):
+        assert paths.path_ids.tolist() == list(range(40))
+        for k in range(40):
             q = simulate_event(poisson_fam, 1.0, 0.5, 4.0, RandomStream(24, k))
-            assert np.array_equal(p.jump_times, q.jump_times)
-            assert np.array_equal(p.post_values, q.post_values)
-            assert p.terminal_value == q.terminal_value
+            mine = paths.lanes == k
+            assert np.array_equal(paths.jump_times[mine], q.jump_times)
+            assert np.array_equal(paths.pre_values[mine], q.pre_values)
+            assert np.array_equal(paths.post_values[mine], q.post_values)
+            assert paths.terminal_values[k] == q.terminal_values[0]
 
     @pytest.mark.parametrize("kind", ["poisson", "compound"])
     def test_first_jump_times_match_event_paths(self, kind, poisson_fam, compound_fam):
@@ -271,10 +268,10 @@ class TestEventMode:
         s0, horizon = 1.5, 4.0
         t = first_jump_times(fam, s0, path_bundle(28, 2000))
         paths = simulate_events(fam, s0, 0.3, horizon, path_bundle(28, 2000))
-        jumped = np.array([p.jump_times.size > 0 for p in paths])
+        jumped = np.bincount(paths.lanes, minlength=2000) > 0
         assert np.array_equal(jumped, t <= horizon)
         assert 0 < jumped.sum() < jumped.size
-        first = np.array([p.jump_times[0] for p in paths if p.jump_times.size])
+        first = paths.jump_times[np.diff(paths.lanes, prepend=-1) != 0]
         assert np.array_equal(first, t[jumped])
 
     def test_non_poisson_rejected(self, gamma_fam, brownian_fam):
@@ -326,9 +323,9 @@ class TestEventMode:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             paths = simulate_events(poisson_fam, 1.0, 0.3, 1e308, path_bundle(5, 20))
-        for p in paths:
-            p.validate()
-            assert 0 < p.jump_times.size and p.jump_times[-1] <= 1e308
+            paths.validate()
+        assert np.all(np.bincount(paths.lanes, minlength=20) > 0)
+        assert paths.jump_times.max() <= 1e308
 
     def test_first_jump_time_overflow_raises(self, poisson_fam):
         # s0 u^(-2/nu) passes the largest float for u below about 0.8
@@ -346,13 +343,15 @@ class TestCompoundEventMode:
         for k in range(200):
             p = simulate_event(compound_fam, 1.0, 0.5, 3.0, RandomStream(25, k))
             p.validate()
-            assert p.terminal_value == terms[k]
+            assert p.terminal_values.tolist() == [terms[k]]
 
     def test_both_atoms_jump_with_their_laws(self, compound_fam):
         # from x0 = 0 the first post-jump value is N(0, T (1 - e^{-x_i})):
         # the two atoms leave distinct variance ratios, mixed by weight
         paths = simulate_events(compound_fam, 1.0, 0.0, 1e9, path_bundle(26, 20_000))
-        ratio = np.array([p.post_values[0] ** 2 / p.jump_times[0] for p in paths])
+        first = np.diff(paths.lanes, prepend=-1) != 0
+        assert first.sum() == 20_000  # every path jumps before 1e9
+        ratio = paths.post_values[first] ** 2 / paths.jump_times[first]
         (x1, w1), (x2, w2) = compound_fam.atoms
         nu = w1 + w2
         want = (w1 * -math.expm1(-x1) + w2 * -math.expm1(-x2)) / nu
@@ -363,6 +362,81 @@ class TestCompoundEventMode:
         t = first_jump_times(compound_fam, 1.0, path_bundle(27, 100_000))
         target = 2.0 ** (2.0 / nu_total(compound_fam))
         assert abs(np.median(t) - target) < 0.01 * target
+
+
+def _tampered(record, field, index, factor=None, value=None):
+    """The record with one entry of column ``field`` scaled or replaced."""
+    col = getattr(record, field).copy()
+    col[index] = col[index] * factor if value is None else value
+    return dataclasses.replace(record, **{field: col})
+
+
+class TestEventRecord:
+    """``EventPaths.validate`` checks every lane from its own start: the last
+    jump of one lane never stands in for the start of the next."""
+
+    @pytest.fixture
+    def record(self, compound_fam):
+        rec = simulate_events(compound_fam, 1.0, 0.3, 6.0, path_bundle(29, 60))
+        counts = np.bincount(rec.lanes, minlength=60)
+        # jumpless lanes and lanes of several jumps, and times that fall
+        # from one lane to the next
+        assert counts.min() == 0 and counts.max() >= 3
+        assert np.any(np.diff(rec.jump_times) < 0)
+        rec.validate()
+        return rec
+
+    @staticmethod
+    def _boundaries(rec):
+        """Indices of the first and the last jump of every lane that jumps."""
+        first = np.flatnonzero(np.diff(rec.lanes, prepend=-1) != 0)
+        last = np.flatnonzero(np.diff(rec.lanes, append=rec.path_ids.size) != 0)
+        return first, last
+
+    def test_tampered_pre_jump_value_refused(self, record):
+        first, last = self._boundaries(record)
+        # a lane's first jump (flow from the lane's start), the jump before
+        # it (the previous lane's last) and a jump inside a lane
+        inner = np.setdiff1d(np.arange(record.lanes.size), np.concatenate([first, last]))
+        for i in (first[1], first[1] - 1, inner[0]):
+            with pytest.raises(AssertionError, match="pre-jump value"):
+                _tampered(record, "pre_values", i, factor=1 + 1e-9).validate()
+
+    def test_terminal_off_the_flow_refused(self, record):
+        counts = np.bincount(record.lanes, minlength=record.path_ids.size)
+        for lane in (np.argmin(counts), np.argmax(counts)):  # no jump, several
+            with pytest.raises(AssertionError, match="terminal value"):
+                _tampered(record, "terminal_values", lane, factor=1 + 1e-9).validate()
+        # a changed post-jump value moves the terminal value of its lane only
+        _, last = self._boundaries(record)
+        with pytest.raises(AssertionError, match="terminal value"):
+            _tampered(record, "post_values", last[0], factor=1 + 1e-9).validate()
+
+    def test_non_increasing_time_within_a_lane_refused(self, record):
+        first, last = self._boundaries(record)
+        i = first[np.argmax(last - first)]  # the first jump of the longest lane
+        times = record.jump_times
+        for index, value in ((i + 1, times[i]), (i + 1, times[i] * 0.999),
+                             (i, record.start_time)):
+            with pytest.raises(AssertionError, match="by time"):
+                _tampered(record, "jump_times", index, value=value).validate()
+
+    def test_time_past_the_horizon_refused(self, record):
+        _, last = self._boundaries(record)
+        past = math.nextafter(record.horizon, math.inf)
+        with pytest.raises(AssertionError, match=r"\(start, horizon\]"):
+            _tampered(record, "jump_times", last[-1], value=past).validate()
+
+    def test_lanes_out_of_order_refused(self, record):
+        with pytest.raises(AssertionError, match="sorted by lane"):
+            dataclasses.replace(record, lanes=record.lanes[::-1].copy()).validate()
+
+    def test_jumps_are_float_triples_in_record_order(self, record):
+        jumps = list(record.jumps)
+        assert len(jumps) == record.lanes.size
+        assert all(type(v) is float for jump in jumps for v in jump)
+        assert np.array_equal(np.array(jumps).T, np.stack(
+            [record.jump_times, record.pre_values, record.post_values]))
 
 
 class TestMartingaleStep:
@@ -422,11 +496,16 @@ class TestCsv:
             for k in range(5)
         ]
         out = tmp_path / "events.csv"
-        write_event_csv(out, paths)
+        n_jumps = sum(p.jump_times.size for p in paths)
+        assert write_event_csv(out, paths) == n_jumps
         lines = out.read_text().splitlines()
         assert lines[0] == "path_id,event_index,time,pre_value,post_value"
-        n_jumps = sum(len(p.jumps) for p in paths)
         assert len(lines) == 1 + n_jumps
+        # path ids are stream ids; event indices count each path's jumps
+        want = [(k, j, *jump) for k, p in enumerate(paths) for j, jump in enumerate(p.jumps)]
+        rows = [line.split(",") for line in lines[1:]]
+        got = [(int(r[0]), int(r[1]), *map(float, r[2:])) for r in rows]
+        assert got == want
 
     @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
     def test_grid_bytes_match_reference(self, tmp_path, kind, poisson_fam, gamma_fam,

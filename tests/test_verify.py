@@ -481,7 +481,7 @@ class TestPinnedReports:
         "compound_fam": "ef586db28da29dca7b6f93e3fc73fe496438d82fa41d886596e423ed2b795df1",
         "brownian_fam": "17ed30f057a977ab3f647e8ac77d8b563f0d9af75fde3ec80bec167e1261eaaa",
     }
-    NULL = "404717d96f3e7cc96f6759b50c2de78fbe24cf52098580e3c7df283aa8abb514"
+    NULL = "8e61c04f880be96fb38374b70eb68e169602d1d64705dbdd98e30b5e582d5ec7"
 
     @pytest.mark.parametrize("fam_name", sorted(BATTERY))
     def test_battery_reports(self, request, fam_name):
@@ -529,3 +529,15 @@ def test_gates_are_looked_up_when_called(monkeypatch, compound_fam):
     counts = null_calibration(seed=3, reps=1)
     assert calls == [derive_seed(3, "pairs"), derive_seed(3, "null-0")]
     assert list(counts) == [r.test_name for r in reports] + ["repetitions"]
+
+
+def test_reference_streams_do_not_overlap():
+    # each row's exact reference reads verify streams of its own: rows that
+    # shared streams would hand the null calibration dependent draws
+    from gaussmart.verify import EXPERIMENTS
+
+    spans = sorted((offset, offset + lanes, row.tag)
+                   for row in EXPERIMENTS for lanes, offset in [row.streams] if lanes)
+    assert len(spans) == 5  # every row but qv, whose paths use ordinary streams
+    for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+        assert end <= start, f"rows {a} and {b} share verify streams"
