@@ -254,16 +254,24 @@ def _write_json(path: str | None, payload: dict) -> None:
 def _cmd_simulate(opts: dict) -> int:
     family = _family(opts)
     seed, n_paths, out = opts["seed"], opts["paths"], opts["out"]
+    if not 0 <= n_paths <= VERIFY_STREAM_BASE:  # path streams stay below the verify ones
+        raise DomainError(f"path count must be in [0, 2**63], got {n_paths}")
     if opts["mode"] == "grid":
         times = opts["grid"]
-        values = simulate_grid_ensemble(family, times, seed, n_paths, threads=opts["threads"])
+        nbytes = n_paths * times.size * 8
+        try:
+            if nbytes > sys.maxsize:  # numpy cannot even describe the array
+                raise MemoryError
+            values = simulate_grid_ensemble(family, times, seed, n_paths, threads=opts["threads"])
+        except MemoryError:
+            raise DomainError(f"--paths {n_paths} on {times.size} grid times needs "
+                              f"{nbytes / 2**30:.3g} GiB of memory, more than is available; "
+                              "lower --paths") from None
         write_grid_csv(out, times, values)
         what = f"grid paths on {times.size} times (seed {seed})"
     elif opts["mode"] == "event":
         s0, horizon, x0 = opts["start"], opts["horizon"], opts["x0"]
         expected = event_jump_count(family, s0, horizon)
-        if not 0 <= n_paths <= VERIFY_STREAM_BASE:  # path streams stay below the verify ones
-            raise DomainError(f"path count must be in [0, 2**63], got {n_paths}")
         # blocks of whole streams, so the blocking changes no draw
         lanes = max(1, int(_EVENT_BLOCK_JUMPS / (expected + 1.0)))
         n_jumps = write_event_csv(out, (simulate_events(

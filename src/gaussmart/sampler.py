@@ -14,10 +14,12 @@ uses key ``(seed, 0)`` and counter ``(stream_id + 1, site, attempt, 0)``:
 
 Every draw is therefore a pure function of ``(seed, stream_id, site,
 attempt)``, and ensemble output does not depend on how paths are chunked
-across threads.  numpy's C Philox produces every block: the first block of
-every lane at a site is one call over the contiguous lane range, and sparse
-retries are one call per run of nearby ids.  :class:`StreamBundle` is the
-one stream type; a single path is a one-lane bundle.
+across threads.  numpy's C Philox produces every block, from one reused
+generator per thread: the first block of every lane at a site is one call
+over the contiguous lane range, and sparse retries are one call per run of
+nearby ids, with no sort when the ids ascend under one attempt.
+:class:`StreamBundle` is the one stream type; a single path is a one-lane
+bundle.
 
 Stream assignment policy
 ------------------------
@@ -48,6 +50,8 @@ lane's draw count never perturbs any other lane.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy.special import gammaln, ndtri
 
@@ -60,13 +64,17 @@ VERIFY_STREAM_BASE = 2**63
 STREAM_LAYOUT = 2
 
 _MAX_STREAM_ID = 2**64 - 2
-#: ids further apart than this start a new numpy call: one call costs about
-#: as much as generating 500 unneeded blocks (11.5 us per call vs ~23 ns per
-#: block, measured on a 2-vCPU VM)
+#: ids further apart than this start a new numpy call.  A run costs about
+#: 3.3 us (setting the thread's generator, the call and its gather) against
+#: ~20 ns per block, so a call breaks even near a gap of 170 blocks; the gap
+#: stays at 500, where it was set when a call cost 11.5 us, because a gap of
+#: 100 made the gamma battery slower (measured on a 2-vCPU VM)
 _RUN_GAP = 500
 #: largest Poisson mean drawn: every count PTRS accepts below it fits int64
 POISSON_MEAN_LIMIT = 2.0**62
 _INV53 = float(2.0**-53)
+#: each thread's reused numpy Philox: see :func:`_numpy_blocks`
+_THREAD = threading.local()
 
 
 def _numpy_blocks(key, first_id, site, attempt, n: int) -> np.ndarray:
@@ -74,42 +82,61 @@ def _numpy_blocks(key, first_id, site, attempt, n: int) -> np.ndarray:
 
     numpy's C Philox advances its counter before each block, so it starts
     from ``(first_id, site, attempt, 0)`` to emit id ``first_id`` first.
+    Each thread keeps one generator and sets its key, counter and empty
+    buffer per call, which is a quarter of the cost of building a new one.
     """
-    counter = np.array([first_id, site, attempt, 0], dtype=np.uint64)
-    return np.random.Philox(key=key, counter=counter).random_raw(4 * n).reshape(n, 4)
+    gen = getattr(_THREAD, "philox", None)
+    if gen is None:
+        gen = _THREAD.philox = np.random.Philox(0)
+    gen.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0,
+                 "state": {"counter": (first_id, site, attempt, 0), "key": key}}
+    return gen.random_raw(4 * n).reshape(n, 4)
 
 
 def philox_block(seed, stream_ids, site, attempt) -> np.ndarray:
     """The block at counter ``(stream_id + 1, site, attempt, 0)`` for each id.
 
     Key ``(seed, 0)``; returns shape (4, n).  ``attempt`` is a scalar or one
-    value per id.  An ascending run of consecutive ids sharing one attempt
-    is a single call to numpy's C Philox.  Any other request is grouped by
-    attempt, its ids sorted and cut wherever neighbours are more than
-    ``_RUN_GAP`` apart, and each piece is one numpy call over its span, of
-    which the requested blocks are gathered.
+    value per id.  The request is cut into runs of strictly ascending ids
+    sharing one attempt, with neighbours at most ``_RUN_GAP`` apart; each
+    run is one numpy call over its span, of which the requested blocks are
+    gathered.  A request with mixed attempts or descending ids is first
+    sorted by attempt and id; an ascending one with a single attempt needs
+    no sort, and a run of consecutive ids needs no gather.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
     att = np.asarray(attempt, dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
+    key = (int(seed), 0)
     n = ids.shape[0]
     if n == 0:
         return np.empty((4, 0), dtype=np.uint64)
     if att.ndim and att.min() == att.max():
         att = att[0]
-    if att.ndim == 0 and np.all(np.diff(ids) == 1):
-        return _numpy_blocks(key, ids[0], site, att, n).T
-    out = np.empty((4, n), dtype=np.uint64)
-    att = np.broadcast_to(att, ids.shape)
-    for a in np.unique(att):
-        lanes = np.flatnonzero(att == a)
-        lanes = lanes[np.argsort(ids[lanes], kind="stable")]
-        run_ids = ids[lanes]
-        cuts = np.flatnonzero(np.diff(run_ids) > _RUN_GAP) + 1
-        for sel, rid in zip(np.split(lanes, cuts), np.split(run_ids, cuts)):
-            offset = (rid - rid[0]).astype(np.intp)
-            out[:, sel] = _numpy_blocks(key, rid[0], site, a, int(offset[-1]) + 1)[offset].T
-    return out
+    order = None
+    if att.ndim:
+        order = np.lexsort((ids, att))
+        ids, att = ids[order], att[order]
+    elif (ids[1:] < ids[:-1]).any():
+        order = ids.argsort(kind="stable")
+        ids = ids[order]
+    # gap - 1 wraps a repeated id's zero gap to 2**64 - 1, so every run is
+    # strictly ascending, and its ids are consecutive exactly when their
+    # count equals its span
+    cut = ids[1:] - ids[:-1] - np.uint64(1) >= _RUN_GAP
+    if att.ndim:
+        cut |= att[1:] != att[:-1]
+    bounds = [0, *(cut.nonzero()[0] + 1).tolist(), n]
+    rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first = ids[lo]
+        span = int(ids[hi - 1] - first) + 1
+        blocks = _numpy_blocks(key, int(first), site, int(att[lo] if att.ndim else att), span)
+        rows.append(blocks if span == hi - lo else blocks[ids[lo:hi] - first])
+    out = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    if order is not None:
+        out[order] = out.copy()
+    return out.T
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:

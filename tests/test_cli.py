@@ -291,6 +291,7 @@ class TestNonFiniteInputs:
             ["simulate", "--mode", "event", "--paths", "-3"],
             ["simulate", "--mode", "event", "--paths", str(2**63 + 1)],  # past the path streams
             ["simulate", "--paths", "-3"],
+            ["simulate", "--paths", str(2**63 + 1)],  # grid mode: past the path streams too
             ["simulate", "--grid", "0:inf:4"],
             ["kernel", "--s", "nan"],
             ["kernel", "--t", "inf"],
@@ -314,6 +315,17 @@ class TestNonFiniteInputs:
         assert execute(argv + [a for i, flag in enumerate(out)
                                for a in (flag, str(tmp_path / f"out{i}"))]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("paths", [10**13, 2**62, 10**20])
+    def test_grid_paths_beyond_memory_exit_two(self, tmp_path, capsys, paths):
+        # 10**13 paths fail to allocate, 2**62 exceed what numpy can
+        # address, 10**20 lie past the path streams: each is a usage error
+        # with no traceback and no CSV
+        assert execute(["simulate", "--paths", str(paths), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("--paths" if paths < 2**63 else "2**63") in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"paths": 1e400}'])

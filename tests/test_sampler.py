@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from gaussmart import (
     sample_subordinator_increment,
     verify_bundle,
 )
+from gaussmart import sampler
 from gaussmart.sampler import (
     POISSON_MEAN_LIMIT,
     VERIFY_STREAM_BASE,
+    _RUN_GAP,
     _poisson_table_inversion,
     gamma_draw,
     philox_block,
@@ -32,6 +36,14 @@ def _numpy_blocks(seed, first_id, site, attempt, n):
     key = np.array([seed, 0], dtype=np.uint64)
     counter = np.array([first_id, site, attempt, 0], dtype=np.uint64)
     return np.random.Philox(key=key, counter=counter).random_raw(4 * n).reshape(n, 4).T
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """The first id of every numpy call that philox_block makes."""
+    calls, numpy_blocks = [], sampler._numpy_blocks
+    monkeypatch.setattr(sampler, "_numpy_blocks", lambda *a: calls.append(a[1]) or numpy_blocks(*a))
+    return calls
 
 
 class TestPhiloxCore:
@@ -101,6 +113,57 @@ class TestPhiloxCore:
             att = np.broadcast_to(attempt, ids.shape)
             for col, (i, a) in enumerate(zip(ids, att)):
                 assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, a, 1)[:, 0])
+
+    @pytest.mark.parametrize("attempt", [2, np.full(5, 2, dtype=np.uint64)], ids=["scalar", "array"])
+    def test_runs_cut_past_the_run_gap(self, numpy_calls, attempt):
+        # neighbours exactly _RUN_GAP apart share a numpy call, one more
+        # apart start a new one; every block still matches a fresh generator
+        steps = [_RUN_GAP, _RUN_GAP + 1, _RUN_GAP, _RUN_GAP + 1]
+        ids = np.cumsum([2**63 + 3] + steps, dtype=np.uint64)
+        got = philox_block(8, ids, 4, attempt)
+        assert numpy_calls == [int(ids[0]), int(ids[2]), int(ids[4])]
+        for col, i in enumerate(ids):
+            assert np.array_equal(got[:, col], _numpy_blocks(8, i, 4, 2, 1)[:, 0])
+
+    def test_descending_request_sorted_into_one_run(self, numpy_calls):
+        ids = np.arange(40, 0, -3, dtype=np.uint64)
+        got = philox_block(8, ids, 4, 1)
+        assert numpy_calls == [int(ids[-1])]
+        for col, i in enumerate(ids):
+            assert np.array_equal(got[:, col], _numpy_blocks(8, i, 4, 1, 1)[:, 0])
+
+    def test_threads_interleaving_keep_their_own_generator(self):
+        # more threads than cores request blocks of other seeds and sites in
+        # lockstep, switching as often as the interpreter allows: had they
+        # shared one generator, a key or counter set by one would leak into
+        # another's blocks
+        rounds, seeds = 100, (1, 2, 3, 4)
+        barrier = threading.Barrier(len(seeds), timeout=10)
+        ids = np.array([1, 4, 5, 600, 2**63, 2**63 + 2], dtype=np.uint64)
+        got = {seed: [] for seed in seeds}
+
+        def work(seed):
+            for site in range(rounds):
+                barrier.wait()
+                got[seed].append(philox_block(seed, ids, site + seed, site % 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for seed, blocks in got.items():
+            assert len(blocks) == rounds
+            for site, block in enumerate(blocks):
+                for col, i in enumerate(ids):
+                    ref = _numpy_blocks(seed, i, site + seed, site % 3, 1)[:, 0]
+                    assert np.array_equal(block[:, col], ref)
 
     def test_empty_request(self):
         assert philox_block(1, np.array([], dtype=np.uint64), 1, 0).shape == (4, 0)

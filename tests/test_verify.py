@@ -31,7 +31,7 @@ from gaussmart.verify import test_mode_agreement as check_mode_agreement
 from gaussmart.verify import test_quadratic_variation as check_quadratic_variation
 from gaussmart.pathsim import simulate_event_terminals
 from gaussmart.sampler import sample_subordinator_increment
-from gaussmart.verify import derive_seed
+from gaussmart.verify import _KURTOSIS_BOOT, _KURTOSIS_MIN_BIN, derive_seed
 
 
 def brownian_pairs(seed, n, s, t):
@@ -131,6 +131,18 @@ class TestCrossMoment:
         assert s * s + 2.0 * s ** (1 + d) * s ** (1 - d) == pytest.approx(3.0 * s * s)
 
 
+def _raised_bootstrap(sel, seed):
+    """Reference kurtosis and bootstrap SE: each resample raises its own
+    draw to the second and fourth powers."""
+    kurt = float(np.mean(sel**4) / np.mean(sel**2) ** 2)
+    bundle = verify_bundle(derive_seed(seed if seed is not None else 0, "kurtosis-bootstrap"), sel.size)
+    boot = np.empty(_KURTOSIS_BOOT)
+    for bi in range(_KURTOSIS_BOOT):
+        draw = sel[np.minimum((bundle.uniforms(1)[0] * sel.size).astype(int), sel.size - 1)]
+        boot[bi] = np.mean(draw**4) / np.mean(draw**2) ** 2
+    return kurt, float(boot.std(ddof=1))
+
+
 class TestConditionalKurtosis:
     def test_brownian_null_target_three(self, brownian_fam):
         rep = check_conditional_kurtosis(
@@ -166,6 +178,24 @@ class TestConditionalKurtosis:
         xs, xt = transition_pairs(poisson_fam, 1.0, 4.0, 13, 120_000)
         rep = check_conditional_kurtosis(xs, xt, 1.0, 4.0, poisson_fam, seed=13)
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", [None, 11, 29])
+    @pytest.mark.parametrize("exact_floor", [False, True], ids=["wide-bin", "floor-bin"])
+    def test_bootstrap_matches_raised_resamples(self, poisson_fam, seed, exact_floor):
+        # the gate gathers precomputed powers; raising each resample's draw
+        # instead gives the same statistic, SE and z bit for bit
+        if exact_floor:
+            xs = np.concatenate([np.zeros(_KURTOSIS_MIN_BIN), np.full(500, 3.0)])
+            xt = verify_bundle(seed or 0, xs.size).normals()
+        else:
+            xs, xt = brownian_pairs(seed or 0, 60_000, 1.0, 4.0)
+        rep = check_conditional_kurtosis(xs, xt, 1.0, 4.0, poisson_fam, seed=seed)
+        sel = xt[np.abs(xs) < rep.details["bin_half_width"]]
+        assert (sel.size == _KURTOSIS_MIN_BIN) == exact_floor
+        kurt, se = _raised_bootstrap(sel, seed)
+        assert rep.statistic == kurt
+        assert rep.details["bootstrap_se"] == se
+        assert rep.details["z"] == (kurt - rep.reference) / se
 
     def test_thin_bin_inconclusive(self, poisson_fam):
         rep = check_conditional_kurtosis(*brownian_pairs(14, 5_000, 1.0, 4.0), 1.0, 4.0, poisson_fam)
