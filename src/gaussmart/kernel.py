@@ -32,12 +32,16 @@ and the step from s = 0 is exactly Gaussian.
 
 One evaluator per step (``_ac_law``) serves a whole table of start values
 and evaluation points: :func:`kernel_eval` reads its single row and the
-Chapman-Kolmogorov check its matrix.  Both kinds build their Gaussians as
-(component, start value, point) blocks (:func:`_gaussians`), points last,
-the exponent formed in place and ``1 / sqrt(2 pi var)`` folded into the
-weights; finite mixtures go in cache-sized blocks of ``_MIXTURE_CELLS``.
-Densities returned everywhere are the absolutely continuous part only; the
-atom (weight, location) is reported separately.
+Chapman-Kolmogorov check its matrix.  Both kinds fill the table in one
+loop over cache-sized (start value, point) blocks of at most
+``_MIXTURE_CELLS`` cells counting every component, so memory is flat in
+the table's size.  Each block's Gaussians are one (component, start
+value, point) array (:func:`_gaussians`), the exponent formed in place;
+the components are the kept lattice points, with ``1 / sqrt(2 pi var)``
+folded into their weights, or the 15 Kronrod nodes of a gamma panel,
+which the quadrature takes nodes first.  Densities returned everywhere
+are the absolutely continuous part only; the atom (weight, location) is
+reported separately.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special, stats
-from scipy.integrate import simpson
 
 from .errors import DomainError, LatticeError
 from .quadrature import gamma_expectation
@@ -78,10 +81,7 @@ ROUNDING_LIMIT = 1e-8
 #: the counts' windows together leave out at most this mass
 _UNSEEN = 1e-3 * POISSON_TAIL
 
-#: start values per gamma quadrature; each block shares one subdivision
-_GAMMA_BLOCK = 64
-
-#: (component, start value, point) cells per block of a finite mixture;
+#: (component, start value, point) cells per block of a density table;
 #: 1 << 15 to 1 << 18 timed within 25% of each other on a poisson 2048 x
 #: 2048 matrix (2-vCPU Xeon VM, 2 MiB L2 per core)
 _MIXTURE_CELLS = 1 << 16
@@ -280,13 +280,16 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     density of the step (s, xs[i]) -> t at ys[j], for start values |xs[i]|
     <= ``x_abs`` (the bound of a rounded lattice holds up to it).  Given
     the mixing increment u > 0 the step is Gaussian with mean ``sigma
-    e^{-u/2} x`` and variance ``t (1 - e^{-u})``.  Finite atoms sum one
-    Gaussian per kept lattice point of :func:`_lattice_law` (the ``u = 0``
-    point is the atom and is left out): each block of ``_MIXTURE_CELLS``
-    cells is contracted with the normalised weights.  Gamma integrates the
-    mixing density, one subdivision per block of start values, its 15
-    Kronrod nodes the block's components, returned nodes-last.  A step
-    whose smallest variance is not a normal float is refused.
+    e^{-u/2} x`` and variance ``t (1 - e^{-u})``.  The table is filled in
+    (start value, point) blocks of at most ``_MIXTURE_CELLS`` cells
+    counting every component, so memory is flat in the table's size.
+    Finite atoms sum one Gaussian per kept lattice point of
+    :func:`_lattice_law` (the ``u = 0`` point is the atom and is left out),
+    contracting each block with the normalised weights.  Gamma integrates
+    the mixing density with one subdivision per block, its 15 Kronrod
+    nodes the block's components, nodes first.  A step whose smallest
+    variance is not a normal float is refused before anything divides by
+    it.
     """
     require_calibrated(family)
     sigma = math.sqrt(t / s)
@@ -295,43 +298,44 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         abs_tol = 1e-13 / math.sqrt(t)
         meta = {"method": "gamma-quadrature", "shape": alpha, "rel_tol": 1e-8,
                 "abs_tol": abs_tol}
-        var_min = t  # the variances t (1 - e^-u) fill (0, t)
+        _require_normal_variance(t, s, t)  # the variances t (1 - e^-u) fill (0, t)
+        components = 15  # the Kronrod nodes of one panel
 
-        def density(xs, ys):
-            out = np.empty((xs.size, ys.size))
-            for lo in range(0, xs.size, _GAMMA_BLOCK):
-                def g(u, rows=xs[lo:lo + _GAMMA_BLOCK]):
-                    var = t * -np.expm1(-u)
-                    block = _gaussians(sigma * np.exp(-0.5 * u), var, rows, ys)
-                    block *= (1.0 / np.sqrt(2.0 * math.pi * var))[:, None, None]
-                    return np.moveaxis(block, 0, -1)
+        def fill(xs, ys):
+            def g(u):
+                var = t * -np.expm1(-u)
+                block = _gaussians(sigma * np.exp(-0.5 * u), var, xs, ys)
+                block *= (1.0 / np.sqrt(2.0 * math.pi * var))[:, None, None]
+                return block
 
-                out[lo:lo + _GAMMA_BLOCK], _ = gamma_expectation(
-                    alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol
-                )
-            return out
+            return gamma_expectation(alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol)[0]
     else:
         u, w, meta = _lattice_law(family, s, t, x_abs)
         w, u = w[u > 0.0], u[u > 0.0]
         scale, var = sigma * np.exp(-0.5 * u), t * -np.expm1(-u)
-        var_min = var.min(initial=math.inf)
+        _require_normal_variance(var.min(initial=math.inf), s, t)
+        w_norm = w / np.sqrt(2.0 * math.pi * var)
+        components = max(1, w.size)
 
-        def density(xs, ys):
-            out = np.empty((xs.size, ys.size))
-            w_norm = w / np.sqrt(2.0 * math.pi * var)
-            per_point = max(1, w.size)
-            cols = max(1, min(ys.size, _MIXTURE_CELLS // per_point))
-            rows = max(1, _MIXTURE_CELLS // (cols * per_point))
-            for lo in range(0, xs.size, rows):
-                for c in range(0, ys.size, cols):
-                    block = _gaussians(scale, var, xs[lo:lo + rows], ys[c:c + cols])
-                    out[lo:lo + rows, c:c + cols] = np.tensordot(w_norm, block, 1)
-            return out
+        def fill(xs, ys):
+            return np.tensordot(w_norm, _gaussians(scale, var, xs, ys), 1)
 
+    def density(xs, ys):
+        out = np.empty((xs.size, ys.size))
+        cols = max(1, min(ys.size, _MIXTURE_CELLS // components))
+        rows = max(1, _MIXTURE_CELLS // (cols * components))
+        for lo in range(0, xs.size, rows):
+            for c in range(0, ys.size, cols):
+                out[lo:lo + rows, c:c + cols] = fill(xs[lo:lo + rows], ys[c:c + cols])
+        return out
+
+    return meta, density
+
+
+def _require_normal_variance(var_min: float, s: float, t: float) -> None:
     if not var_min >= np.finfo(float).tiny:  # -0.5 / var would overflow into NaN
         raise FloatingPointError(f"the step s = {s!r} -> t = {t!r} is too short: its variance "
                                  f"t (1 - e^-u) falls to {var_min:.3g}, below a normal float")
-    return meta, density
 
 
 def kernel_eval(family: SubordinatorFamily, s: float, t: float, x: float) -> KernelEval:
@@ -398,6 +402,21 @@ def _density_matrix(family, s: float, t: float, ygrid, zgrid):
     return _ac_law(family, s, t, float(np.max(np.abs(ygrid), initial=0.0)))[1](ygrid, zgrid)
 
 
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Weights ``w`` with ``w @ f == scipy.integrate.simpson(f, dx=h)`` (to
+    rounding) on n >= 3 equally spaced nodes: composite Simpson over the
+    first odd number of nodes, and for an even n Cartwright's correction
+    (-h/12, 2h/3, 5h/12) on the last three for the last interval."""
+    m = n - 1 + n % 2  # nodes under composite Simpson
+    w = np.zeros(n)
+    w[1:m:2], w[2:m - 1:2] = 4.0, 2.0
+    w[0] = w[m - 1] = 1.0
+    w *= h / 3.0
+    if m < n:
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
 def ck_residual(
     family: SubordinatorFamily,
     s: float,
@@ -413,13 +432,18 @@ def ck_residual(
     and the mismatch of the composed atom weight.  The composition handles
     all four cross terms: atom*atom stays an atom, atom*density and
     density*atom rescale, density*density is integrated by Simpson's rule
-    on the shared y grid.
+    on the shared y grid of at least three nodes.
     """
-    if not 0.0 <= s < t < u:
-        raise DomainError("need 0 <= s < t < u")
+    if not 0.0 <= s < t < u < math.inf:
+        raise DomainError(f"need 0 <= s < t < u < inf, got s = {s}, t = {t}, u = {u}")
+    if not math.isfinite(x):
+        raise DomainError(f"the start value x = {x} is not finite")
     if s == 0.0 and x != 0.0:
         raise DomainError("the s = 0 composition starts from x = 0")
-    ygrid = np.linspace(-6.0 * math.sqrt(u), 6.0 * math.sqrt(u), grid.n_nodes)
+    if not grid.n_nodes >= 3:
+        raise DomainError(f"Simpson's rule needs at least 3 grid nodes, got {grid.n_nodes}")
+    reach = 6.0 * math.sqrt(u)
+    ygrid = np.linspace(-reach, reach, grid.n_nodes)
     zgrid = ygrid.copy()
     tau = math.sqrt(u / t)
 
@@ -428,7 +452,7 @@ def ck_residual(
     f2 = _density_matrix(family, t, u, ygrid, zgrid)
     direct = kernel_eval(family, s, u, x).density(zgrid)
 
-    composed = simpson(f1[:, None] * f2, x=ygrid, axis=0)
+    composed = (_simpson_weights(ygrid.size, 2.0 * reach / (ygrid.size - 1)) * f1) @ f2
     if s > 0.0:
         g_sigma = gamma_atom(family, math.sqrt(t / s))
         g_both = gamma_atom(family, math.sqrt(u / s))

@@ -1,9 +1,11 @@
 """Globally adaptive Gauss-Kronrod panel quadrature for vectorised integrands.
 
 One engine serves the transition-kernel and generator integrals.  The
-integrand maps an array of nodes to values of shape ``(..., n_nodes)``;
-leading axes are integrated componentwise on a shared subdivision, which
-lets a single refinement pass serve a whole table of evaluation points.
+integrand maps an array of nodes to values of shape ``(n_nodes, ...)``,
+nodes first; the trailing axes are integrated componentwise on a shared
+subdivision, which lets a single refinement pass serve a whole block of
+evaluation points.  Each panel's Kronrod and Gauss estimates come from one
+matrix product of the (2, 15) weight rows with the values.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import QuadratureError
 
@@ -65,7 +68,9 @@ _WG = np.array(
         0.129484966168870,
     ]
 )
-_GAUSS_IDX = np.arange(1, 15, 2)
+#: Kronrod weights, then the Gauss weights on their (odd) Kronrod nodes
+_WEIGHTS = np.zeros((2, _XK.size))
+_WEIGHTS[0], _WEIGHTS[1, 1::2] = _WK, _WG
 
 #: most panels one integral may be split into
 MAX_PANELS = 4096
@@ -78,10 +83,9 @@ def _panel(f, a: float, b: float):
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * _XK
     fv = np.asarray(f(nodes), dtype=float)
-    kron = half * (fv @ _WK)
-    gauss = half * (fv[..., _GAUSS_IDX] @ _WG)
-    err = np.abs(kron - gauss)
-    return kron, err
+    kron, gauss = (half * _WEIGHTS) @ fv.reshape(_XK.size, -1)
+    shape = fv.shape[1:]  # [()] below: a scalar integrand gives scalars
+    return kron.reshape(shape)[()], np.abs(kron - gauss).reshape(shape)[()]
 
 
 def adaptive_panels(
@@ -93,9 +97,10 @@ def adaptive_panels(
 ):
     """Integrate ``f`` over [a, b] to the requested accuracy.
 
-    Returns ``(integral, error_estimate)`` with the integrand's leading
-    shape.  The worst panel (largest max-component error) is bisected until
-    every component satisfies ``err <= max(abs_tol, rel_tol * |integral|)``.
+    ``f`` maps the 15 nodes of a panel to values of shape ``(15, ...)``.
+    Returns ``(integral, error_estimate)`` with the trailing shape.  The
+    worst panel (largest max-component error) is bisected until every
+    component satisfies ``err <= max(abs_tol, rel_tol * |integral|)``.
     A :class:`QuadratureError` is raised as soon as a panel's error is not
     finite (no bisection can repair that), or, carrying the best estimate,
     once ``MAX_PANELS`` panels are in use.
@@ -140,6 +145,12 @@ def adaptive_panels(
             n_panels += 1
 
 
+def _tail_limit(alpha: float, rate: float) -> float:
+    """The point past which Gamma(alpha, rate) holds ``_TAIL_MASS``: the
+    value of ``stats.gamma.isf``, at about a fortieth of its cost."""
+    return float(special.gammainccinv(alpha, _TAIL_MASS) * (1.0 / rate))
+
+
 def gamma_expectation(
     alpha: float,
     rate: float,
@@ -154,29 +165,33 @@ def gamma_expectation(
     ``u**(alpha-1)``; substituting ``w = u**alpha`` absorbs the singularity
     exactly into the measure (``u**(alpha-1) du = dw / alpha``), leaving a
     bounded integrand on ``(0, u_hi**alpha)``.  ``g`` must map a node array
-    to values of shape ``(..., n_nodes)``; leading axes are vectorised.
+    to a new float array of shape ``(n_nodes, ...)``, nodes first; the
+    trailing axes are vectorised, and the density is applied to that array
+    in place.
     """
-    from scipy.special import gammaln
-    from scipy.stats import gamma as gamma_dist
-
     if alpha <= 0 or rate <= 0:
         raise ValueError("need alpha > 0 and rate > 0")
-    u_hi = float(gamma_dist.isf(_TAIL_MASS, alpha, scale=1.0 / rate))
+    u_hi = _tail_limit(alpha, rate)
+
+    def weighted(u, dens):
+        values = np.asarray(g(u), dtype=float)
+        values *= dens.reshape(dens.shape + (1,) * (values.ndim - 1))
+        return values
+
     if alpha >= 1.0:
-        log_norm = alpha * np.log(rate) - gammaln(alpha)
+        log_norm = alpha * np.log(rate) - special.gammaln(alpha)
 
         def integrand(u):
-            dens = np.exp(log_norm + (alpha - 1.0) * np.log(u) - rate * u)
-            return dens * g(u)
+            return weighted(u, np.exp(log_norm + (alpha - 1.0) * np.log(u) - rate * u))
 
         return adaptive_panels(integrand, 0.0, u_hi, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    const = np.exp(alpha * np.log(rate) - gammaln(alpha + 1.0))
+    const = np.exp(alpha * np.log(rate) - special.gammaln(alpha + 1.0))
     inv_alpha = 1.0 / alpha
 
     def integrand(w):
         u = np.exp(np.log(w) * inv_alpha)
-        return const * np.exp(-rate * u) * g(u)
+        return weighted(u, const * np.exp(-rate * u))
 
     w_hi = float(np.exp(alpha * np.log(u_hi)))
     return adaptive_panels(integrand, 0.0, w_hi, rel_tol=rel_tol, abs_tol=abs_tol)

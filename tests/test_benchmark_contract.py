@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from gaussmart import cli, sampler
+from gaussmart import calibrate, cli, gamma_family, kernel, sampler
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +53,25 @@ def test_traced_simulate_runs(tracing, tmp_path):
     csv = [span[-1] for span in tracer.spans if span[1] == "pathsim.csv"]
     assert [attrs["bytes"] for attrs in csv] == [os.path.getsize(p) for p in out.values()]
     assert csv[0]["rows"] == 3 * 5
+
+
+def test_traced_kernel_runs(tracing, tmp_path):
+    # the per-layer kernel numbers come from these spans: a refactor that
+    # bypasses quadrature.adaptive_panels or changes its positional
+    # signature would read 0 panels in the benchmark, and fails here
+    tracer, targets = tracing
+    fam = calibrate(gamma_family(b=1.0))
+    try:
+        tracer.install(targets)
+        token = tracer.open_op(1, "kernel")
+        code = cli.execute(["kernel", "--family", "gamma", "--b", "1.0", "--y=-4:4:41",
+                            "--out", str(tmp_path / "density.csv")])
+        sup, atom = kernel.ck_residual(fam, 1.0, 4.0, 16.0, 0.5, kernel.GridSpec(n_nodes=16))
+        tracer.close_op(token)
+    finally:
+        assert tracer.uninstall() == []
+    assert code == 0 and sup >= 0.0 and atom == 0.0
+    panels = [span[-1]["panels"] for span in tracer.spans if span[1] == "quadrature.panels"]
+    assert panels and all(count > 0 for count in panels)
+    density = [span[-1] for span in tracer.spans if span[1] == "kernel.density"]
+    assert density and all(attrs["points"] > 0 for attrs in density)

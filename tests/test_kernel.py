@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from gaussmart import (
     DomainError,
@@ -35,6 +35,7 @@ from gaussmart.kernel import (
     _density_matrix,
     _lattice_law,
     _phi,
+    _simpson_weights,
     gaussian_moments,
 )
 from gaussmart.quadrature import gamma_expectation
@@ -525,7 +526,7 @@ class TestComponentMajorEvaluator:
             want += wk * stats.norm.pdf(ys, loc=loc, scale=math.sqrt(-t * math.expm1(-uk)))
         assert np.abs(got[rows] - want).max() <= 1e-13 * want.max()
 
-    def test_gamma_integrand_nodes_last(self, gamma_fam, monkeypatch):
+    def test_gamma_integrand_nodes_first(self, gamma_fam, monkeypatch):
         integrands = []
 
         def record(alpha, rate, g, **kwargs):
@@ -535,15 +536,62 @@ class TestComponentMajorEvaluator:
         monkeypatch.setattr(kernel, "gamma_expectation", record)
         s, t = 0.5, 2.0
         xs, ys = np.linspace(-2.0, 2.0, 70), np.linspace(-5.0, 5.0, 41)
+        # blocks of 64 rows of 41 points, 15 Kronrod nodes each
+        monkeypatch.setattr(kernel, "_MIXTURE_CELLS", 15 * 64 * 41)
         _density_matrix(gamma_fam, s, t, xs, ys)
         assert len(integrands) == 2  # one full block of 64 start values, one of 6
         nodes = 0.8 + 0.75 * np.array([-0.99, -0.5, 0.0, 0.3, 0.9])
         values = integrands[1](nodes)
-        assert values.shape == (6, 41, nodes.size)
+        assert values.shape == (nodes.size, 6, 41)
         for j, u in enumerate(nodes):
             want = _phi(math.sqrt(t / s) * math.exp(-0.5 * u) * xs[64:, None],
                         -t * math.expm1(-u), ys)
-            assert np.abs(values[..., j] - want).max() <= 1e-13 * want.max()
+            assert np.abs(values[j] - want).max() <= 1e-13 * want.max()
+
+    @pytest.mark.parametrize("t", [4.0, 2.0], ids=["smooth", "small-shape"])
+    def test_gamma_matrix_independent_of_blocks(self, gamma_fam, t):
+        # a budget of 15 cells puts each entry in a block of its own, with
+        # its own subdivision; each side is within its quadrature bound
+        xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(-5.0, 5.0, 13)
+        blocked = _density_matrix(gamma_fam, 1.0, t, xs, ys)
+        with mock.patch.object(kernel, "_MIXTURE_CELLS", 15):
+            single = _density_matrix(gamma_fam, 1.0, t, xs, ys)
+        bound = np.maximum(1e-13 / math.sqrt(t), 1e-8 * np.abs(blocked))
+        assert np.all(np.abs(blocked - single) <= 2.0 * bound)
+
+    @pytest.mark.parametrize(
+        "t, x, y", [(4.0, 0.5, -0.7), (2.0, 0.5, 2.0), (2.0, 0.8, 0.3)],
+        ids=["smooth", "small-shape-tail", "small-shape-centre"],
+    )
+    def test_gamma_density_matches_scipy_quad(self, gamma_fam, t, x, y):
+        s = 1.0
+        sigma = math.sqrt(t / s)
+        alpha = gamma_fam.a * math.log(sigma)
+        assert (alpha > 1.0) == (t == 4.0)  # the substitution branch at t = 2
+
+        def integrand(u):
+            mean, var = sigma * math.exp(-0.5 * u) * x, -t * math.expm1(-u)
+            return (stats.gamma.pdf(u, alpha, scale=1.0 / gamma_fam.b)
+                    * stats.norm.pdf(y, mean, math.sqrt(var)))
+
+        want, err = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=500)
+        got = kernel_eval(gamma_fam, s, t, x).density(y)
+        assert abs(got - want) <= 1e-8 * want + err
+
+    def test_gamma_density_memory_flat_in_points(self, gamma_fam):
+        # the (1, 200,000) output is 1.5 MiB; blocks of 65,536 cells and
+        # their panels add a fixed few MiB, not a multiple of the table
+        y = np.linspace(-8.0, 8.0, 200_000)
+        ev = kernel_eval(gamma_fam, 0.5, 2.0, 0.3)
+        ev.density(y[:10])  # imports and caches first
+        tracemalloc.start()
+        try:
+            dens = ev.density(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(dens))
+        assert peak < dens.nbytes + 4 * 2**20
 
     def test_ck_grid_memory(self, poisson_fam):
         # the 2,048 x 2,048 output is 32 MiB; the blocks add little to it
@@ -640,6 +688,34 @@ class TestChapmanKolmogorov:
             ck_residual(poisson_fam, 1.0, 0.5, 2.0, 0.0)
         with pytest.raises(DomainError):
             ck_residual(poisson_fam, 0.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "s, t, u, x, n_nodes",
+        [
+            (0.5, 1.0, 2.0, 0.0, 0),
+            (0.5, 1.0, 2.0, 0.0, 1),
+            (0.5, 1.0, 2.0, 0.0, 2),
+            (math.nan, 1.0, 2.0, 0.0, 16),
+            (0.5, math.nan, 2.0, 0.0, 16),
+            (0.5, 1.0, math.inf, 0.0, 16),
+            (0.5, 1.0, 2.0, math.nan, 16),
+            (0.5, 1.0, 2.0, math.inf, 16),
+        ],
+        ids=["0-nodes", "1-node", "2-nodes", "s-nan", "t-nan", "u-inf", "x-nan", "x-inf"],
+    )
+    def test_inputs_without_an_answer_refused(self, poisson_fam, s, t, u, x, n_nodes):
+        with pytest.raises(DomainError):
+            ck_residual(poisson_fam, s, t, u, x, GridSpec(n_nodes=n_nodes))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 16, 255, 256, 2048, 2049])
+    def test_simpson_weights_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        grid = np.linspace(-6.0 * math.sqrt(2.0), 6.0 * math.sqrt(2.0), n)
+        h = (grid[-1] - grid[0]) / (n - 1)
+        w = _simpson_weights(n, h)
+        for f in rng.random((3, n)):
+            assert w @ f == pytest.approx(simpson(f, dx=h), rel=1e-14)
+            assert w @ f == pytest.approx(simpson(f, x=grid), rel=1e-14)
 
 
 class TestErrors:

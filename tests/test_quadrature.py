@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gaussmart import QuadratureError, quadrature
-from gaussmart.quadrature import adaptive_panels, gamma_expectation
+from gaussmart.quadrature import _panel, _tail_limit, adaptive_panels, gamma_expectation
 
 
 def test_vector_integrand_matches_closed_forms():
     def f(x):
-        return np.stack([np.sin(x), x**2, np.exp(-x), np.sqrt(x)]).reshape(2, 2, -1)
+        return np.stack([np.sin(x), x**2, np.exp(-x), np.sqrt(x)], axis=-1).reshape(-1, 2, 2)
 
     val, err = adaptive_panels(f, 0.0, 2.0, rel_tol=1e-12)
     want = np.array([1.0 - math.cos(2.0), 8.0 / 3.0, -math.expm1(-2.0),
@@ -17,6 +18,20 @@ def test_vector_integrand_matches_closed_forms():
     assert val.shape == err.shape == (2, 2)
     assert np.allclose(val, want, rtol=1e-11, atol=0)
     assert np.all(err <= 1e-12 * np.abs(val))
+
+
+def test_one_product_panel_degrees():
+    # G7 integrates x**13 exactly, K15 also x**14; G7's error on x**14 is
+    # (7!)**4 / (15 (14!)**2) (the Gauss-Legendre remainder, f^(14) = 14!)
+    val, err = _panel(lambda x: np.stack([x**13, x**14], axis=-1), 0.0, 1.0)
+    assert val.shape == err.shape == (2,)
+    assert val == pytest.approx([1.0 / 14.0, 1.0 / 15.0], rel=1e-14)
+    assert err[0] <= 1e-15
+    gauss_error = math.factorial(7) ** 4 / (15 * math.factorial(14) ** 2)
+    assert err[1] == pytest.approx(gauss_error, rel=1e-6)
+    # a scalar integrand gives scalars
+    val, err = _panel(lambda x: x**13, 0.0, 1.0)
+    assert np.ndim(val) == np.ndim(err) == 0 and val == pytest.approx(1.0 / 14.0, rel=1e-14)
 
 
 def test_budget_exhaustion_carries_the_estimate(monkeypatch):
@@ -56,7 +71,8 @@ def test_non_finite_integrand_raises_at_once(f):
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 3.0])
 def test_gamma_expectation_first_two_moments(alpha):
     rate = 2.0
-    val, err = gamma_expectation(alpha, rate, lambda u: np.stack([u, u * u]), rel_tol=1e-10)
+    val, err = gamma_expectation(alpha, rate, lambda u: np.stack([u, u * u], axis=-1),
+                                 rel_tol=1e-10)
     want = [alpha / rate, alpha * (alpha + 1.0) / rate**2]
     assert val == pytest.approx(want, rel=1e-9)
     assert np.all(err <= 1e-10 * np.abs(val))
@@ -67,3 +83,10 @@ def test_gamma_expectation_domain():
         gamma_expectation(0.0, 1.0, lambda u: u)
     with pytest.raises(ValueError):
         adaptive_panels(lambda x: x, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.855, 1.71, 10.0])
+@pytest.mark.parametrize("rate", [1.0, 2.5])
+def test_tail_limit_matches_scipy_isf(alpha, rate):
+    want = stats.gamma.isf(quadrature._TAIL_MASS, alpha, scale=1.0 / rate)
+    assert abs(_tail_limit(alpha, rate) - want) <= np.spacing(want)
