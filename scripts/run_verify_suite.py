@@ -31,6 +31,8 @@ FAMILIES = {
     "compound": lambda: calibrate(compound_family([(0.5, 1.0), (2.0, 0.25)])),
     "brownian": brownian_family,
 }
+#: repetitions of the null calibration; a gate must pass in 99 of them
+NULL_REPS = 100
 
 
 def main() -> int:
@@ -59,10 +61,14 @@ def main() -> int:
         print(f"{name:9s} battery done in {time.time() - t0:.1f}s")
 
     t0 = time.time()
-    counts = null_calibration(seed=args.seed, reps=100)
+    counts = null_calibration(seed=args.seed, reps=NULL_REPS)
+    # the null calibration's own sizes are fixed; the battery's options are
+    # recorded with it, so the whole gate table reruns from this file
     (outdir / "null_calibration.json").write_text(
         json.dumps(
-            {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT, "counts": counts},
+            {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT, "seed": args.seed,
+             "reps": NULL_REPS, "paths": args.paths, "threads": args.threads,
+             "counts": counts},
             indent=2, sort_keys=True,
         )
     )

@@ -15,10 +15,12 @@ that cannot converge, finite atoms on no lattice fine enough for an
 accurate law, a float overflow, or a step whose conditional variance is
 below the smallest normal float).
 
-Report files and sidecars carry ``"schema": "gaussmart/3"`` and the random
-stream layout (``"stream_layout": 2``) at top level; ``verify`` and
+Report files and sidecars carry ``"schema": "gaussmart/4"`` and the random
+stream layout (``"stream_layout": 3``) at top level; ``verify`` and
 ``generator-check`` reports record the calibrated family parameters.  Bulk
-paths go to CSV in the formats declared by the path simulator.
+paths go to CSV in the formats declared by the path simulator; the
+``kernel`` and ``jump-times`` tables are written in ``repr`` form too, a
+block of rows per write.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .sampler import STREAM_LAYOUT, VERIFY_STREAM_BASE, path_bundle
 from .semigroup import brownian_family, calibrate, compound_family, gamma_family, poisson_family
 from .verify import derive_seed, standard_battery, test_jump_times
 
-SCHEMA = "gaussmart/3"
+SCHEMA = "gaussmart/4"
 #: top-level fields of every JSON report and sidecar
 _HEADER = {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT}
 #: expected candidate jumps (jumps and one overshoot per path) per block of
@@ -251,6 +253,20 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
+#: table rows made into text per write
+_TABLE_ROWS = 2**16
+
+
+def _write_table(path: str, header: str, *columns) -> None:
+    """A CSV of equal-length numeric columns, each value in ``repr`` form (an
+    exact round trip), ``_TABLE_ROWS`` rows per write."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _TABLE_ROWS):
+            texts = [map(repr, c[lo:lo + _TABLE_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
 def _cmd_simulate(opts: dict) -> int:
     family = _family(opts)
     seed, n_paths, out = opts["seed"], opts["paths"], opts["out"]
@@ -319,10 +335,7 @@ def _cmd_kernel(opts: dict) -> int:
     }
     # every sidecar quantity is computed before the table is written, so a
     # run that fails (a moment overflow, say) leaves no file behind
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write("y,density\n")
-        for yv, dv in zip(ygrid, dens):
-            fh.write(f"{float(yv)!r},{float(dv)!r}\n")
+    _write_table(out, "y,density", ygrid, dens)
     _write_json(out + ".json", sidecar)
     print(
         f"kernel: atom {ev.atom_weight:.6g}, mass {mass:.12g}, "
@@ -392,10 +405,7 @@ def _cmd_jump_times(opts: dict) -> int:
     # the gate runs before any file is written, so a refused sample leaves none
     report = test_jump_times(times, s, family, seed=seed)
     if opts["out"]:
-        with open(opts["out"], "w", encoding="ascii") as fh:
-            fh.write("sample_id,first_jump_time\n")
-            for i, tv in enumerate(times):
-                fh.write(f"{i},{float(tv)!r}\n")
+        _write_table(opts["out"], "sample_id,first_jump_time", np.arange(times.size), times)
     _write_json(opts["report"], {**_HEADER, "report": report.to_dict()})
     print(
         f"{report.status.upper():6s} jump_times: KS p={report.p_value:.4g} "

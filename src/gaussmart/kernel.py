@@ -112,8 +112,18 @@ def _phi(mean, var, y):
 def _gaussians(scale, var, xs, ys):
     """``block[k, i, j] = exp(-(ys[j] - scale[k] xs[i])**2 / (2 var[k]))``,
     built by one allocation and worked in place; the caller folds ``1 /
-    sqrt(2 pi var[k])`` into its weights."""
-    block = ys - (scale[:, None] * xs)[:, :, None]
+    sqrt(2 pi var[k])`` into its weights.
+
+    The differences come from one (components rows, 2) by (2, points)
+    product, ``[-m, 1] @ [1; ys]`` with ``m = scale xs``: each entry is
+    ``-m + ys`` rounded once, the bits of the broadcast subtraction, which
+    cost more than the product once a block has more than one row.
+    """
+    lhs = np.ones((scale.size * xs.size, 2))
+    lhs[:, 0] = np.multiply.outer(scale, -xs).ravel()
+    rhs = np.ones((2, ys.size))
+    rhs[1] = ys
+    block = (lhs @ rhs).reshape(scale.size, xs.size, ys.size)
     np.square(block, out=block)
     block *= (-0.5 / var)[:, None, None]
     return np.exp(block, out=block)

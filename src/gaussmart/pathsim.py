@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, FamilyError
-from .sampler import StreamBundle, path_bundle, sample_subordinator_increment
+from .sampler import StreamBundle, path_bundle, sample_subordinator_increment, to_normals
 from .semigroup import (
     SubordinatorFamily,
     compound_poisson,
@@ -67,31 +67,38 @@ def _grid_values(
     """Core recursion over one bundle; returns values of shape (lanes, len(times)).
 
     times[0] == 0 starts fresh paths at the origin (exact Gaussian first
-    step); otherwise ``start_values`` supplies the state at times[0].
+    step); otherwise ``start_values`` supplies the state at times[0].  The
+    values are filled one time at a time into contiguous rows, and the
+    result is the transposed view of those rows: writing a column of a
+    (lanes, times) array per step made the 50k-lane grid about a fifth
+    slower.
     """
     require_calibrated(family)
     n = len(bundle)
-    vals = np.empty((n, times.size))
+    vals = np.empty((times.size, n))
     if times[0] == 0.0:
         if start_values is not None:
             raise DomainError("start_values only apply to grids starting after 0")
-        vals[:, 0] = 0.0
-        vals[:, 1] = math.sqrt(times[1]) * bundle.normals()
+        vals[0] = 0.0
+        vals[1] = math.sqrt(times[1]) * bundle.normals()
         k0 = 2
     else:
         if start_values is None:
             raise DomainError("grids starting after 0 need start_values")
-        vals[:, 0] = np.broadcast_to(np.asarray(start_values, dtype=float), (n,))
+        vals[0] = np.broadcast_to(np.asarray(start_values, dtype=float), (n,))
         k0 = 1
     for k in range(k0, times.size):
         s, t = times[k - 1], times[k]
         sigma = math.sqrt(t / s)
-        u = sample_subordinator_increment(family, sigma, bundle)
-        xi = bundle.normals()
-        sqrt_r = np.exp(-0.5 * u)
-        sqrt_1mr = np.sqrt(-np.expm1(-u))
-        vals[:, k] = sigma * (sqrt_r * vals[:, k - 1] + math.sqrt(s) * sqrt_1mr * xi)
-    return vals
+        # stream layout 3: the step's one site gives the normal (word 3) and
+        # the increment's first draw (words 0-2) from one block per lane
+        first = bundle.blocks()
+        u = sample_subordinator_increment(family, sigma, bundle, first)
+        xi = to_normals(first[3])
+        del first  # gone before the update allocates its temporaries
+        vals[k] = sigma * (np.exp(-0.5 * u) * vals[k - 1]
+                           + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
+    return vals.T
 
 
 #: fewest paths a worker thread is given; smaller chunks cost more to

@@ -2,7 +2,7 @@
 
 The generator is Philox-4x64-10, a counter-based PRNG (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each 4-word block
-is a pure function of a 2-word key and a 4-word counter.  Stream layout 2
+is a pure function of a 2-word key and a 4-word counter.  Stream layout 3
 uses key ``(seed, 0)`` and counter ``(stream_id + 1, site, attempt, 0)``:
 
 - ``stream_id`` is the lane: lane k of a bundle *is* stream k, not a slice
@@ -16,10 +16,26 @@ Every draw is therefore a pure function of ``(seed, stream_id, site,
 attempt)``, and ensemble output does not depend on how paths are chunked
 across threads.  numpy's C Philox produces every block, from one reused
 generator per thread: the first block of every lane at a site is one call
-over the contiguous lane range, and sparse retries are one call per run of
+over the lane range (a bundle of consecutive ids passes it as a ``range``,
+so nothing is checked per id), and sparse retries are one call per run of
 nearby ids, with no sort when the ids ascend under one attempt.
 :class:`StreamBundle` is the one stream type; a single path is a one-lane
-bundle.
+bundle.  A word ``w`` maps to the open uniform ``(w >> 12) 2**-52 +
+2**-53``, so no uniform is 0 or 1 and no normal is infinite.
+
+Words per block.  A draw reads these words of each lane's block:
+
+- :meth:`StreamBundle.normals`, Poisson inversion and the first jump time:
+  word 0;
+- PTRS: words 0-1 of every round;
+- Marsaglia-Tsang: words 0-2 of every round;
+- an event candidate: word 0 (waiting time), 1 (jump normal), 2 (atom);
+- a grid step after the first (``pathsim``) opens one site and draws its
+  attempt-0 block first: the step normal is word 3, and the increment's
+  first sampler reads its words 0-2 from the same block instead of
+  opening a site of its own.  A Brownian step, or one whose scale rounds
+  to 1, opens that one site for the normal alone, and a finite-atom step
+  opens one more site for each atom after the first.
 
 Stream assignment policy
 ------------------------
@@ -31,15 +47,16 @@ Stream assignment policy
   ``site``.
 
 Each sampler draws the whole bundle at one scalar parameter and opens one
-new site per call.  Sampling algorithms are chosen for stream determinism:
+new site per call, or takes the site whose attempt-0 blocks its caller
+passes as ``first``.  Sampling algorithms are chosen for stream determinism:
 
 - finite-atom increments ``beta ln sigma + sum_i x_i N_i`` with independent
   ``N_i ~ Poisson(w_i ln sigma)``, one whole-bundle Poisson draw per atom;
 - Gaussians by inversion of the normal CDF (one uniform per deviate);
-- Poisson by inversion for mean <= 10, one cumulative table per draw
-  searched with ``np.searchsorted`` (the counts of a sequential search of
-  the CDF, bit for bit), and by Hormann's transformed rejection (PTRS)
-  above;
+- Poisson by inversion for mean <= 10, one cumulative table per draw,
+  each count the number of table entries below its uniform (the counts of
+  a sequential search of the CDF, bit for bit), and by Hormann's
+  transformed rejection (PTRS) above;
 - gamma by Marsaglia-Tsang, with shapes below one boosted through
   ``Gamma(a) = Gamma(a + 1) * U**(1/a)`` to avoid rejection pathologies at
   the tiny shapes produced by fine time grids.
@@ -61,7 +78,7 @@ from .semigroup import GAMMA, SubordinatorFamily, require_calibrated
 #: stream ids at or above this are reserved for verification-internal draws
 VERIFY_STREAM_BASE = 2**63
 #: the version of the (key, counter) layout above, recorded in every report
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 _MAX_STREAM_ID = 2**64 - 2
 #: ids further apart than this start a new numpy call.  A run costs about
@@ -72,7 +89,6 @@ _MAX_STREAM_ID = 2**64 - 2
 _RUN_GAP = 500
 #: largest Poisson mean drawn: every count PTRS accepts below it fits int64
 POISSON_MEAN_LIMIT = 2.0**62
-_INV53 = float(2.0**-53)
 #: each thread's reused numpy Philox: see :func:`_numpy_blocks`
 _THREAD = threading.local()
 
@@ -98,16 +114,20 @@ def philox_block(seed, stream_ids, site, attempt) -> np.ndarray:
     """The block at counter ``(stream_id + 1, site, attempt, 0)`` for each id.
 
     Key ``(seed, 0)``; returns shape (4, n).  ``attempt`` is a scalar or one
-    value per id.  The request is cut into runs of strictly ascending ids
-    sharing one attempt, with neighbours at most ``_RUN_GAP`` apart; each
-    run is one numpy call over its span, of which the requested blocks are
-    gathered.  A request with mixed attempts or descending ids is first
-    sorted by attempt and id; an ascending one with a single attempt needs
-    no sort, and a run of consecutive ids needs no gather.
+    value per id.  A ``range`` of step 1 with a scalar attempt is one numpy
+    call over its ids, with no pass over them.  Any other request is cut
+    into runs of strictly ascending ids sharing one attempt, with
+    neighbours at most ``_RUN_GAP`` apart; each run is one numpy call over
+    its span, of which the requested blocks are gathered.  A request with
+    mixed attempts or descending ids is first sorted by attempt and id; an
+    ascending one with a single attempt needs no sort, and a run of
+    consecutive ids needs no gather.
     """
+    key = (int(seed), 0)
+    if isinstance(stream_ids, range) and stream_ids.step == 1 and np.ndim(attempt) == 0:
+        return _numpy_blocks(key, stream_ids.start, site, int(attempt), len(stream_ids)).T
     ids = np.asarray(stream_ids, dtype=np.uint64)
     att = np.asarray(attempt, dtype=np.uint64)
-    key = (int(seed), 0)
     n = ids.shape[0]
     if n == 0:
         return np.empty((4, 0), dtype=np.uint64)
@@ -140,8 +160,15 @@ def philox_block(seed, stream_ids, site, attempt) -> np.ndarray:
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles in the open interval (0, 1)."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
+    """Map uint64 words to the odd multiples of 2**-53 in (0, 1), each exact:
+    from 2**-53 (word 0) to 1 - 2**-53 (word 2**64 - 1), equally spaced."""
+    return (words >> np.uint64(12)).astype(np.float64) * 2.0**-52 + 2.0**-53
+
+
+def to_normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 words, by inversion of the normal CDF at
+    their uniforms; always finite."""
+    return ndtri(_to_unit(words))
 
 
 class StreamBundle:
@@ -160,6 +187,12 @@ class StreamBundle:
             raise ValueError("stream_ids must be one-dimensional")
         if self._ids.size and int(self._ids.max()) > _MAX_STREAM_ID:
             raise DomainError(f"stream ids must be <= 2**64 - 2, got {int(self._ids.max())}")
+        # what a whole-bundle draw asks philox_block for: consecutive ids
+        # as a range, which it emits without a pass over them
+        self._whole = self._ids
+        if not np.any(np.diff(self._ids) != 1):
+            first = int(self._ids[0]) if self._ids.size else 0
+            self._whole = range(first, first + self._ids.size)
         self._site = 0
         self._attempt = np.zeros(self._ids.shape, dtype=np.uint64)
 
@@ -184,7 +217,7 @@ class StreamBundle:
         if idx is None:
             self.new_site()
             self._attempt.fill(1)
-            return philox_block(self.seed, self._ids, self._site, 0)
+            return philox_block(self.seed, self._whole, self._site, 0)
         attempt = self._attempt[idx]
         self._attempt[idx] += np.uint64(1)
         return philox_block(self.seed, self._ids[idx], self._site, attempt)
@@ -196,7 +229,11 @@ class StreamBundle:
         return _to_unit(self.blocks(idx)[:n_words])
 
     def normals(self, idx=None) -> np.ndarray:
-        """One standard normal per lane, by inversion of the normal CDF."""
+        """One standard normal per lane, from word 0 of its next block.
+
+        The blocks are released once their uniforms exist, before ``ndtri``
+        allocates its output: a (lanes, 4) array less at the draw's peak.
+        """
         return ndtri(self.uniforms(1, idx)[0])
 
 
@@ -230,7 +267,10 @@ def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     from ``p[0] = exp(-mean)``, in that operation order, up to the first
     entry that reaches ``max(u)`` or whose ``p`` underflows to 0.  Each draw
     is the first ``k`` with ``u <= cdf[k]``; a ``u`` beyond the last entry
-    (only past an underflow) takes the last index.
+    (only past an underflow) takes the last index.  As the table does not
+    decrease, that is the count of entries before the last that lie below
+    ``u``: one comparison per entry, which at the few entries of a grid
+    step's mean is cheaper than a binary search per lane.
     """
     # numpy's exp, not math.exp: the two differ in the last bit
     p = float(np.exp(-np.float64(mean)))
@@ -239,10 +279,20 @@ def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     while cdf[-1] < top and p > 0.0:
         p *= mean / len(cdf)
         cdf.append(cdf[-1] + p)
-    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+    k = np.zeros(u.shape, dtype=np.int64)
+    for c in cdf[:-1]:
+        k += u > c
+    return k
 
 
-def _poisson_ptrs(bundle: StreamBundle, mean: float) -> np.ndarray:
+def _first_uniforms(bundle: StreamBundle, first, n_words: int) -> np.ndarray:
+    """(n_words, lanes) uniforms of a sampler's first round: the attempt-0
+    block of every lane, ``first`` (at a site the caller opened) or else
+    drawn at a new site."""
+    return _to_unit((bundle.blocks() if first is None else first)[:n_words])
+
+
+def _poisson_ptrs(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
     """Hormann's PTRS transformed rejection; two uniforms per round per lane."""
     # numpy's sqrt and log on float64, not math's: they fix the last bit
     mu = np.float64(mean)
@@ -251,11 +301,9 @@ def _poisson_ptrs(bundle: StreamBundle, mean: float) -> np.ndarray:
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_mu = np.log(mu)
-    bundle.new_site()
     out = np.zeros(len(bundle), dtype=np.int64)
-    pend = np.arange(len(bundle))
-    while pend.size:
-        uu = bundle.uniforms(2, pend)
+    uu, pend = _first_uniforms(bundle, first, 2), np.arange(len(bundle))
+    while True:
         u = uu[0] - 0.5
         v = uu[1]
         us = 0.5 - np.abs(u)
@@ -269,24 +317,28 @@ def _poisson_ptrs(bundle: StreamBundle, mean: float) -> np.ndarray:
             accept[needs_log] = lhs <= rhs
         out[pend[accept]] = kf[accept].astype(np.int64)
         pend = pend[~accept]
-    return out
+        if not pend.size:
+            return out
+        uu = bundle.uniforms(2, pend)
 
 
-def poisson_draw(bundle: StreamBundle, mean: float) -> np.ndarray:
-    """Poisson(mean) deviates, one per lane, at a new site of the bundle."""
+def poisson_draw(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
+    """Poisson(mean) deviates, one per lane, at a new site of the bundle, or
+    at the site whose attempt-0 blocks ``first`` the caller drew."""
     mean = float(mean)
     if not 0.0 <= mean < np.inf:  # NaN fails both
         raise DomainError("poisson mean must be finite and >= 0")
     if mean > POISSON_MEAN_LIMIT:
         raise DomainError(f"poisson mean {mean:.6g} is above 2**62: its counts overflow int64")
     if mean <= 10.0:
-        return _poisson_table_inversion(bundle.uniforms(1)[0], mean)
-    return _poisson_ptrs(bundle, mean)
+        return _poisson_table_inversion(_first_uniforms(bundle, first, 1)[0], mean)
+    return _poisson_ptrs(bundle, mean, first)
 
 
-def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0) -> np.ndarray:
+def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0, first=None) -> np.ndarray:
     """Gamma(shape, rate) deviates via Marsaglia-Tsang, one per lane, at a
-    new site of the bundle; three uniforms per round per lane.
+    new site of the bundle (or at the site of ``first``, as in
+    :func:`poisson_draw`); three uniforms per round per lane.
 
     Word 0 feeds the inversion normal, word 1 the acceptance test, word 2
     the ``U**(1/shape)`` boost used when shape < 1.
@@ -297,11 +349,9 @@ def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0) -> np.ndar
     boost = shape < 1.0
     d = np.float64(shape + 1.0 if boost else shape) - 1.0 / 3.0
     cc = 1.0 / np.sqrt(9.0 * d)
-    bundle.new_site()
     out = np.empty(len(bundle), dtype=float)
-    pend = np.arange(len(bundle))
-    while pend.size:
-        uu = bundle.uniforms(3, pend)
+    uu, pend = _first_uniforms(bundle, first, 3), np.arange(len(bundle))
+    while True:
         x = ndtri(uu[0])
         v = (1.0 + cc * x) ** 3
         ok = v > 0.0
@@ -314,14 +364,20 @@ def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0) -> np.ndar
             val *= np.exp(np.log(uu[2][accept]) / shape)
         out[pend[accept]] = val / rate
         pend = pend[~accept]
-    return out
+        if not pend.size:
+            return out
+        uu = bundle.uniforms(3, pend)
 
 
-def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: StreamBundle):
+def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: StreamBundle,
+                                  first=None):
     """Draw U_sigma = -ln R_sigma, one value per lane, for scale sigma >= 1.
 
-    sigma = 1 returns exactly 0 without consuming any randomness.  Callers
-    recover the mixing variable as R = exp(-U).
+    sigma = 1 returns exactly 0 without consuming any randomness; any other
+    sigma opens one site per atom, or one for gamma or pure drift.  Given
+    ``first``, the attempt-0 blocks of a site the caller opened, the first
+    of those sites is that one.  Callers recover the mixing variable as
+    R = exp(-U).
     """
     require_calibrated(family)
     sig = float(sigma)
@@ -332,13 +388,11 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: Str
         return np.zeros(n)
     log_sigma = np.log(sig)
     if family.kind == GAMMA:
-        return gamma_draw(bundle, family.a * log_sigma, family.b)
+        return gamma_draw(bundle, family.a * log_sigma, family.b, first)
     out = np.full(n, family.beta * log_sigma)
-    if not family.atoms:
-        # pure drift draws nothing but still takes one site per step, so
-        # Brownian output at a given seed is the same as in schema 2
-        bundle.new_site()
+    if not family.atoms and first is None:
+        bundle.new_site()  # pure drift draws nothing, but takes its site
     for x, w in family.atoms:
-        out += x * poisson_draw(bundle, w * log_sigma)
+        out += x * poisson_draw(bundle, w * log_sigma, first)
+        first = None
     return out
-

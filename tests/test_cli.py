@@ -105,13 +105,13 @@ class TestSimulate:
         "argv, digest",
         [
             (["--family", "poisson", "--grid", "0:1:16"],
-             "3918d52b3f7b8c8fc0b4856a3725adc0b9bce8d4c195fadfaa805214559552c5"),
+             "2de80c56b6f34fc51e46f3b1dbac9eda511b182c3659563fca36750d4f1b65e8"),
             (["--family", "gamma", "--grid", "0:1:16"],
-             "4d182bd071447ff34538ba6c52537bf44a5cc42b55440c79503ac1c642f0a4b8"),
+             "7ffe7c15a9382cfb97e4f6704d2d5bf0a8bca8e0b9db37bd07c683202c5a4798"),
             (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--grid", "0:1:16"],
-             "4619c813323c3702bd3a20b91d021bdcfc73a78669e1242b90917e722705664b"),
+             "d22aaf09db364c8b08324cbe55240b50f5539e129c6309292e3589284ee87681"),
             (["--family", "poisson", "--mode", "event", "--start", "1", "--horizon", "4"],
-             "4e26cae7a0ffb4e375a365ab1dedf475243bdff98c64b34cdef356d8035fb674"),
+             "ee4a048d980196194132de25c22d033f897b2f2d051183847629150bd416609b"),
         ],
         ids=["grid-poisson", "grid-gamma", "grid-compound", "event-poisson"],
     )
@@ -135,7 +135,7 @@ class TestSimulate:
         assert execute(["simulate", "--mode", "event", "--horizon", "1e308",
                         "--paths", "10", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "3965acac63c8b62512e96f27a98f0aa84dc40aa326769507bb60376bc940c306")
+            "d9607b748a54766380eef2d8778f5661ba530688b68474f4319a0ae4c49761c9")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_poisson_mean_past_the_limit_exits_two(self, tmp_path, capsys):
@@ -664,6 +664,41 @@ class TestConfigPrecedence:
         assert len(lines) == 1 + 7 * 3  # paths and grid taken from the file
 
 
+#: doubles whose text form is easy to get wrong: both zeros, subnormals, the
+#: edges of the normal range, tiny and huge magnitudes
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+            1.7976931348623157e308, 0.1, 1 / 3, -2.5e-17, 123456789.125]
+
+
+class TestTableWriter:
+    """The ``kernel`` and ``jump-times`` tables: one write per block of rows,
+    the bytes of one f-string per row."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7], ids=lambda r: f"block{r}")
+    def test_bytes_match_per_row_form(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "_TABLE_ROWS", rows)  # a table of several blocks
+        ys = np.array(_AWKWARD)
+        dens = np.array(_AWKWARD[::-1])
+        cli._write_table(str(tmp_path / "k.csv"), "y,density", ys, dens)
+        want = "y,density\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(ys, dens))
+        assert (tmp_path / "k.csv").read_bytes() == want.encode("ascii")
+        cli._write_table(str(tmp_path / "j.csv"), "sample_id,first_jump_time",
+                         np.arange(ys.size), ys)
+        want = "sample_id,first_jump_time\n" + "".join(
+            f"{i},{float(v)!r}\n" for i, v in enumerate(ys))
+        assert (tmp_path / "j.csv").read_bytes() == want.encode("ascii")
+
+    def test_jump_times_table(self, tmp_path):
+        out = tmp_path / "jt.csv"
+        assert execute(["jump-times", "--family", "poisson", "--s", "1", "--n", "10000",
+                        "--seed", "3", "--out", str(out),
+                        "--report", str(tmp_path / "r.json")]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sample_id,first_jump_time" and len(lines) == 10_001
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(10_000))
+        assert all(float(line.split(",")[1]) > 1.0 for line in lines[1:])
+
+
 class TestKernel:
     def test_table_and_sidecar(self, tmp_path):
         out = tmp_path / "dens.csv"
@@ -673,8 +708,8 @@ class TestKernel:
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "dens.csv.json").read_text())
-        assert sidecar["schema"] == "gaussmart/3"
-        assert sidecar["stream_layout"] == 2
+        assert sidecar["schema"] == "gaussmart/4"
+        assert sidecar["stream_layout"] == 3
         assert sidecar["mass_check"] == pytest.approx(1.0, abs=1e-8)
         assert sidecar["moment_checks"]["k1"]["abs_error"] < 1e-8
         assert sidecar["moment_checks"]["k2"]["abs_error"] < 1e-8
@@ -795,8 +830,8 @@ class TestVerifyAndJumpTimes:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema"] == "gaussmart/3"
-        assert payload["stream_layout"] == 2
+        assert payload["schema"] == "gaussmart/4"
+        assert payload["stream_layout"] == 3
         fam = calibrate(poisson_family())
         assert payload["family"]["kind"] == "compound"
         assert payload["family"]["atoms"] == [list(a) for a in fam.atoms]

@@ -526,6 +526,25 @@ class TestComponentMajorEvaluator:
             want += wk * stats.norm.pdf(ys, loc=loc, scale=math.sqrt(-t * math.expm1(-uk)))
         assert np.abs(got[rows] - want).max() <= 1e-13 * want.max()
 
+    @pytest.mark.parametrize("shape", [(16, 2, 2048), (15, 17, 256)],
+                             ids=["poisson-ck", "gamma-ck"])
+    def test_gaussians_product_is_the_broadcast_bits(self, shape):
+        # [-m, 1] @ [1; ys] rounds each difference once, as ys - m does;
+        # the points include the means themselves and both zeros
+        k, r, p = shape
+        rng = np.random.default_rng(k)
+        scale, var = rng.uniform(0.05, 1.0, k), rng.uniform(1e-3, 2.0, k)
+        xs = rng.normal(size=r)
+        ys = np.sort(np.concatenate([rng.normal(scale=3.0, size=p - 4),
+                                     [0.0, -0.0], scale[:2] * xs[0]]))
+        want = ys - (scale[:, None] * xs)[:, :, None]
+        np.square(want, out=want)
+        want *= (-0.5 / var)[:, None, None]
+        np.exp(want, out=want)
+        got = kernel._gaussians(scale, var, xs, ys)
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_gamma_integrand_nodes_first(self, gamma_fam, monkeypatch):
         integrands = []
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from gaussmart import (
     DomainError,
@@ -26,14 +27,16 @@ from gaussmart import (
     simulate_grid_ensemble,
     transition_pairs,
 )
+from gaussmart import sampler
 from gaussmart.pathsim import (
     _MIN_CHUNK,
     EVENT_JUMP_LIMIT,
     _chunks,
+    _grid_values,
     write_event_csv,
     write_grid_csv,
 )
-from gaussmart.sampler import sample_subordinator_increment
+from gaussmart.sampler import gamma_draw, philox_block, sample_subordinator_increment
 
 
 def recursion_step(family, s, t, x, bundle):
@@ -42,6 +45,87 @@ def recursion_step(family, s, t, x, bundle):
     u = sample_subordinator_increment(family, sigma, bundle)
     xi = bundle.normals()
     return sigma * (np.exp(-0.5 * u) * x + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
+
+
+def _unit(word):
+    return sampler._to_unit(np.array([word], dtype=np.uint64))
+
+
+def _layout3_oracle(family, seed, stream_id, s, t):
+    """(X_s, U, X_t) of one lane on the grid [0, s, t], rebuilt from the
+    layout-3 blocks: the origin normal is word 0 of site 1; the step opens
+    site 2, whose word 3 is the step normal and whose words 0-2 start the
+    increment (each further atom opens the next site)."""
+    def words(site):
+        return philox_block(seed, [stream_id], site, 0)[:, 0]
+
+    x_s = math.sqrt(s) * ndtri(_unit(words(1)[0]))
+    sigma = math.sqrt(t / s)
+    log_sigma = np.log(sigma)
+    if family.kind == "gamma":
+        bundle = StreamBundle(seed, [stream_id])
+        bundle.new_site()  # the origin's site
+        u = gamma_draw(bundle, family.a * log_sigma, family.b)
+    else:
+        u = np.full(1, family.beta * log_sigma)
+        for site, (x, w) in enumerate(family.atoms, start=2):
+            u += x * stats.poisson.ppf(_unit(words(site)[0]), w * log_sigma)
+    xi = ndtri(_unit(words(2)[3]))
+    x_t = sigma * (np.exp(-0.5 * u) * x_s + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
+    return x_s[0], u[0], x_t[0]
+
+
+class TestStreamLayout3:
+    """Each grid step after the first takes its normal from word 3 of the
+    attempt-0 block of the first site it opens."""
+
+    @pytest.mark.parametrize("kind, stream_id, value", [
+        ("poisson", 3, -1.4787403858822281),
+        ("gamma", 3, -1.5757318363231627),
+        ("compound", 3, -1.7135370471675624),
+        ("brownian", 3, -1.6193154381747905),
+    ])
+    def test_one_lane_known_answers(self, kind, stream_id, value, request):
+        fam = request.getfixturevalue(f"{kind}_fam")
+        x_s, u, x_t = _layout3_oracle(fam, 11, stream_id, 1.0, 4.0)
+        vals = simulate_grid_ensemble(fam, [0.0, 1.0, 4.0], 11, 1, stream_base=stream_id)[0]
+        assert u > 0.0  # the step normal enters the value
+        assert vals.tolist() == [0.0, x_s, x_t]
+        assert x_t == value  # recorded at stream layout 3
+
+    @pytest.mark.parametrize("kind, sites", [
+        ("poisson", 1), ("gamma", 1), ("compound", 2), ("brownian", 1), ("three_atoms", 3),
+    ])
+    def test_sites_per_step(self, kind, sites, request):
+        # one site per atom, and at least one for every family
+        fam = (calibrate(compound_family([(0.5, 1.0), (1.0, 1.0), (2.0, 0.25)]))
+               if kind == "three_atoms" else request.getfixturevalue(f"{kind}_fam"))
+        bundle = path_bundle(3, 50)
+        _grid_values(fam, np.array([0.0, 0.5, 1.0, 2.0]), bundle)
+        assert bundle._site == 1 + 2 * sites
+
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound", "brownian"])
+    def test_unit_scale_step_opens_one_site(self, kind, request):
+        # the scale rounds to 1: no increment is drawn, the site still opens
+        times = np.array([1.0, 1.0 + 2.0**-52])
+        assert math.sqrt(times[1] / times[0]) == 1.0
+        bundle = path_bundle(4, 10)
+        vals = _grid_values(request.getfixturevalue(f"{kind}_fam"), times, bundle,
+                            start_values=0.7)
+        assert bundle._site == 1
+        assert np.all(vals[:, 1] == 0.7)
+
+    def test_whole_bundle_poisson_step_is_one_block_call(self, poisson_fam, monkeypatch):
+        calls = []
+        blocks = StreamBundle.blocks
+
+        def counted(self, idx=None):
+            calls.append(idx)
+            return blocks(self, idx)
+
+        monkeypatch.setattr(StreamBundle, "blocks", counted)
+        _grid_values(poisson_fam, np.array([1.0, 2.0]), path_bundle(3, 50), start_values=0.0)
+        assert calls == [None]
 
 
 class TestGrid:

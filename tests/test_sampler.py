@@ -167,6 +167,29 @@ class TestPhiloxCore:
 
     def test_empty_request(self):
         assert philox_block(1, np.array([], dtype=np.uint64), 1, 0).shape == (4, 0)
+        assert philox_block(1, range(5, 5), 1, 0).shape == (4, 0)
+
+    @pytest.mark.parametrize("first", [0, 2**63 + 7, 2**64 - 4])
+    def test_range_is_one_numpy_call(self, numpy_calls, first):
+        # a range of consecutive ids skips the checks over the ids and gives
+        # the blocks of the same ids as an array
+        ids = range(first, first + 3)
+        got = philox_block(6, ids, 2, 1)
+        assert numpy_calls == [first]
+        assert np.array_equal(got, _numpy_blocks(6, first, 2, 1, 3))
+        assert np.array_equal(got, philox_block(6, np.array(ids, dtype=np.uint64), 2, 1))
+
+    def test_whole_bundle_draws_pass_a_range(self, monkeypatch):
+        # consecutive lanes ask for a range; others for their ids
+        seen = []
+        block = sampler.philox_block
+        monkeypatch.setattr(sampler, "philox_block", lambda *a: seen.append(a[1]) or block(*a))
+        for bundle in (path_bundle(1, 4, 10), verify_bundle(1, 3), StreamBundle(1, [7])):
+            bundle.blocks()
+            assert seen.pop() == range(int(bundle.stream_ids[0]), int(bundle.stream_ids[-1]) + 1)
+        gappy = StreamBundle(1, [3, 5, 4])
+        assert np.array_equal(gappy.blocks(), StreamBundle(1, [3, 4, 5]).blocks()[:, [0, 2, 1]])
+        assert np.array_equal(seen[0], [3, 5, 4])
 
     def test_neighbouring_verification_lanes_differ(self):
         b = verify_bundle(1, 4, offset=220_000)
@@ -216,6 +239,31 @@ class TestPhiloxCore:
     def test_verify_bundle_range(self):
         ids = verify_bundle(0, 3).stream_ids
         assert int(ids.min()) >= VERIFY_STREAM_BASE
+
+
+class TestUniformMap:
+    """Words map to the odd multiples of 2**-53: open at both ends, equally
+    spaced, and exact."""
+
+    def test_edges(self):
+        # word 0 and the top word: neither 0 nor 1, so no normal is infinite
+        words = np.array([0, 2**64 - 1], dtype=np.uint64)
+        assert sampler._to_unit(words).tolist() == [2.0**-53, np.nextafter(1.0, 0.0)]
+        assert np.all(np.abs(sampler.to_normals(words)) < 8.3)
+
+    def test_upper_half_keeps_every_step(self):
+        # each step of 2**12 in the word is its own uniform, above 1/2 too
+        words = np.array([2**63, 2**63 + 2**12, 2**63 + 2**12 - 1], dtype=np.uint64)
+        u = sampler._to_unit(words)
+        assert u[1] - u[0] == 2.0**-52 and u[2] == u[0]
+        assert u[0] == 0.5 + 2.0**-53
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_matches_exact_rationals(self, w):
+        u = sampler._to_unit(np.array([w], dtype=np.uint64))[0]
+        assert 0.0 < u < 1.0
+        assert u == ((w >> 12) * 2 + 1) / 2**53
 
 
 class TestGaussian:
@@ -349,33 +397,33 @@ class TestLowLevelSamplers:
         "shape, values",
         [
             (0.05, [
-                6.667714457462443e-20, 3.784599320522382e-11, 0.002187309901946794,
-                1.0560225624488737e-18, 0.00028013611167265767, 5.752504806366455e-06,
-                0.04479365847193908, 1.4595126645208057e-15, 0.00016946638284950585,
-                2.060940975997355e-15, 1.182042856238752e-15, 1.7096145325745492e-09,
-                8.961635089805964e-07, 0.020452623931389323, 0.0027492668470143066,
-                3.218693674751934e-60,
+                6.667714457462349e-20, 3.7845993205223954e-11, 0.0021873099019467847,
+                1.056022562448881e-18, 0.00028013611167265854, 5.752504806366466e-06,
+                0.04479365847193896, 1.4595126645207913e-15, 0.00016946638284950628,
+                2.060940975997354e-15, 1.182042856238752e-15, 1.7096145325745438e-09,
+                8.961635089805994e-07, 0.020452623931389368, 0.002749266847014314,
+                3.2186936747546726e-60,
             ]),
             (1.0, [
-                1.0514421158177822, 0.2674150770149751, 0.6906028500622424,
-                1.1542273893530506, 0.13684175073870294, 0.22299861405816315,
-                0.06098329299854597, 2.5642769403712946, 0.0709534922886428,
-                0.4278667318903431, 0.10317899251638461, 0.7511488843524694,
-                0.309840016994336, 2.0457611688912682, 0.11052894739958413,
-                0.013460829214555091,
+                1.0514421158177816, 0.26741507701497497, 0.6906028500622418,
+                1.1542273893530515, 0.1368417507387029, 0.22299861405816307,
+                0.060983292998545935, 2.5642769403712875, 0.0709534922886428,
+                0.42786673189034274, 0.10317899251638456, 0.7511488843524698,
+                0.309840016994336, 2.045761168891265, 0.11052894739958413,
+                0.013460829214555051,
             ]),
             (25.0, [
                 15.39460719492654, 11.907580237660937, 14.081681200038659,
                 15.723492787029166, 10.836370612497026, 11.586152426050683,
-                9.88615497512967, 19.257810412513624, 10.041220455769738,
+                9.886154975129667, 19.257810412513614, 10.041220455769734,
                 12.86878742539657, 10.468099401133891, 14.32370700548218,
-                12.18751230420752, 18.109135978457026, 10.553917859257375,
+                12.18751230420752, 18.109135978457015, 10.553917859257375,
                 8.753462461125148,
             ]),
         ],
     )
     def test_gamma_known_answers(self, shape, values):
-        # values recorded at stream layout 2; shape 0.05 takes the boost
+        # values recorded at stream layout 3; shape 0.05 takes the boost
         assert gamma_draw(path_bundle(7, 16), shape, 2.0).tolist() == values
 
     @pytest.mark.parametrize(
@@ -408,8 +456,9 @@ def _sequential_search(u, mean):
     return k
 
 
-#: the smallest uniform the stream makes, 1/2, the largest double below 1,
-#: and 1 itself (_to_unit rounds the top word up to 1.0)
+#: a uniform below the smallest the stream makes (2**-53), 1/2, the largest
+#: uniform the stream makes (1 - 2**-53, the largest double below 1), and 1
+#: itself, which the stream never makes but the inversion must still count
 _EDGE_U = [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0]
 _MEANS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 10.0]),
@@ -434,9 +483,9 @@ class TestPoissonInversion:
 
     @pytest.mark.parametrize("mean", [0.1, 4.0, 10.0])
     def test_underflow_edge(self, mean):
-        # at mean 0.1 and 4 the cumulative sum stops short of 1 - 2**-53,
-        # at mean 10 short of u = 1.0 (a uniform the stream can round to),
-        # so the table runs until p underflows and the last index is taken
+        # at mean 0.1 and 4 the cumulative sum stops short of 1 - 2**-53
+        # (the stream's top uniform), at mean 10 short of u = 1.0, so the
+        # table runs until p underflows and the last index is taken
         u = np.array([1.0, 1.0 - 2.0**-53, 0.5])
         ref = _sequential_search(u, np.full(u.shape, mean))
         assert ref[0] > 60
@@ -453,7 +502,8 @@ class TestPoissonInversion:
         ],
     )
     def test_known_answers(self, mean, counts):
-        # counts recorded from the sequential search (stream layout 2)
+        # counts recorded from the sequential search at stream layout 2; the
+        # open uniforms of layout 3 leave every one of them unchanged
         assert poisson_draw(path_bundle(7, 16), mean).tolist() == counts
 
     def test_whole_bundle_draw_is_one_block_call(self, monkeypatch):

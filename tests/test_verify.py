@@ -502,16 +502,16 @@ class TestPinnedReports:
     """Every report of the battery and of the null calibration, pinned bit
     for bit: a change to how the experiments are run that moves a sub-seed,
     a reference draw, a size or a statistic changes a digest.  The digests
-    are of this numpy/scipy build's floats (numpy 2.4, scipy 1.17); another
-    build may round a statistic differently."""
+    are of stream layout 3 and of this numpy/scipy build's floats (numpy
+    2.4, scipy 1.17); another build may round a statistic differently."""
 
     BATTERY = {
-        "poisson_fam": "37db76882bce1452967ec999c3142f29364d8a8a2c67151cdadca68cf7cc5d3b",
-        "gamma_fam": "f81c05d9316b650f135dc99b1ada426e706d9e0c920b169db27260c391765640",
-        "compound_fam": "ef586db28da29dca7b6f93e3fc73fe496438d82fa41d886596e423ed2b795df1",
-        "brownian_fam": "17ed30f057a977ab3f647e8ac77d8b563f0d9af75fde3ec80bec167e1261eaaa",
+        "poisson_fam": "06532131f53d4fac2370399db228ab92f263ca1605f88092800866205ae64658",
+        "gamma_fam": "03e5257f46b140f4d7789c0fb0f8beb3c71a1af3ef33712aeb590d151ea57896",
+        "compound_fam": "6c0acbf68705ae76dc90720c6bc403e32415c192ea489e1bcb8ee0fb77e449a9",
+        "brownian_fam": "0eb63fc565408fdb7f5c8a0501224410a2eb59935b348943c52fd1690c854458",
     }
-    NULL = "8e61c04f880be96fb38374b70eb68e169602d1d64705dbdd98e30b5e582d5ec7"
+    NULL = "b9e3b276f0f99ae7cfd3473d09b5c24e6a4d4b3ded4a7f42b0da47ede937ca44"
 
     @pytest.mark.parametrize("fam_name", sorted(BATTERY))
     def test_battery_reports(self, request, fam_name):
