@@ -6,7 +6,6 @@ from .generator import (
     Polynomial,
     SqrtTaylorMeasure,
     apply_generator,
-    compensator_x2,
     difference_quotient,
     gamma_limit_check,
     generator_check,
@@ -18,10 +17,10 @@ from .kernel import (
     ck_residual,
     kernel_eval,
     kernel_moment,
+    kernel_moment_rate,
 )
 from .pathsim import (
     EventPaths,
-    conditional_moments,
     first_jump_times,
     simulate_event,
     simulate_event_terminals,

@@ -8,11 +8,12 @@ transition law is a mixture over the mixing variable R = exp(-U) in [0, 1]::
 
 and the step from s = 0 is exactly Gaussian.
 
-- *moments*: given R the law is Gaussian, so every moment of order k <= 4
-  is a finite combination of ``E[R^lam] = sigma^-psi(lam)`` and the
-  Gaussian moments of :func:`gaussian_moments` (the one two-term recursion,
-  also behind ``Polynomial.gaussian_expectation``); one closed form serves
-  every family;
+- *moments*: given R, (X_s / sqrt(s), X_t / sqrt(t)) is standard bivariate
+  normal with correlation sqrt(R), so by Mehler's formula the step is
+  diagonal in Hermite polynomials, ``E[He_n(X_t / sqrt(t)) | X_s = x] =
+  E[R^(n/2)] He_n(x / sqrt(s))`` with ``E[R^lam] = sigma^-psi(lam)``.  One
+  identity serves every family and every moment of order k <= 8, and its
+  t-derivative at t = s is the generator applied to y^k;
 - *finite-atom densities*: ``U = beta ln sigma + sum_i x_i N_i`` with
   independent ``N_i ~ Poisson(w_i ln sigma)`` is compound Poisson, so the
   law is an exact Gaussian mixture over the values of U.  On the atoms'
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import hermite_e
 from scipy import special, stats
 
 from .errors import DomainError, LatticeError
@@ -61,8 +63,12 @@ from .semigroup import (
     SubordinatorFamily,
     gamma_atom,
     laplace,
+    psi,
     require_calibrated,
 )
+
+#: the highest moment order and polynomial degree the moments serve
+MAX_DEGREE = 8
 
 #: mixture components are kept until the dropped mass is at most this
 POISSON_TAIL = 1e-12
@@ -141,8 +147,18 @@ def gaussian_moments(mean, var, k: int) -> list:
     return moments[:k + 1]
 
 
-#: E[Z^j] for a standard normal Z, j = 0..4
-_STANDARD_MOMENTS = tuple(float(m) for m in gaussian_moments(0.0, 1.0, 4))
+def _padded(coefficients) -> np.ndarray:
+    out = np.zeros(MAX_DEGREE + 1)
+    out[:len(coefficients)] = coefficients
+    return out
+
+
+#: row k: the HermiteE coefficients a_k of y^k (``poly2herme``); with Z
+#: standard normal they are also ``a_kj = C(k, j) E[Z^(k-j)]``
+_HERME_OF_POWER = np.array([_padded(hermite_e.poly2herme(e)) for e in np.eye(MAX_DEGREE + 1)])
+#: row n: the power coefficients of He_n, so ``w @ _POWER_OF_HERME`` is
+#: ``herme2poly(w)`` at a hundredth of its cost
+_POWER_OF_HERME = np.array([_padded(hermite_e.herme2poly(e)) for e in np.eye(MAX_DEGREE + 1)])
 
 
 def _check_step(s: float, t: float) -> None:
@@ -367,44 +383,65 @@ def kernel_eval(family: SubordinatorFamily, s: float, t: float, x: float) -> Ker
     return KernelEval(gamma_atom(family, sigma), sigma * x, density, meta)
 
 
+def _check_order(k) -> None:
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= MAX_DEGREE:
+        raise DomainError(f"moment order k must be an integer in 0..{MAX_DEGREE}")
+
+
+def _in_powers(c, base: float, loc: float, k: int, shift: int = 0) -> float:
+    """``sum_j c_j base^((k-j)/2 + shift) loc^j`` over the j of k's parity
+    (the others' c_j are zero), in Python floats, so an overflow raises
+    OverflowError before any numpy work."""
+    return float(sum(c[j] * base ** ((k - j) // 2 + shift) * loc ** j
+                     for j in range(k % 2, k + 1, 2)))
+
+
 def kernel_moment(family: SubordinatorFamily, s: float, t: float, x: float, k: int) -> float:
-    """k-th moment of the full transition law (atom included), k in 0..4.
+    """k-th moment of the full transition law (atom included), k in 0..8.
 
-    Given R the step lands at ``N(loc sqrt(R), t (1 - R))`` with ``loc =
-    sigma x``, so with Z standard normal::
+    By the Hermite identity, with a the HermiteE coefficients of y^k,
+    ``L_n = laplace(family, sigma, n/2)`` and ``loc = sigma x`` (so that
+    ``x / sqrt(s) = loc / sqrt(t)``)::
 
-        E[Y^k] = sum over even j of C(k, j) E[Z^j] loc^(k-j) t^(j/2)
-                 * E[R^((k-j)/2) (1 - R)^(j/2)],
+        E[Y^k] = t^(k/2) sum_n a_n L_n He_n(x / sqrt(s))
+               = sum_j t^((k-j)/2) loc^j c_j,   c = herme2poly(a L),
 
-    and each mixed moment expands binomially into ``E[R^lam] =
-    laplace(family, sigma, lam)``.  From s = 0 the law is N(x, t): the same
-    sum with ``loc = x`` and both mixing factors equal to one.
+    in powers of loc and t, never of x / sqrt(s), which overflows at tiny
+    s.  From s = 0 the law is N(x, t), whose moments are the same sum with
+    ``loc = x`` and ``c = a``.
     """
-    if not isinstance(k, (int, np.integer)) or not 0 <= k <= 4:
-        raise DomainError("moment order k must be an integer in 0..4")
+    _check_order(k)
     _check_step(s, t)
+    a = _HERME_OF_POWER[k]
     if s == 0.0:
-        loc = x
+        return _in_powers(a.tolist(), t, x, k)
+    require_calibrated(family)
+    sigma = math.sqrt(t / s)
+    # L_0 = 1, and a_n = 0 unless n has k's parity: no laplace call needed there
+    mixing = [laplace(family, sigma, 0.5 * n) if n and n % 2 == k % 2 else 1.0
+              for n in range(k + 1)]
+    c = (a[:k + 1] * mixing) @ _POWER_OF_HERME[:k + 1]
+    return _in_powers(c.tolist(), t, sigma * x, k)
 
-        def mixed(lam: float, n: int) -> float:
-            return 1.0
-    else:
-        require_calibrated(family)
-        sigma = math.sqrt(t / s)
-        loc = sigma * x
 
-        def mixed(lam: float, n: int) -> float:
-            # E[R^lam (1 - R)^n]
-            return sum(
-                math.comb(n, i) * (-1) ** i * laplace(family, sigma, lam + i)
-                for i in range(n + 1)
-            )
+def kernel_moment_rate(family: SubordinatorFamily, s: float, x: float, k: int) -> float:
+    """``d/dt E[X_t^k | X_s = x]`` at t = s, the generator applied to y^k.
 
-    return float(sum(
-        math.comb(k, j) * _STANDARD_MOMENTS[j] * loc ** (k - j) * t ** (j // 2)
-        * mixed(0.5 * (k - j), j // 2)
-        for j in range(0, k + 1, 2)
-    ))
+    In :func:`kernel_moment`'s identity only ``t^(k/2) L_n = t^(k/2)
+    (s/t)^(psi(n/2)/2)`` depends on t, so at t = s::
+
+        sum_j s^((k-j)/2 - 1) x^j c_j,   c = herme2poly(a (k - psi(n/2)) / 2).
+
+    For k = 2 this is ``delta + (1 - delta) x^2 / s``, the integrand of the
+    predictable quadratic variation.
+    """
+    _check_order(k)
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"need 0 < s < inf, got s = {s}")
+    require_calibrated(family)
+    rates = [0.5 * (k - psi(family, 0.5 * n)) for n in range(k + 1)]
+    c = (_HERME_OF_POWER[k, :k + 1] * rates) @ _POWER_OF_HERME[:k + 1]
+    return _in_powers(c.tolist(), s, x, k, shift=-1)
 
 
 def _density_matrix(family, s: float, t: float, ygrid, zgrid):

@@ -39,7 +39,6 @@ from .sampler import StreamBundle, path_bundle, sample_subordinator_increment, t
 from .semigroup import (
     SubordinatorFamily,
     compound_poisson,
-    delta,
     nu_total,
     require_calibrated,
 )
@@ -170,25 +169,6 @@ def transition_pairs(
         family, [0.0, s, t], seed, n, stream_base=stream_base, threads=threads
     )
     return vals[:, 1], vals[:, 2]
-
-
-def conditional_moments(family: SubordinatorFamily, s, t, x):
-    """Mean and second moment of X_t given X_s = x (closed form).
-
-    mean = x (martingale); E[X_t^2 | X_s = x] =
-    t (1 - (s/t)**delta) + (t/s)**(1-delta) * x**2.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s <= 0) or np.any(t < s):
-        raise DomainError("need 0 < s <= t")
-    d = delta(family)
-    x = np.asarray(x, dtype=float)
-    second = t * (1.0 - (s / t) ** d) + (t / s) ** (1.0 - d) * x**2
-    mean = x + np.zeros_like(second)
-    if mean.ndim == 0:
-        return float(mean), float(second)
-    return mean, second
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ class TestNonFiniteInputs:
             ["kernel", "--y", "0:1:0"],
             ["kernel", "--t", "1e308"],
             ["kernel", "--s", "1e-320"],
-            ["generator-check", "--h", "nan"],
+            ["generator-check", "--x", "nan"],
             ["jump-times", "--s", "nan"],
             ["jump-times", "--n", "-3"],
             ["jump-times", "--n", "5"],
@@ -349,7 +349,7 @@ _OVERFLOWS = [
 #: the float flags each overflow message names: the subcommand's own
 _OVERFLOW_FLAGS = {
     "kernel": {"--s", "--t", "--x"},
-    "generator-check": {"--s", "--x", "--h"},
+    "generator-check": {"--s", "--x"},
     "jump-times": {"--s"},
 }
 
@@ -804,8 +804,10 @@ class TestGeneratorCheck:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["relative_error"] < 0.02
+        assert payload["relative_error"] < 1e-6
         assert payload["family"]["kind"] == "gamma" and payload["family"]["calibrated"]
+        assert "h" not in payload and "difference_quotient" not in payload
+        assert payload["reference"] == pytest.approx(payload["closed_form"], rel=1e-6)
 
     def test_coefficient_list(self, tmp_path):
         out = tmp_path / "gen2.json"
@@ -814,7 +816,27 @@ class TestGeneratorCheck:
              "--out", str(out)]
         )
         assert code == 0
-        assert json.loads(out.read_text())["relative_error"] < 0.01
+        assert json.loads(out.read_text())["relative_error"] < 1e-10
+
+    def test_degree_five(self, tmp_path):
+        out = tmp_path / "gen5.json"
+        assert execute(["generator-check", "--family", "poisson", "--f", "0,0,0,0,0,1",
+                        "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["relative_error"] < 1e-10
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_removed_step_refused(self, tmp_path, capsys, how):
+        # the exact reference has no step: --h is neither read as --help
+        # nor ignored
+        if how == "flag":
+            argv = ["--h", "0.02"]
+        else:
+            (tmp_path / "cfg.json").write_text('{"h": 0.02}')
+            argv = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "gen.json"
+        assert execute(["generator-check", *argv, "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_polynomial_spec(self):
         assert execute(["generator-check", "--family", "poisson", "--f", "xx"]) == 2

@@ -11,11 +11,15 @@ from gaussmart import (
     FamilyError,
     Polynomial,
     apply_generator,
-    compensator_x2,
+    calibrate,
+    compound_family,
     delta,
     difference_quotient,
+    gamma_family,
     gamma_limit_check,
     generator_check,
+    kernel_moment_rate,
+    poisson_family,
     psi,
     sqrt_taylor_measure,
 )
@@ -119,20 +123,26 @@ class TestDifferenceQuotient:
     @pytest.mark.parametrize("f", [X2, X3, X4])
     @pytest.mark.parametrize("s,x", [(0.5, 0.8), (1.0, -0.8), (2.0, 2.0), (1.0, 0.0)])
     def test_generator_vs_semigroup_poisson(self, poisson_fam, f, s, x):
-        chk = generator_check(poisson_fam, f, s, x, h=0.02 * s)
+        chk = generator_check(poisson_fam, f, s, x)
         if abs(chk["closed_form"]) > 1e-9:
-            assert chk["relative_error"] < 0.01
+            assert chk["relative_error"] < 1e-10
 
     @pytest.mark.parametrize("f", [X2, X3, X4])
     @pytest.mark.parametrize("s,x", [(0.5, 0.8), (1.0, -0.8), (2.0, 2.0)])
     def test_generator_vs_semigroup_gamma(self, gamma_fam, f, s, x):
-        chk = generator_check(gamma_fam, f, s, x, h=0.02 * s)
+        chk = generator_check(gamma_fam, f, s, x)
         if abs(chk["closed_form"]) > 1e-9:
-            assert chk["relative_error"] < 0.02
+            assert chk["relative_error"] < 1e-6
 
-    def test_degree_capped_at_four(self, poisson_fam):
-        with pytest.raises(DomainError):
-            difference_quotient(poisson_fam, Polynomial((0.0,) * 5 + (1.0,)), 1.0, 0.0, 0.01)
+    @pytest.mark.parametrize("k", range(5, 9))
+    def test_degree_past_four(self, poisson_fam, k):
+        # kernel_moment reaches degree 8, so the quotient does too: its
+        # Richardson combination is within O(h^2) of the exact rate
+        f = Polynomial.monomial(k)
+        q1 = difference_quotient(poisson_fam, f, 1.0, 0.8, 0.002)
+        q2 = difference_quotient(poisson_fam, f, 1.0, 0.8, 0.001)
+        assert 2.0 * q2 - q1 == pytest.approx(kernel_moment_rate(poisson_fam, 1.0, 0.8, k),
+                                              rel=1e-4)
 
     def test_step_domain(self, poisson_fam):
         with pytest.raises(DomainError):
@@ -142,21 +152,72 @@ class TestDifferenceQuotient:
 
 
 class TestCompensator:
+    """The x^2 reference is delta + (1 - delta) x^2 / s, the integrand of
+    the predictable quadratic variation."""
+
     def test_brownian(self, brownian_fam):
-        assert compensator_x2(brownian_fam, 3.0, 2.0) == 1.0
+        assert kernel_moment_rate(brownian_fam, 3.0, 2.0, 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_at_origin(self, poisson_fam):
-        assert compensator_x2(poisson_fam, 2.0, 0.0) == delta(poisson_fam)
+        assert kernel_moment_rate(poisson_fam, 2.0, 0.0, 2) == pytest.approx(
+            delta(poisson_fam), rel=1e-15
+        )
 
     def test_poisson_value(self, poisson_fam):
         # delta + (1 - delta) * 4 / 2 with delta = (1 + e^{-1/2}) / 2
-        assert compensator_x2(poisson_fam, 2.0, 2.0) == pytest.approx(
+        assert kernel_moment_rate(poisson_fam, 2.0, 2.0, 2) == pytest.approx(
             1.1967346701436833, rel=1e-13
         )
 
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
+    @pytest.mark.parametrize("s,x", [(0.5, 0.8), (1.0, 0.0), (2.0, -2.0), (1e-3, 0.05)])
+    def test_delta_form(self, kind, s, x, poisson_fam, gamma_fam, compound_fam):
+        fam = {"poisson": poisson_fam, "gamma": gamma_fam, "compound": compound_fam}[kind]
+        d = delta(fam)
+        assert kernel_moment_rate(fam, s, x, 2) == pytest.approx(d + (1.0 - d) * x * x / s,
+                                                                 rel=1e-13)
+
     def test_domain(self, poisson_fam):
-        with pytest.raises(DomainError):
-            compensator_x2(poisson_fam, 0.0, 1.0)
+        for s in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                kernel_moment_rate(poisson_fam, s, 1.0, 2)
+        for k in (-1, 9):
+            with pytest.raises(DomainError):
+                kernel_moment_rate(poisson_fam, 1.0, 1.0, k)
+
+
+#: finite-atom families, and gamma, whose closed-form generator carries the
+#: O(eps^2) remainder of its small-jump reduction
+_REFERENCE_FAMILIES = {
+    "poisson": (calibrate(poisson_family()), 1e-10),
+    "compound": (calibrate(compound_family([(0.5, 1.0), (2.0, 0.7)])), 1e-10),
+    "eight-atoms": (calibrate(compound_family([(0.01 * i, 1.0) for i in range(1, 9)])), 1e-10),
+    "gamma": (calibrate(gamma_family(b=1.0)), 1e-6),
+}
+
+
+class TestExactReference:
+    """The t-derivative of the Hermite identity against the jump-measure
+    generator, two independent routes to A_s y^k."""
+
+    @pytest.mark.parametrize("kind", sorted(_REFERENCE_FAMILIES))
+    @pytest.mark.parametrize("s,x", [(1.0, 0.8), (0.5, -1.3), (2.0, 2.0)])
+    def test_degrees_two_to_eight(self, kind, s, x):
+        fam, tol = _REFERENCE_FAMILIES[kind]
+        for k in range(2, 9):
+            f = Polynomial.monomial(k)
+            want = apply_generator(fam, f, s, x)
+            assert kernel_moment_rate(fam, s, x, k) == pytest.approx(want, rel=tol)
+            assert generator_check(fam, f, s, x)["relative_error"] <= tol
+
+    def test_martingale_and_constants(self, poisson_fam, gamma_fam):
+        for fam in (poisson_fam, gamma_fam):
+            assert kernel_moment_rate(fam, 1.3, 0.7, 0) == 0.0
+            assert abs(kernel_moment_rate(fam, 1.3, 0.7, 1)) < 1e-15
+
+    def test_mixed_polynomial(self, compound_fam):
+        f = Polynomial((2.0, -1.0, 0.5, 0.0, 0.25))
+        assert generator_check(compound_fam, f, 0.7, 1.1)["relative_error"] <= 1e-10
 
 
 class TestSqrtTaylorMeasure:

@@ -22,7 +22,8 @@ from gaussmart import (
     calibrate,
     ck_residual,
     compound_family,
-    conditional_moments,
+    delta,
+    gamma_family,
     kernel,
     kernel_eval,
     kernel_moment,
@@ -41,6 +42,13 @@ from gaussmart.kernel import (
 from gaussmart.quadrature import gamma_expectation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def second_moment(family, s, t, x):
+    """E[X_t^2 | X_s = x] = t (1 - (s/t)^delta) + (t/s)^(1 - delta) x^2, the
+    closed form in delta, apart from the Hermite sum of kernel_moment."""
+    d = delta(family)
+    return t * (1.0 - (s / t) ** d) + (t / s) ** (1.0 - d) * x * x
 
 
 class TestStartFromZero:
@@ -82,8 +90,7 @@ class TestPoissonKernel:
         elif k == 1:
             assert got == pytest.approx(x, abs=1e-8)
         else:
-            _, second = conditional_moments(poisson_fam, s, t, x)
-            assert got == pytest.approx(second, abs=1e-8)
+            assert got == pytest.approx(second_moment(poisson_fam, s, t, x), abs=1e-8)
 
     def test_moments_by_independent_quadrature(self, poisson_fam):
         # integrate y^k against the pointwise density (independent of the
@@ -119,7 +126,7 @@ class TestGammaKernel:
         s, t, x = 0.5, 2.0, 1.0
         assert kernel_moment(gamma_fam, s, t, x, 0) == pytest.approx(1.0, abs=1e-8)
         assert kernel_moment(gamma_fam, s, t, x, 1) == pytest.approx(x, abs=1e-8)
-        _, second = conditional_moments(gamma_fam, s, t, x)
+        second = second_moment(gamma_fam, s, t, x)
         assert kernel_moment(gamma_fam, s, t, x, 2) == pytest.approx(second, abs=1e-8)
 
     def test_density_integrates_to_one(self, gamma_fam):
@@ -148,7 +155,7 @@ class TestGammaKernel:
         assert gamma_fam.a * math.log(math.sqrt(t / s)) < 1.0
         assert kernel_moment(gamma_fam, s, t, x, 0) == pytest.approx(1.0, abs=1e-8)
         assert kernel_moment(gamma_fam, s, t, x, 1) == pytest.approx(x, abs=1e-8)
-        _, second = conditional_moments(gamma_fam, s, t, x)
+        second = second_moment(gamma_fam, s, t, x)
         assert kernel_moment(gamma_fam, s, t, x, 2) == pytest.approx(second, abs=1e-8)
 
 
@@ -232,7 +239,7 @@ class TestCompoundKernel:
         for k in range(5):
             assert got[k] == pytest.approx(mixture_moment(compound_fam, s, t, x, k), abs=1e-8)
         assert got[:2] == pytest.approx([1.0, x], abs=1e-8)
-        assert got[2] == pytest.approx(conditional_moments(compound_fam, s, t, x)[1], abs=1e-8)
+        assert got[2] == pytest.approx(second_moment(compound_fam, s, t, x), abs=1e-8)
 
     def test_atom_reported_exactly(self, compound_fam):
         ev = kernel_eval(compound_fam, 1.0, 2.0, 0.5)
@@ -278,6 +285,62 @@ class TestCompoundKernel:
             tracemalloc.stop()
         assert np.all(np.isfinite(dens)) and dens.min() >= 0.0
         assert peak < 50 * 2**20
+
+
+def mixing_moments(family, s, t, x):
+    """``[E[Y^0], ..., E[Y^8]]`` of the step (s, x) -> t by mixing, apart
+    from the Hermite identity: the Gaussian moments of each component,
+    weighted by the finite atoms' lattice law or by gamma's density."""
+    sigma = math.sqrt(t / s)
+
+    def moments(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack(gaussian_moments(sigma * np.exp(-0.5 * u) * x, t * -np.expm1(-u), 8), -1)
+
+    if family.kind == "gamma":
+        scale = (t + (sigma * x) ** 2) ** (np.arange(9) / 2)  # odd moments may vanish
+        return gamma_expectation(family.a * math.log(sigma), family.b, moments,
+                                 rel_tol=1e-9, abs_tol=1e-12 * scale)[0]
+    u, w, _ = _lattice_law(family, s, t, abs(x))
+    return w @ moments(u)
+
+
+_MOMENT_FAMILIES = {
+    "poisson": calibrate(poisson_family()),
+    "compound": calibrate(compound_family([(0.5, 1.0), (2.0, 0.7)])),
+    "eight-atoms": calibrate(compound_family(MANY_ATOMS)),
+    "gamma": calibrate(gamma_family(b=1.0)),
+    "gamma-small-shape": calibrate(gamma_family(b=1e-3)),  # a ln sigma down to 0.015
+}
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestHermiteMoments:
+    """kernel_moment up to k = 8 against the mixture it sums in closed form."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(_MOMENT_FAMILIES)), s=st.floats(0.1, 10.0),
+           ratio=st.floats(1.2, 100.0), x=st.floats(-3.0, 3.0))
+    @example(kind="gamma-small-shape", s=1.0, ratio=1.2, x=0.5)
+    @example(kind="eight-atoms", s=0.5, ratio=4.0, x=-1.3)
+    def test_against_mixture(self, kind, s, ratio, x):
+        family, t = _MOMENT_FAMILIES[kind], s * ratio
+        want = mixing_moments(family, s, t, x)
+        for k in range(9):
+            # odd moments vanish at x = 0: measure those on the law's scale
+            scale = (t + ratio * x * x) ** (k / 2)
+            got = kernel_moment(family, s, t, x, k)
+            assert abs(got - want[k]) <= 1e-9 * abs(want[k]) + 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(s=st.floats(0.1, 10.0), ratio=st.floats(1.2, 100.0), x=st.floats(-3.0, 3.0))
+    def test_brownian_is_gaussian(self, brownian_fam, s, ratio, x):
+        # R = s/t: the step is N(x, t - s)
+        t = s * ratio
+        want = gaussian_moments(x, t - s, 8)
+        for k in range(9):
+            scale = (t + ratio * x * x) ** (k / 2)
+            assert abs(kernel_moment(brownian_fam, s, t, x, k) - want[k]) <= 1e-13 * scale
 
 
 _LATTICE_ATOMS = st.lists(
@@ -756,6 +819,6 @@ class TestErrors:
 
     def test_moment_order(self, poisson_fam):
         with pytest.raises(DomainError):
-            kernel_moment(poisson_fam, 0.5, 1.0, 0.0, 5)
+            kernel_moment(poisson_fam, 0.5, 1.0, 0.0, 9)
         with pytest.raises(DomainError):
             kernel_moment(poisson_fam, 0.5, 1.0, 0.0, -1)

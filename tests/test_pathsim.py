@@ -17,8 +17,8 @@ from gaussmart import (
     StreamBundle,
     calibrate,
     compound_family,
-    conditional_moments,
     first_jump_times,
+    kernel_moment,
     nu_total,
     path_bundle,
     simulate_event,
@@ -229,24 +229,28 @@ class TestGrid:
 
 
 class TestConditionalMoments:
+    """kernel_moment's conditional mean and second moment, k = 1 and 2."""
+
     def test_identity_at_equal_times(self, poisson_fam):
-        mean, second = conditional_moments(poisson_fam, 1.3, 1.3, 0.7)
-        assert mean == 0.7 and second == pytest.approx(0.49, rel=1e-14)
+        # one ulp past s the step has not moved: the moments are x and x^2
+        t = math.nextafter(1.3, math.inf)
+        assert kernel_moment(poisson_fam, 1.3, t, 0.7, 1) == pytest.approx(0.7, rel=1e-14)
+        assert kernel_moment(poisson_fam, 1.3, t, 0.7, 2) == pytest.approx(0.49, rel=1e-14)
 
     def test_brownian_case(self, brownian_fam):
-        mean, second = conditional_moments(brownian_fam, 0.5, 2.0, 1.1)
-        assert mean == 1.1
+        assert kernel_moment(brownian_fam, 0.5, 2.0, 1.1, 1) == pytest.approx(1.1, rel=1e-15)
+        second = kernel_moment(brownian_fam, 0.5, 2.0, 1.1, 2)
         assert second == pytest.approx(1.5 + 1.1**2, rel=1e-12)
 
     def test_poisson_value_frozen(self, poisson_fam):
         # 30-digit evaluation of t(1-(s/t)^d) + (t/s)^{1-d} x^2 at (0.5, 2, 1)
-        _, second = conditional_moments(poisson_fam, 0.5, 2.0, 1.0)
+        second = kernel_moment(poisson_fam, 0.5, 2.0, 1.0, 2)
         assert second == pytest.approx(2.6567741909868684, rel=1e-13)
 
     def test_against_monte_carlo_recursion(self, poisson_fam):
         s, t, x = 0.5, 2.0, 1.0
         draws = recursion_step(poisson_fam, s, t, x, path_bundle(13, 1_000_000))
-        _, second = conditional_moments(poisson_fam, s, t, x)
+        second = kernel_moment(poisson_fam, s, t, x, 2)
         se = np.std(draws**2) / math.sqrt(draws.size)
         assert abs(np.mean(draws**2) - second) < 4.0 * se
         assert abs(draws.mean() - x) < 4.0 * draws.std() / math.sqrt(draws.size)
@@ -254,15 +258,14 @@ class TestConditionalMoments:
     def test_gamma_against_monte_carlo(self, gamma_fam):
         s, t, x = 1.0, 3.0, -0.8
         draws = recursion_step(gamma_fam, s, t, x, path_bundle(14, 1_000_000))
-        _, second = conditional_moments(gamma_fam, s, t, x)
+        second = kernel_moment(gamma_fam, s, t, x, 2)
         se = np.std(draws**2) / math.sqrt(draws.size)
         assert abs(np.mean(draws**2) - second) < 4.0 * se
 
     def test_domain(self, poisson_fam):
-        with pytest.raises(DomainError):
-            conditional_moments(poisson_fam, 0.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            conditional_moments(poisson_fam, 2.0, 1.0, 0.0)
+        for s, t in ((1.3, 1.3), (2.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(DomainError):
+                kernel_moment(poisson_fam, s, t, 0.0, 2)
 
 
 class TestContinuityInProbability:
