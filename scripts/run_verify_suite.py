@@ -22,8 +22,7 @@ from gaussmart import (
     poisson_family,
     standard_battery,
 )
-from gaussmart.cli import SCHEMA, verify_report
-from gaussmart.sampler import STREAM_LAYOUT
+from gaussmart.cli import _HEADER, verify_report
 
 FAMILIES = {
     "poisson": lambda: calibrate(poisson_family()),
@@ -66,9 +65,8 @@ def main() -> int:
     # recorded with it, so the whole gate table reruns from this file
     (outdir / "null_calibration.json").write_text(
         json.dumps(
-            {"schema": SCHEMA, "stream_layout": STREAM_LAYOUT, "seed": args.seed,
-             "reps": NULL_REPS, "paths": args.paths, "threads": args.threads,
-             "counts": counts},
+            {**_HEADER, "seed": args.seed, "reps": NULL_REPS, "paths": args.paths,
+             "threads": args.threads, "counts": counts},
             indent=2, sort_keys=True,
         )
     )

@@ -1,6 +1,8 @@
 """Simulation and numerical verification of martingales with exactly
 Gaussian marginals built from log-convolution semigroups of mixing laws."""
 
+__version__ = "0.1.0"
+
 from .errors import CalibrationError, DomainError, FamilyError, LatticeError, QuadratureError
 from .generator import (
     Polynomial,
@@ -64,5 +66,3 @@ from .verify import (
     test_mode_agreement,
     test_quadratic_variation,
 )
-
-__version__ = "0.1.0"

@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy import special, stats
+from scipy import special
 
 from .errors import DomainError, LatticeError
 from .quadrature import gamma_expectation
@@ -258,7 +258,7 @@ def _lattice_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         if not math.isfinite(locs @ (hi - lo)):  # NaN quantiles past means of about 1e11
             raise LatticeError(f"{refused} has count windows that are not finite")
         lam = float(means.sum())
-        count_bound = max(float(stats.poisson.isf(_UNSEEN, lam)), 1.0)  # NaN past about 1e11
+        count_bound = max(_poisson_isf(_UNSEEN, lam), 1.0)  # NaN past about 1e11
         h, j, offsets, points = _lattice(locs, weights, lo, hi, count_bound)
         if not points <= _LATTICE_POINTS:
             raise LatticeError(f"{refused} spans more than {_LATTICE_POINTS} points on every "
@@ -449,11 +449,20 @@ def _density_matrix(family, s: float, t: float, ygrid, zgrid):
     return _ac_law(family, s, t, float(np.max(np.abs(ygrid), initial=0.0)))[1](ygrid, zgrid)
 
 
+def _poisson_isf(p: float, lam: float) -> float:
+    """``scipy.stats.poisson.isf(p, lam)`` for 0 < p < 1, bit for bit, by
+    scipy's own formula (NaN past lam of about 1e11)."""
+    v = float(np.ceil(special.pdtrik(1.0 - p, lam)))
+    return v - 1.0 if v >= 1.0 and special.pdtr(v - 1.0, lam) >= 1.0 - p else v
+
+
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     """Weights ``w`` with ``w @ f == scipy.integrate.simpson(f, dx=h)`` (to
-    rounding) on n >= 3 equally spaced nodes: composite Simpson over the
-    first odd number of nodes, and for an even n Cartwright's correction
-    (-h/12, 2h/3, 5h/12) on the last three for the last interval."""
+    rounding) on n >= 2 equally spaced nodes: the trapezoid for n = 2, else
+    composite Simpson over the first odd number of nodes, and for an even n
+    Cartwright's correction (-h/12, 2h/3, 5h/12) on the last three nodes."""
+    if n == 2:
+        return np.full(2, 0.5 * h)
     m = n - 1 + n % 2  # nodes under composite Simpson
     w = np.zeros(n)
     w[1:m:2], w[2:m - 1:2] = 4.0, 2.0

@@ -22,7 +22,6 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, FamilyError
 from .pathsim import (
@@ -154,6 +153,7 @@ def test_gaussian_marginal(samples, t: float, seed: int | None = None) -> StatRe
             "gaussian_marginal", n, math.inf, f"N(0, {t})", 0.0,
             tolerance, False, seed, {"error": "degenerate sample with zero variance"},
         )
+    from scipy import stats  # imported here: it would double the package's start-up
     ks = stats.kstest(samples, "norm", args=(0.0, math.sqrt(t)))
     m1 = samples.mean()
     m2 = np.mean(samples**2)
@@ -386,6 +386,7 @@ def test_jump_times(
         q = np.asarray(q, dtype=float)
         return np.where(q <= s, 0.0, 1.0 - (s / np.maximum(q, s)) ** half_nu)
 
+    from scipy import stats  # imported here: it would double the package's start-up
     ks = stats.kstest(t_arr, cdf)
     surv_target = 2.0**-half_nu
     surv_hat = float(np.mean(t_arr > 2.0 * s))
@@ -424,6 +425,7 @@ def test_mode_agreement(
     a, b = _sample(samples_grid), _sample(samples_event)
     if min(a.size, b.size) < MIN_MODE:
         raise DomainError(f"need at least {MIN_MODE} samples per mode")
+    from scipy import stats  # imported here: it would double the package's start-up
     ks = stats.ks_2samp(a, b)
     passed = ks.pvalue > KS_P_FLOOR
     return _report(

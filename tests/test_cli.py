@@ -3,13 +3,18 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy
+from scipy.integrate import simpson
 
 from gaussmart import (
+    __version__,
     brownian_family,
     calibrate,
     cli,
@@ -710,6 +715,8 @@ class TestKernel:
         sidecar = json.loads((tmp_path / "dens.csv.json").read_text())
         assert sidecar["schema"] == "gaussmart/4"
         assert sidecar["stream_layout"] == 3
+        assert sidecar["versions"] == {"gaussmart": __version__, "numpy": np.__version__,
+                                       "scipy": scipy.__version__}
         assert sidecar["mass_check"] == pytest.approx(1.0, abs=1e-8)
         assert sidecar["moment_checks"]["k1"]["abs_error"] < 1e-8
         assert sidecar["moment_checks"]["k2"]["abs_error"] < 1e-8
@@ -787,6 +794,23 @@ class TestKernel:
         # neither a table nor a sidecar
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 2001, 2002])
+    def test_mass_check_is_simpson(self, tmp_path, n):
+        # the sidecar's uniform Simpson weights against scipy's, which reads
+        # the grid's own spacings; two nodes take the trapezoid
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", "--family", "gamma", f"--y=-3:4:{n}", "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        sidecar = json.loads((tmp_path / "d.csv.json").read_text())
+        expected = sidecar["atom_weight"] + simpson(table[:, 1], x=table[:, 0])
+        assert sidecar["mass_check"] == pytest.approx(expected, rel=1e-14)
+
+    def test_two_point_grid(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", "--y=-1:1:2", "--out", str(out)]) == 0
+        assert "mass 0.552330554005," in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 3
+
     def test_default_grid_at_zero(self, tmp_path):
         out = tmp_path / "d.csv"
         assert execute(["kernel", "--out", str(out)]) == 0
@@ -854,6 +878,8 @@ class TestVerifyAndJumpTimes:
         payload = json.loads(report.read_text())
         assert payload["schema"] == "gaussmart/4"
         assert payload["stream_layout"] == 3
+        assert payload["versions"] == {"gaussmart": __version__, "numpy": np.__version__,
+                                       "scipy": scipy.__version__}
         fam = calibrate(poisson_family())
         assert payload["family"]["kind"] == "compound"
         assert payload["family"]["atoms"] == [list(a) for a in fam.atoms]
@@ -921,3 +947,46 @@ class TestVerifyAndJumpTimes:
 
     def test_jump_times_non_poisson_usage_error(self):
         assert execute(["jump-times", "--family", "gamma", "--n", "20000"]) == 2
+
+
+#: run in a fresh interpreter: which of scipy's heavy modules each step loads
+_IMPORT_PROBE = """
+import json, sys
+import gaussmart
+from gaussmart.cli import execute
+
+def heavy():
+    return sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)
+
+seen = {"import gaussmart": [0, heavy()]}
+runs = {
+    "simulate grid": ["simulate", "--paths", "4", "--grid", "0:1:4", "--out", "g.csv"],
+    "simulate event": ["simulate", "--mode", "event", "--paths", "4", "--out", "e.csv"],
+    "kernel poisson": ["kernel", "--family", "poisson", "--y=-3:3:21", "--out", "p.csv"],
+    "kernel gamma": ["kernel", "--family", "gamma", "--y=-3:3:21", "--out", "g.csv"],
+    "kernel compound": ["kernel", "--family", "compound", "--atoms", "0.5:1,2:0.25",
+                        "--y=-3:3:21", "--out", "c.csv"],
+    "generator-check": ["generator-check", "--family", "gamma", "--out", "gen.json"],
+    "jump-times": ["jump-times", "--n", "10000", "--report", "j.json"],
+}
+for name, argv in runs.items():
+    seen[name] = [execute(argv), heavy()]
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    @pytest.mark.usefixtures("time_limit")
+    def test_only_the_ks_gates_load_scipy_stats(self, tmp_path):
+        # scipy.stats and scipy.integrate would double the package's start-up;
+        # the KS gates import scipy.stats on their first call, so jump-times
+        # loads it and nothing before it does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded = seen.pop("jump-times")  # scipy.stats brings scipy.integrate
+        assert code == 0 and "scipy.stats" in loaded
+        assert seen == {name: [0, []] for name in seen}
+        assert len(seen) == 7

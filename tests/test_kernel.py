@@ -33,9 +33,11 @@ from gaussmart import (
 from gaussmart.kernel import (
     POISSON_TAIL,
     ROUNDING_LIMIT,
+    _UNSEEN,
     _density_matrix,
     _lattice_law,
     _phi,
+    _poisson_isf,
     _simpson_weights,
     gaussian_moments,
 )
@@ -789,8 +791,9 @@ class TestChapmanKolmogorov:
         with pytest.raises(DomainError):
             ck_residual(poisson_fam, s, t, u, x, GridSpec(n_nodes=n_nodes))
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 16, 255, 256, 2048, 2049])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 255, 256, 2048, 2049])
     def test_simpson_weights_match_scipy(self, n):
+        # two nodes: scipy integrates them by the trapezoid
         rng = np.random.default_rng(n)
         grid = np.linspace(-6.0 * math.sqrt(2.0), 6.0 * math.sqrt(2.0), n)
         h = (grid[-1] - grid[0]) / (n - 1)
@@ -798,6 +801,19 @@ class TestChapmanKolmogorov:
         for f in rng.random((3, n)):
             assert w @ f == pytest.approx(simpson(f, dx=h), rel=1e-14)
             assert w @ f == pytest.approx(simpson(f, x=grid), rel=1e-14)
+
+
+class TestCountBound:
+    def test_matches_scipy_stats_bit_for_bit(self):
+        # the total count's bound in _lattice_law, on scipy.special alone;
+        # past lam of about 1e11 both are NaN (the count windows refuse
+        # such laws first)
+        lams = np.concatenate([np.logspace(-12.0, 13.0, 4001), [0.0, 5e-324, 1e-310, 2e11]])
+        want = stats.poisson.isf(_UNSEEN, lams)
+        got = np.array([_poisson_isf(_UNSEEN, float(lam)) for lam in lams])
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_array_equal(got, want)
+        assert got[-4:-1].tolist() == [0.0, 0.0, 0.0] and np.isnan(got[-1])
 
 
 class TestErrors:
