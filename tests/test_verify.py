@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -492,6 +493,26 @@ class TestHarness:
         for name, n_pass in counts.items():
             if name != "repetitions":
                 assert n_pass == 3, name
+
+    def test_battery_and_null_trim_the_heap_once_done(self, monkeypatch, brownian_fam):
+        # one trim per call, after it returns or raises
+        from gaussmart import verify
+
+        trims = []
+        monkeypatch.setattr(verify, "_malloc_trim", lambda: trims.append)
+        reports = standard_battery(brownian_fam, 1, n_paths=1_000, n_qv=2)
+        assert trims == [0] and reports
+        null_calibration(seed=1, reps=1)
+        with pytest.raises(DomainError):
+            standard_battery(brownian_fam, 1, n_paths=999)
+        assert trims == [0, 0, 0]
+
+    def test_malloc_trim_found_on_glibc(self):
+        from gaussmart import verify
+
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc_trim is a glibc function")
+        assert verify._malloc_trim() is not None
 
 
 def _digest(obj) -> str:
