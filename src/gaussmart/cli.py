@@ -65,10 +65,11 @@ _EVENT_BLOCK_JUMPS = 2**20
 
 def _linspace(spec, extra: int = 0) -> np.ndarray:
     """``lo:hi:n`` as ``n + extra`` evenly spaced points from lo to hi; a
-    ValueError unless lo < hi are finite and there are at least 2 points."""
+    ValueError unless lo < hi and their span ``hi - lo`` are finite and
+    there are at least 2 points."""
     lo, hi, n = str(spec).split(":")
     lo, hi, n = float(lo), float(hi), int(n) + extra
-    if not (-math.inf < lo < hi < math.inf and n >= 2):
+    if not (lo < hi and math.isfinite(hi - lo) and n >= 2):
         raise ValueError(spec)
     return np.linspace(lo, hi, n)
 

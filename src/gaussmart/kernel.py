@@ -29,7 +29,10 @@ and the step from s = 0 is exactly Gaussian.
 - *gamma densities*: the mixing density is integrated by adaptive
   Gauss-Kronrod panels; shapes below one are handled by the exact
   ``w = u**shape`` substitution (see
-  :func:`gaussmart.quadrature.gamma_expectation`).
+  :func:`gaussmart.quadrature.gamma_expectation`).  Each block of a table
+  starts its subdivision from the previous block's final one, pruned of
+  the breakpoints between over-resolved panels, so only the first block
+  starts from one panel.
 
 One evaluator per step (``_ac_law``) serves a whole table of start values
 and evaluation points: :func:`kernel_eval` reads its single row and the
@@ -313,7 +316,11 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
     :func:`_lattice_law` (the ``u = 0`` point is the atom and is left out),
     contracting each block with the normalised weights.  Gamma integrates
     the mixing density with one subdivision per block, its 15 Kronrod
-    nodes the block's components, nodes first.  A step whose smallest
+    nodes the block's components, nodes first; each block starts from the
+    previous block's final subdivision, pruned, as
+    :func:`gaussmart.quadrature.adaptive_panels` returns it.  That carry
+    lives in one ``density`` call, so repeated calls give the same bits,
+    and a table of one block starts from one panel.  A step whose smallest
     variance is not a normal float is refused before anything divides by
     it.
     """
@@ -327,14 +334,15 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         _require_normal_variance(t, s, t)  # the variances t (1 - e^-u) fill (0, t)
         components = 15  # the Kronrod nodes of one panel
 
-        def fill(xs, ys):
+        def fill(xs, ys, subdivision):
             def g(u):
                 var = t * -np.expm1(-u)
                 block = _gaussians(sigma * np.exp(-0.5 * u), var, xs, ys)
                 block *= (1.0 / np.sqrt(2.0 * math.pi * var))[:, None, None]
                 return block
 
-            return gamma_expectation(alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol)[0]
+            return gamma_expectation(alpha, family.b, g, rel_tol=1e-8, abs_tol=abs_tol,
+                                     subdivision=subdivision)[0]
     else:
         u, w, meta = _lattice_law(family, s, t, x_abs)
         w, u = w[u > 0.0], u[u > 0.0]
@@ -343,16 +351,21 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         w_norm = w / np.sqrt(2.0 * math.pi * var)
         components = max(1, w.size)
 
-        def fill(xs, ys):
+        def fill(xs, ys, subdivision):  # one exact sum: nothing to carry
             return np.tensordot(w_norm, _gaussians(scale, var, xs, ys), 1)
 
     def density(xs, ys):
         out = np.empty((xs.size, ys.size))
         cols = max(1, min(ys.size, _MIXTURE_CELLS // components))
         rows = max(1, _MIXTURE_CELLS // (cols * components))
-        for lo in range(0, xs.size, rows):
-            for c in range(0, ys.size, cols):
-                out[lo:lo + rows, c:c + cols] = fill(xs[lo:lo + rows], ys[c:c + cols])
+        subdivision = []  # gamma: each block starts from the last one's, pruned
+        # past |y - mean| of about 1e154 the square overflows to inf, and
+        # exp(-inf) = 0 is the correctly rounded density
+        with np.errstate(over="ignore"):
+            for lo in range(0, xs.size, rows):
+                for c in range(0, ys.size, cols):
+                    out[lo:lo + rows, c:c + cols] = fill(xs[lo:lo + rows], ys[c:c + cols],
+                                                         subdivision)
         return out
 
     return meta, density

@@ -5,7 +5,10 @@ integrand maps an array of nodes to values of shape ``(n_nodes, ...)``,
 nodes first; the trailing axes are integrated componentwise on a shared
 subdivision, which lets a single refinement pass serve a whole block of
 evaluation points.  Each panel's Kronrod and Gauss estimates come from one
-matrix product of the (2, 15) weight rows with the values.
+matrix product of the (2, 15) weight rows with the values.  An integral
+may start from a given subdivision and hand back its own, pruned of
+over-resolved panels, so a run of similar integrals (the blocks of one
+density table) need not refine each from a single panel.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ def adaptive_panels(
     b: float,
     rel_tol: float = 1e-8,
     abs_tol: float = 0.0,
+    *,
+    subdivision: list | None = None,
 ):
     """Integrate ``f`` over [a, b] to the requested accuracy.
 
@@ -104,9 +109,21 @@ def adaptive_panels(
     A :class:`QuadratureError` is raised as soon as a panel's error is not
     finite (no bisection can repair that), or, carrying the best estimate,
     once ``MAX_PANELS`` panels are in use.
+
+    ``subdivision`` is a list of breakpoints to start from: its points
+    inside (a, b), sorted and with repeats merged, cut the starting panels,
+    and the others are ignored; ``MAX_PANELS`` counts the starting panels
+    too.  On return the list holds the final subdivision's breakpoints,
+    pruned: a breakpoint goes when the panels on both its sides ended with
+    every component's error below ``2**-15`` of its bound, since G7's
+    error scales like h**15 on a smooth integrand, so the two would still
+    pass as one.  A run of similar integrals threads one list through,
+    each starting where the last ended.  When the integral fails the list
+    is left as it was given.
     """
     if not b > a:
         raise ValueError("need b > a")
+    edges = [a, *sorted({float(x) for x in subdivision or () if a < x < b}), b]
     # a non-finite panel raises QuadratureError, so numpy need not warn first
     with np.errstate(all="ignore"):
         heap = []  # entries (-max_err, seq, a, b, val, err); seq breaks ties
@@ -122,12 +139,17 @@ def adaptive_panels(
             seq += 1
             return val, err
 
-        total, total_err = push(a, b)  # running totals, for the stopping test only
-        n_panels = 1
+        total, total_err = push(a, edges[1])  # running totals, for the stopping test only
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            val, err = push(lo, hi)
+            total, total_err = total + val, total_err + err
+        n_panels = len(edges) - 1
         while True:
             bound = np.maximum(abs_tol, rel_tol * np.abs(total))
             bound = np.maximum(bound, 1e3 * np.finfo(float).tiny)
             if np.all(total_err <= bound):
+                if subdivision is not None:
+                    subdivision[:] = _pruned(heap, bound)
                 return sum(item[4] for item in heap), sum(item[5] for item in heap)
             if n_panels >= MAX_PANELS:
                 total_err = sum(item[5] for item in heap)
@@ -145,6 +167,16 @@ def adaptive_panels(
             n_panels += 1
 
 
+def _pruned(panels, bound) -> list:
+    """The breakpoints between ``panels`` (heap entries) in order, less each
+    one with an over-resolved panel, every component's error below
+    ``2**-15`` of its ``bound``, on both sides."""
+    panels = sorted(panels, key=lambda item: item[2])
+    fine = [bool(np.all(item[5] < 2.0**-15 * bound)) for item in panels]
+    return [item[3] for item, left, right in zip(panels, fine, fine[1:])
+            if not (left and right)]
+
+
 def _tail_limit(alpha: float, rate: float) -> float:
     """The point past which Gamma(alpha, rate) holds ``_TAIL_MASS``: the
     value of ``stats.gamma.isf``, at about a fortieth of its cost."""
@@ -157,6 +189,8 @@ def gamma_expectation(
     g,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
+    *,
+    subdivision: list | None = None,
 ):
     """E[g(V)] for V ~ Gamma(shape=alpha, rate), robust to shapes below one.
 
@@ -167,7 +201,9 @@ def gamma_expectation(
     bounded integrand on ``(0, u_hi**alpha)``.  ``g`` must map a node array
     to a new float array of shape ``(n_nodes, ...)``, nodes first; the
     trailing axes are vectorised, and the density is applied to that array
-    in place.
+    in place.  ``subdivision`` is passed to :func:`adaptive_panels`; its
+    breakpoints are in the integration variable, u or w, whose interval
+    depends on alpha and rate alone.
     """
     if alpha <= 0 or rate <= 0:
         raise ValueError("need alpha > 0 and rate > 0")
@@ -184,7 +220,8 @@ def gamma_expectation(
         def integrand(u):
             return weighted(u, np.exp(log_norm + (alpha - 1.0) * np.log(u) - rate * u))
 
-        return adaptive_panels(integrand, 0.0, u_hi, rel_tol=rel_tol, abs_tol=abs_tol)
+        return adaptive_panels(integrand, 0.0, u_hi, rel_tol=rel_tol, abs_tol=abs_tol,
+                               subdivision=subdivision)
 
     const = np.exp(alpha * np.log(rate) - special.gammaln(alpha + 1.0))
     inv_alpha = 1.0 / alpha
@@ -194,4 +231,5 @@ def gamma_expectation(
         return weighted(u, const * np.exp(-rate * u))
 
     w_hi = float(np.exp(alpha * np.log(u_hi)))
-    return adaptive_panels(integrand, 0.0, w_hi, rel_tol=rel_tol, abs_tol=abs_tol)
+    return adaptive_panels(integrand, 0.0, w_hi, rel_tol=rel_tol, abs_tol=abs_tol,
+                           subdivision=subdivision)

@@ -322,6 +322,21 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["kernel", "--y=-1e308:1e308:3"], "y"),
+            (["kernel", "--y=-1.7e308:1.7e308:2001"], "y"),
+            (["simulate", "--grid=-1e308:1e308:4"], "grid"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_overflowing_span_exits_two(self, tmp_path, capsys, argv, key):
+        # lo and hi are finite but hi - lo is not: no NaN table, no warning
+        assert execute(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad value for {key}: ")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("paths", [10**13, 2**62, 10**20])
     def test_grid_paths_beyond_memory_exit_two(self, tmp_path, capsys, paths):
         # 10**13 paths fail to allocate, 2**62 exceed what numpy can

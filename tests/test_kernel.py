@@ -117,6 +117,12 @@ class TestPoissonKernel:
         d_minus = kernel_eval(poisson_fam, 0.5, 2.0, -1.0).density(-y)
         assert np.allclose(d_plus, d_minus, rtol=0, atol=1e-15)
 
+    def test_density_far_from_every_mean_is_zero(self, poisson_fam):
+        # the square of |y - mean| past 1e154 overflows to inf, and exp(-inf)
+        # = 0 is the density's correctly rounded value: no warning is raised
+        dens = kernel_eval(poisson_fam, 0.5, 2.0, 0.0).density([1e200, -1e200])
+        assert dens.tolist() == [0.0, 0.0]
+
 
 class TestGammaKernel:
     def test_no_atom(self, gamma_fam):
@@ -634,8 +640,9 @@ class TestComponentMajorEvaluator:
 
     @pytest.mark.parametrize("t", [4.0, 2.0], ids=["smooth", "small-shape"])
     def test_gamma_matrix_independent_of_blocks(self, gamma_fam, t):
-        # a budget of 15 cells puts each entry in a block of its own, with
-        # its own subdivision; each side is within its quadrature bound
+        # a budget of 15 cells puts each entry in a block of its own, each
+        # started from the last one's pruned subdivision; each side is
+        # within its quadrature bound
         xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(-5.0, 5.0, 13)
         blocked = _density_matrix(gamma_fam, 1.0, t, xs, ys)
         with mock.patch.object(kernel, "_MIXTURE_CELLS", 15):
@@ -688,6 +695,71 @@ class TestComponentMajorEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 36 * 2**20
+
+
+def _cold_start(alpha, rate, g, subdivision=None, **kwargs):
+    """gamma_expectation with the carry off: every block from one panel."""
+    return gamma_expectation(alpha, rate, g, **kwargs)
+
+
+class TestGammaCarry:
+    """Each block of a gamma table starts from the previous block's pruned
+    subdivision.  A cost guard: the Gaussian cells a table evaluates, with
+    the carry and with every block started from one panel."""
+
+    @pytest.fixture
+    def cells_of(self, monkeypatch):
+        cells = [0]
+        gaussians = kernel._gaussians
+
+        def counted(scale, var, xs, ys):
+            cells[0] += scale.size * xs.size * ys.size
+            return gaussians(scale, var, xs, ys)
+
+        monkeypatch.setattr(kernel, "_gaussians", counted)
+
+        def cells_of(table, t):
+            """The cells of ``table()`` with the carry over those without
+            it; the two tables agree within twice the quadrature bound."""
+            cells[0] = 0
+            carried = table()
+            with_carry = cells[0]
+            with mock.patch.object(kernel, "gamma_expectation", _cold_start):
+                cells[0] = 0
+                cold = table()
+            bound = np.maximum(1e-13 / math.sqrt(t), 1e-8 * np.abs(cold))
+            assert np.all(np.abs(carried - cold) <= 2.0 * bound)
+            return with_carry / cells[0]
+
+        return cells_of
+
+    @pytest.mark.parametrize("s, t, u", [(1.0, 4.0, 16.0), (0.5, 1.0, 2.0)],
+                             ids=["smooth", "small-shape"])
+    def test_composition_matrices(self, gamma_fam, cells_of, s, t, u):
+        # the (t, u) matrix of ck_residual on its 256-node grid
+        grid = np.linspace(-6.0 * math.sqrt(u), 6.0 * math.sqrt(u), 256)
+        assert cells_of(lambda: _density_matrix(gamma_fam, t, u, grid, grid), u) <= 0.7
+
+    def test_row_wider_than_a_block(self, gamma_fam, cells_of):
+        y = np.linspace(-8.0, 8.0, 200_000)  # 46 blocks of 4,369 points
+        ev = kernel_eval(gamma_fam, 0.5, 2.0, 0.3)
+        assert cells_of(lambda: ev.density(y), 2.0) <= 1.0
+
+    def test_ascending_start_values(self, gamma_fam, cells_of):
+        # neighbouring blocks differ: the means sigma e^{-u/2} x move with x
+        xs, ys = np.linspace(-1.0, 50.0, 400), np.linspace(-5.0, 5.0, 300)
+        assert cells_of(lambda: _density_matrix(gamma_fam, 1.0, 4.0, xs, ys), 4.0) <= 1.0
+
+    def test_repeated_calls_same_bits(self, gamma_fam):
+        # the carry lives in one call: the law holds no subdivision
+        ev = kernel_eval(gamma_fam, 0.5, 2.0, 0.3)
+        y = np.linspace(-8.0, 8.0, 10_000)
+        first = ev.density(y)
+        ev.density(y[::-1])
+        assert np.array_equal(ev.density(y), first)
+        xs = np.linspace(-2.0, 2.0, 40)
+        matrix = _density_matrix(gamma_fam, 1.0, 2.0, xs, y[::50])
+        assert np.array_equal(_density_matrix(gamma_fam, 1.0, 2.0, xs, y[::50]), matrix)
 
 
 class TestBrownianKernel:
