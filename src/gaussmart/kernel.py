@@ -331,12 +331,13 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         abs_tol = 1e-13 / math.sqrt(t)
         meta = {"method": "gamma-quadrature", "shape": alpha, "rel_tol": 1e-8,
                 "abs_tol": abs_tol}
-        _require_normal_variance(t, s, t)  # the variances t (1 - e^-u) fill (0, t)
         components = 15  # the Kronrod nodes of one panel
 
         def fill(xs, ys, subdivision):
             def g(u):
+                # at tiny shapes the nodes u = w**(1/alpha) underflow to 0
                 var = t * -np.expm1(-u)
+                _require_normal_variance(var.min(), s, t)
                 block = _gaussians(sigma * np.exp(-0.5 * u), var, xs, ys)
                 block *= (1.0 / np.sqrt(2.0 * math.pi * var))[:, None, None]
                 return block

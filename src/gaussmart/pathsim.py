@@ -159,15 +159,13 @@ def transition_pairs(
     t: float,
     seed: int,
     n: int,
-    stream_base: int = 0,
     threads: int | None = 1,
 ):
-    """(X_s, X_t) samples: exact Gaussian state at s, one recursion step to t."""
+    """(X_s, X_t) samples on streams 0 .. n - 1: exact Gaussian state at s,
+    one recursion step to t."""
     if not 0 < s < t:
         raise DomainError("need 0 < s < t")
-    vals = simulate_grid_ensemble(
-        family, [0.0, s, t], seed, n, stream_base=stream_base, threads=threads
-    )
+    vals = simulate_grid_ensemble(family, [0.0, s, t], seed, n, threads=threads)
     return vals[:, 1], vals[:, 2]
 
 
@@ -226,10 +224,11 @@ class EventPaths:
         """Every jump as a (time, pre-jump value, post-jump value) float triple."""
         return zip(self.jump_times.tolist(), self.pre_values.tolist(), self.post_values.tolist())
 
-    def validate(self, rtol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """An AssertionError unless the jumps are sorted by lane, each lane's
         times increase strictly within (start_time, horizon], and its pre-jump
-        and terminal values follow the flow x(u) = x(s) sqrt(u/s)."""
+        and terminal values follow the flow x(u) = x(s) sqrt(u/s) to a
+        relative 1e-12."""
         lanes, t, n = self.lanes, self.jump_times, self.path_ids.size
         first = np.diff(lanes, prepend=-1) != 0
         last = np.diff(lanes, append=n) != 0
@@ -243,7 +242,7 @@ class EventPaths:
             ("pre-jump", self.pre_values, x_prev * np.sqrt(t / t_prev)),
             ("terminal", self.terminal_values, x_end * np.sqrt(self.horizon / t_end)),
         ):
-            if not np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want))):
+            if not np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))):
                 raise AssertionError(f"a {name} value breaks the sqrt(t/s) flow")
 
 
@@ -272,8 +271,10 @@ def simulate_events(
     All paths share one site, and each lane's candidate jump j is its
     attempt j: word 0 of the block gives the waiting time (open interval,
     so the next jump is strictly after the current time), word 1 the jump
-    normal and word 2 the atom.  The block of the first candidate beyond
-    the horizon is consumed as well.
+    normal and word 2 the atom.  The first candidates are one whole-bundle
+    draw at a new site, and each later round draws the lanes that jumped
+    in the round before.  The block of the first candidate beyond the
+    horizon is consumed as well.
     """
     event_jump_count(family, s0, horizon)
     nu = nu_total(family)
@@ -288,26 +289,24 @@ def simulate_events(
     x = start.copy()
     idx = np.arange(n)  # the lanes still live: each jumped in every round so far
     rounds = [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
-    bundle.new_site()
-    while idx.size:
-        uu = bundle.uniforms(3, idx)
+    uu = bundle.uniforms(3)
+    while True:
         # a candidate past the largest float lies beyond every finite
         # horizon, so its overflow to inf ends the path as it should
         with np.errstate(over="ignore"):
             big_t = t[idx] * uu[0] ** (-2.0 / nu)
         jumped = big_t <= horizon
-        ji = idx[jumped]
-        if ji.size:
-            tj = big_t[jumped]
-            atom = np.searchsorted(atom_edges, uu[2][jumped])
-            x_pre = x[ji] * np.sqrt(tj / t[ji])
-            z = mean_factor[atom] * x_pre + np.sqrt(
-                tj * var_factor[atom]
-            ) * ndtri(uu[1][jumped])
-            x[ji] = x_pre + z
-            t[ji] = tj
-            rounds.append((ji, tj, x_pre, x[ji]))
-        idx = ji
+        idx = idx[jumped]
+        if not idx.size:
+            break
+        tj = big_t[jumped]
+        atom = np.searchsorted(atom_edges, uu[2][jumped])
+        x_pre = x[idx] * np.sqrt(tj / t[idx])
+        z = mean_factor[atom] * x_pre + np.sqrt(tj * var_factor[atom]) * ndtri(uu[1][jumped])
+        x[idx] = x_pre + z
+        t[idx] = tj
+        rounds.append((idx, tj, x_pre, x[idx]))
+        uu = bundle.uniforms(3, idx)
     columns = [np.concatenate(col) for col in zip(*rounds)]
     order = np.argsort(columns[0], kind="stable")
     return EventPaths(float(s0), float(horizon), bundle.stream_ids, start,

@@ -17,8 +17,8 @@ attempt)``, and ensemble output does not depend on how paths are chunked
 across threads.  numpy's C Philox produces every block, from one reused
 generator per thread: the first block of every lane at a site is one call
 over the lane range (a bundle of consecutive ids passes it as a ``range``,
-so nothing is checked per id), and sparse retries are one call per run of
-nearby ids, with no sort when the ids ascend under one attempt.
+so nothing is checked per id), and a retry round, a subset of the lanes
+of the round before at one attempt, is one call per run of nearby ids.
 :class:`StreamBundle` is the one stream type; a single path is a one-lane
 bundle.  A word ``w`` maps to the open uniform ``(w >> 12) 2**-52 +
 2**-53``, so no uniform is 0 or 1 and no normal is infinite.
@@ -113,50 +113,31 @@ def _numpy_blocks(key, first_id, site, attempt, n: int) -> np.ndarray:
 def philox_block(seed, stream_ids, site, attempt) -> np.ndarray:
     """The block at counter ``(stream_id + 1, site, attempt, 0)`` for each id.
 
-    Key ``(seed, 0)``; returns shape (4, n).  ``attempt`` is a scalar or one
-    value per id.  A ``range`` of step 1 with a scalar attempt is one numpy
-    call over its ids, with no pass over them.  Any other request is cut
-    into runs of strictly ascending ids sharing one attempt, with
-    neighbours at most ``_RUN_GAP`` apart; each run is one numpy call over
-    its span, of which the requested blocks are gathered.  A request with
-    mixed attempts or descending ids is first sorted by attempt and id; an
-    ascending one with a single attempt needs no sort, and a run of
-    consecutive ids needs no gather.
+    Key ``(seed, 0)``, one scalar ``attempt``; returns shape (4, n) in
+    request order.  A ``range`` of step 1 is one numpy call, with no pass
+    over its ids.  An id array is cut into runs wherever the next id does
+    not ascend or lies more than ``_RUN_GAP`` past the last, with no sort;
+    each run is one numpy call over its span, of which the requested blocks
+    are gathered (none when its ids are consecutive).
     """
-    key = (int(seed), 0)
-    if isinstance(stream_ids, range) and stream_ids.step == 1 and np.ndim(attempt) == 0:
-        return _numpy_blocks(key, stream_ids.start, site, int(attempt), len(stream_ids)).T
+    key, attempt = (int(seed), 0), int(attempt)
+    if isinstance(stream_ids, range) and stream_ids.step == 1:
+        return _numpy_blocks(key, stream_ids.start, site, attempt, len(stream_ids)).T
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    att = np.asarray(attempt, dtype=np.uint64)
-    n = ids.shape[0]
-    if n == 0:
+    if not ids.size:
         return np.empty((4, 0), dtype=np.uint64)
-    if att.ndim and att.min() == att.max():
-        att = att[0]
-    order = None
-    if att.ndim:
-        order = np.lexsort((ids, att))
-        ids, att = ids[order], att[order]
-    elif (ids[1:] < ids[:-1]).any():
-        order = ids.argsort(kind="stable")
-        ids = ids[order]
-    # gap - 1 wraps a repeated id's zero gap to 2**64 - 1, so every run is
-    # strictly ascending, and its ids are consecutive exactly when their
-    # count equals its span
-    cut = ids[1:] - ids[:-1] - np.uint64(1) >= _RUN_GAP
-    if att.ndim:
-        cut |= att[1:] != att[:-1]
-    bounds = [0, *(cut.nonzero()[0] + 1).tolist(), n]
+    # a fall is cut by the first test (the uint64 difference wraps there),
+    # so every run is strictly ascending, and its ids are consecutive
+    # exactly when their count equals its span
+    cut = (ids[1:] <= ids[:-1]) | (ids[1:] - ids[:-1] > _RUN_GAP)
+    bounds = [0, *(cut.nonzero()[0] + 1).tolist(), ids.size]
     rows = []
     for lo, hi in zip(bounds, bounds[1:]):
         first = ids[lo]
         span = int(ids[hi - 1] - first) + 1
-        blocks = _numpy_blocks(key, int(first), site, int(att[lo] if att.ndim else att), span)
+        blocks = _numpy_blocks(key, int(first), site, attempt, span)
         rows.append(blocks if span == hi - lo else blocks[ids[lo:hi] - first])
-    out = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    if order is not None:
-        out[order] = out.copy()
-    return out.T
+    return (rows[0] if len(rows) == 1 else np.concatenate(rows)).T
 
 
 def _to_unit(words: np.ndarray) -> np.ndarray:
@@ -178,6 +159,8 @@ class StreamBundle:
     (``idx=None``) opens a new site for every lane; a draw over selected
     lanes stays at the current site and advances only those lanes' attempt
     counters, so a lane's draws never depend on which other lanes draw.
+    Selected lanes must have drawn equally often at the site, to share one
+    attempt; a retry round's lanes, a subset of the round before's, have.
     """
 
     def __init__(self, seed: int, stream_ids):
@@ -212,15 +195,20 @@ class StreamBundle:
         """Next 4-word block for each selected lane, shape (4, m).
 
         ``idx=None`` opens a new site and draws attempt 0 of every lane;
-        otherwise the selected lanes draw their next attempt at this site.
+        otherwise the selected lanes draw their next attempt at this site,
+        and a DomainError refuses lanes that have drawn unequally often.
         """
         if idx is None:
             self.new_site()
             self._attempt.fill(1)
             return philox_block(self.seed, self._whole, self._site, 0)
         attempt = self._attempt[idx]
+        hi = int(attempt.max(initial=0))
+        lo = int(attempt.min(initial=hi))
+        if lo != hi:
+            raise DomainError(f"the selected lanes have drawn {lo} to {hi} times at this site")
         self._attempt[idx] += np.uint64(1)
-        return philox_block(self.seed, self._ids[idx], self._site, attempt)
+        return philox_block(self.seed, self._ids[idx], self._site, lo)
 
     def uniforms(self, n_words: int = 1, idx=None) -> np.ndarray:
         """(n_words, m) uniforms in (0,1); one block per lane, n_words <= 4."""
@@ -228,13 +216,13 @@ class StreamBundle:
             raise ValueError("n_words must be in 1..4")
         return _to_unit(self.blocks(idx)[:n_words])
 
-    def normals(self, idx=None) -> np.ndarray:
-        """One standard normal per lane, from word 0 of its next block.
+    def normals(self) -> np.ndarray:
+        """One standard normal per lane, from word 0 of its block at a new site.
 
         The blocks are released once their uniforms exist, before ``ndtri``
         allocates its output: a (lanes, 4) array less at the draw's peak.
         """
-        return ndtri(self.uniforms(1, idx)[0])
+        return ndtri(self.uniforms(1)[0])
 
 
 def RandomStream(seed: int, stream_id: int = 0) -> StreamBundle:

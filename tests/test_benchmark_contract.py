@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from gaussmart import calibrate, cli, gamma_family, kernel, sampler
+from gaussmart import calibrate, cli, gamma_family, kernel, pathsim, sampler, verify
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,3 +75,23 @@ def test_traced_kernel_runs(tracing, tmp_path):
     assert panels and all(count > 0 for count in panels)
     density = [span[-1] for span in tracer.spans if span[1] == "kernel.density"]
     assert density and all(attrs["points"] > 0 for attrs in density)
+
+
+def test_traced_event_blocks_count_the_jumps(tracing, compound_fam):
+    # perfbench's pathsim.event_jumps is the sampler.blocks lanes charged to
+    # pathsim.event less its paths: each lane's first candidate is one lane
+    # of a whole-bundle draw and each later one a block of a retry round,
+    # so that difference must be the record's jump count exactly
+    tracer, targets = tracing
+    args = (compound_fam, 1.0, 0.5, 50.0)
+    try:
+        tracer.install(targets)
+        token = tracer.open_op(1, "simulate")
+        verify.simulate_event_terminals(*args, sampler.path_bundle(4, 300))
+        tracer.close_op(token)
+    finally:
+        assert tracer.uninstall() == []
+    event = importlib.import_module("tracing").span_stats(tracer.spans)["pathsim.event"]
+    record = pathsim.simulate_events(*args, sampler.path_bundle(4, 300))
+    assert event["paths"] == 300
+    assert event["blocks"] - event["paths"] == record.lanes.size > 0

@@ -383,11 +383,16 @@ class TestNumericFailures:
         "argv",
         [
             # a ln sigma <= 1/2: the gamma density is infinite at the grid's
-            # node sigma x, so the quadrature meets a non-finite integrand;
-            # like an overflow, it is reported without numpy warnings
+            # node sigma x, and the quadrature chases it to a node whose
+            # variance t (1 - e^-u) is subnormal.  At t = 1.001 the first
+            # panel's nodes u = w**(1/alpha) are 0 already, so the step is
+            # refused as too short on a grid without sigma x too.  Like an
+            # overflow, each is reported without numpy warnings
             *(pytest.param(a, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
               for a in (["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
                         ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
+                        ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001",
+                         "--x", "0.3", "--y=-3:3:2000"],
                         ["kernel", "--family", "gamma", "--b", "1e-300"],
                         *_OVERFLOWS)),
         ],
@@ -397,6 +402,8 @@ class TestNumericFailures:
         assert execute(argv + ["--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
+        if "1.001" in argv:
+            assert "the step s = 1.0 -> t = 1.001 is too short" in err
         if argv in _OVERFLOWS:
             named = set(re.findall(r"--[\w-]+", err))
             assert "float overflow" in err and named == _OVERFLOW_FLAGS[argv[0]]

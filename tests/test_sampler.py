@@ -12,10 +12,13 @@ from gaussmart import (
     DomainError,
     RandomStream,
     StreamBundle,
+    cli,
     laplace,
+    null_calibration,
     nu_total,
     path_bundle,
     sample_subordinator_increment,
+    standard_battery,
     verify_bundle,
 )
 from gaussmart import sampler
@@ -92,32 +95,33 @@ class TestPhiloxCore:
             assert np.array_equal(philox_block(seed, ids[j:j + 1], site, attempt), ref[:, j:j + 1])
 
     def test_matches_reference_implementation(self):
-        # numpy's Philox is the oracle whichever path philox_block takes:
-        # a run of ids with one attempt, reversed ids, and mixed attempts
+        # numpy's Philox is the oracle whichever path philox_block takes: a
+        # run of ids, the same ids reversed, and a repeated id
         ids = np.arange(2**63 + 5, 2**63 + 9, dtype=np.uint64)
         ref = _numpy_blocks(3, 2**63 + 5, 2, 1, 4)
         assert np.array_equal(philox_block(3, ids, 2, 1), ref)
         assert np.array_equal(philox_block(3, ids[::-1], 2, 1), ref[:, ::-1])
-        attempts = np.array([1, 0, 1, 0], dtype=np.uint64)
-        mixed = philox_block(3, ids, 2, attempts)
-        assert np.array_equal(mixed[:, ::2], ref[:, ::2])
-        assert np.array_equal(mixed[:, 1], _numpy_blocks(3, 2**63 + 6, 2, 0, 1)[:, 0])
+        again = ids[[0, 1, 1, 3]]
+        assert np.array_equal(philox_block(3, again, 2, 1), ref[:, [0, 1, 1, 3]])
 
     @pytest.mark.usefixtures("time_limit")
-    def test_sparse_reversed_duplicate_ids(self):
-        # ids ~2**64 apart with mixed attempts: one numpy call per run of
-        # nearby ids, so the call returns at once instead of building the span
+    def test_sparse_reversed_duplicate_ids(self, numpy_calls):
+        # ids ~2**64 apart, falling and repeated: one numpy call per run of
+        # nearby ascending ids, so the call returns at once instead of
+        # building the span, and every block is its id's, in request order.
+        # The fall from 2**64 - 2 to 0 wraps to a step of 2, and is cut
         ids = np.array([2**64 - 2, 0, 7, 2**63, 7, 600, 8], dtype=np.uint64)
-        for attempt in (np.array([1, 0, 2, 1, 2, 0, 2], dtype=np.uint64), 3):
-            got = philox_block(11, ids, 5, attempt)
-            att = np.broadcast_to(attempt, ids.shape)
-            for col, (i, a) in enumerate(zip(ids, att)):
-                assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, a, 1)[:, 0])
+        got = philox_block(11, ids, 5, 3)
+        assert numpy_calls == [2**64 - 2, 0, 2**63, 7, 600, 8]
+        for col, i in enumerate(ids):
+            assert np.array_equal(got[:, col], _numpy_blocks(11, i, 5, 3, 1)[:, 0])
 
-    @pytest.mark.parametrize("attempt", [2, np.full(5, 2, dtype=np.uint64)], ids=["scalar", "array"])
+    @pytest.mark.parametrize("attempt", [2, np.array(2, dtype=np.uint64)],
+                             ids=["scalar", "array"])
     def test_runs_cut_past_the_run_gap(self, numpy_calls, attempt):
         # neighbours exactly _RUN_GAP apart share a numpy call, one more
-        # apart start a new one; every block still matches a fresh generator
+        # apart start a new one; every block still matches a fresh
+        # generator.  The attempt is a number or a 0-d array
         steps = [_RUN_GAP, _RUN_GAP + 1, _RUN_GAP, _RUN_GAP + 1]
         ids = np.cumsum([2**63 + 3] + steps, dtype=np.uint64)
         got = philox_block(8, ids, 4, attempt)
@@ -125,10 +129,16 @@ class TestPhiloxCore:
         for col, i in enumerate(ids):
             assert np.array_equal(got[:, col], _numpy_blocks(8, i, 4, 2, 1)[:, 0])
 
-    def test_descending_request_sorted_into_one_run(self, numpy_calls):
+    def test_attempt_arrays_refused(self):
+        # one request draws one attempt
+        with pytest.raises(TypeError):
+            philox_block(8, np.arange(3, dtype=np.uint64), 4, np.array([1, 1, 1]))
+
+    def test_descending_request_is_one_call_per_id(self, numpy_calls):
+        # no sort: every id of a falling request starts its own run
         ids = np.arange(40, 0, -3, dtype=np.uint64)
         got = philox_block(8, ids, 4, 1)
-        assert numpy_calls == [int(ids[-1])]
+        assert numpy_calls == ids.tolist()
         for col, i in enumerate(ids):
             assert np.array_equal(got[:, col], _numpy_blocks(8, i, 4, 1, 1)[:, 0])
 
@@ -230,6 +240,20 @@ class TestPhiloxCore:
         # the next whole-bundle draw opens a new site for every lane alike
         assert np.array_equal(full.uniforms(1), partial.uniforms(1))
 
+    def test_selection_of_unequal_attempts_refused(self):
+        # lane 1 drew once more than lanes 0 and 2 at this site: a selection
+        # holding it and another lane would need two attempts in one request
+        b = StreamBundle(9, [0, 1, 2])
+        b.new_site()
+        b.blocks(np.array([1]))
+        with pytest.raises(DomainError, match="drawn 0 to 1 times"):
+            b.blocks(np.array([0, 1]))
+        # the refused draw advanced nothing: lanes 0 and 2 still share attempt 0
+        rest = b.blocks(np.array([0, 2]))
+        assert np.array_equal(rest, _numpy_blocks(9, 0, 1, 0, 3)[:, [0, 2]])
+        assert np.array_equal(b.blocks(np.arange(3)), _numpy_blocks(9, 0, 1, 1, 3))
+        assert b.blocks(np.array([], dtype=np.intp)).shape == (4, 0)
+
     def test_sites_and_attempts_give_distinct_blocks(self):
         b = StreamBundle(4, [0])
         whole = [b.blocks()[:, 0] for _ in range(2)]
@@ -239,6 +263,34 @@ class TestPhiloxCore:
     def test_verify_bundle_range(self):
         ids = verify_bundle(0, 3).stream_ids
         assert int(ids.min()) >= VERIFY_STREAM_BASE
+
+
+class TestRequestShapes:
+    @pytest.mark.usefixtures("time_limit")
+    def test_package_requests_ascend(self, monkeypatch, tmp_path, poisson_fam, gamma_fam,
+                                     compound_fam, brownian_fam):
+        # every id array the package's runs ask philox_block for ascends
+        # strictly, so no request needs a sort: each retry round draws a
+        # subset of the lanes of the round before it
+        arrays, ranges = [], []
+        block = sampler.philox_block
+
+        def recording(seed, stream_ids, site, attempt):
+            (ranges if isinstance(stream_ids, range) else arrays).append(stream_ids)
+            return block(seed, stream_ids, site, attempt)
+
+        monkeypatch.setattr(sampler, "philox_block", recording)
+        for fam in (poisson_fam, gamma_fam, compound_fam, brownian_fam):
+            standard_battery(fam, 3, n_paths=1_000, n_qv=2, n_jumps=10_000, n_mode=10_000)
+        null_calibration(seed=3, reps=1)
+        for argv in (["simulate", "--family", "gamma", "--paths", "200", "--grid", "0:1:8"],
+                     ["simulate", "--mode", "event", "--family", "compound",
+                      "--atoms", "0.5:1,2:0.25", "--paths", "200", "--horizon", "50"],
+                     ["jump-times", "--n", "10000", "--report", str(tmp_path / "jt.json")]):
+            assert cli.execute(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert ranges and arrays
+        for ids in arrays:
+            assert np.all(ids[1:] > ids[:-1])
 
 
 class TestUniformMap:
