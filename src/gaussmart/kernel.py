@@ -58,7 +58,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 from scipy import special
 
-from .errors import DomainError, LatticeError
+from .errors import DomainError, LatticeError, QuadratureError
 from .quadrature import gamma_expectation
 from .sampler import sample_subordinator_increment  # noqa: F401 (traced by perfbench; ROADMAP 6)
 from .semigroup import (
@@ -334,6 +334,15 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         components = 15  # the Kronrod nodes of one panel
 
         def fill(xs, ys, subdivision):
+            if alpha <= 0.5:
+                # at y = sigma x the integrand grows like u**(alpha - 3/2) as u -> 0
+                on_flow = (ys[None, :] == sigma * xs[:, None]).any(axis=0)
+                if on_flow.any():
+                    raise QuadratureError(
+                        f"the density of the step s = {s!r} -> t = {t!r} is infinite at y = "
+                        f"sigma x = {float(ys[on_flow][0])!r}: the mixing shape a ln sigma = "
+                        f"{alpha:.6g} is <= 1/2")
+
             def g(u):
                 # at tiny shapes the nodes u = w**(1/alpha) underflow to 0
                 var = t * -np.expm1(-u)

@@ -5,7 +5,9 @@ Two simulation modes:
 - *grid*: for any calibrated family, the scale recursion
   ``X_t = sqrt(t/s) * (sqrt(R) X_s + sqrt(s) sqrt(1-R) xi)`` applied step by
   step, with an exact Gaussian first step out of the origin (the recursion's
-  scale ratio is undefined at s = 0);
+  scale ratio is undefined at s = 0).  On a drift-free step a lane whose
+  increment U stayed 0 follows the flow ``X_t = sqrt(t/s) X_s`` exactly,
+  as between the jumps of an event path, and its normal can be skipped;
 - *event-driven*: exact piecewise-deterministic simulation for every
   drift-free finite-atom family (total jump mass ``nu``).  Between jumps the
   path follows the deterministic flow ``x(u) = x(s) * sqrt(u/s)``; waiting
@@ -35,7 +37,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, FamilyError
-from .sampler import StreamBundle, path_bundle, sample_subordinator_increment, to_normals
+from .sampler import (
+    StreamBundle,
+    no_jump_increment,
+    path_bundle,
+    sample_subordinator_increment,
+    to_normals,
+)
 from .semigroup import (
     SubordinatorFamily,
     compound_poisson,
@@ -71,6 +79,14 @@ def _grid_values(
     result is the transposed view of those rows: writing a column of a
     (lanes, times) array per step made the 50k-lane grid about a fifth
     slower.
+
+    Every lane draws its block at every step, but word 3 becomes a normal
+    only where the update uses it: on a drift-free step where at most half
+    of the lanes' U left 0, the others follow the flow sigma X_s (except
+    at +-0, where the normal decides the sign).  A step where no U left the
+    drift beta ln sigma takes e^{-U/2} and sqrt(1 - e^{-U}) once; with a
+    drift and some jumps, a gather and scatter would cost what they save.
+    The values are those of the full step, bit for bit.
     """
     require_calibrated(family)
     n = len(bundle)
@@ -93,11 +109,28 @@ def _grid_values(
         # the increment's first draw (words 0-2) from one block per lane
         first = bundle.blocks()
         u = sample_subordinator_increment(family, sigma, bundle, first)
+        x = vals[k - 1]
+        u0 = no_jump_increment(family, sigma)
+        moved = u != u0
+        m = np.count_nonzero(moved)
+        if u0 == 0.0 and m <= n // 2:
+            # a lane at +-0 takes the full step: x + (+-0) xi has xi's sign
+            moved = np.flatnonzero(moved | (x == 0.0))
+            xi = to_normals(first[3][moved])
+            del first
+            np.multiply(sigma, x, out=vals[k])  # the flow X_t = sigma X_s
+            vals[k][moved] = _step(sigma, s, u[moved], x[moved], xi)
+            continue
         xi = to_normals(first[3])
         del first  # gone before the update allocates its temporaries
-        vals[k] = sigma * (np.exp(-0.5 * u) * vals[k - 1]
-                           + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
+        vals[k] = _step(sigma, s, u if m else np.array([u0]), x, xi)
     return vals.T
+
+
+def _step(sigma: float, s: float, u: np.ndarray, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """One recursion step X_t = sigma (e^{-U/2} X_s + sqrt(s) sqrt(1 - e^{-U}) xi);
+    a one-element ``u`` is broadcast over the lanes."""
+    return sigma * (np.exp(-0.5 * u) * x + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
 
 
 #: fewest paths a worker thread is given; smaller chunks cost more to

@@ -35,7 +35,10 @@ Words per block.  A draw reads these words of each lane's block:
   first sampler reads its words 0-2 from the same block instead of
   opening a site of its own.  A Brownian step, or one whose scale rounds
   to 1, opens that one site for the normal alone, and a finite-atom step
-  opens one more site for each atom after the first.
+  opens one more site for each atom after the first.  Word 3 is drawn by
+  every lane but evaluated only where the step uses it: a drift-free
+  step skips it on lanes whose increment stayed at 0 (unless their value
+  is +-0), when they are at least half of them.
 
 Stream assignment policy
 ------------------------
@@ -377,10 +380,19 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: Str
     log_sigma = np.log(sig)
     if family.kind == GAMMA:
         return gamma_draw(bundle, family.a * log_sigma, family.b, first)
-    out = np.full(n, family.beta * log_sigma)
+    out = np.full(n, no_jump_increment(family, sig))
     if not family.atoms and first is None:
         bundle.new_site()  # pure drift draws nothing, but takes its site
     for x, w in family.atoms:
         out += x * poisson_draw(bundle, w * log_sigma, first)
         first = None
     return out
+
+
+def no_jump_increment(family: SubordinatorFamily, sigma: float) -> float:
+    """The U_sigma of :func:`sample_subordinator_increment` on a lane where
+    no atom fires: the drift beta ln sigma, by the same numpy operations
+    (0 for gamma, whose increment is 0 only where it underflows)."""
+    if family.kind == GAMMA or not family.beta:
+        return 0.0
+    return family.beta * np.log(float(sigma))

@@ -27,6 +27,11 @@ def compound_fam():
 
 
 @pytest.fixture(scope="session")
+def drift_fam():
+    return calibrate(compound_family([(0.5, 1.0), (2.0, 0.25)], beta=0.5))
+
+
+@pytest.fixture(scope="session")
 def brownian_fam():
     return brownian_family()
 

@@ -115,10 +115,13 @@ class TestSimulate:
              "7ffe7c15a9382cfb97e4f6704d2d5bf0a8bca8e0b9db37bd07c683202c5a4798"),
             (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--grid", "0:1:16"],
              "d22aaf09db364c8b08324cbe55240b50f5539e129c6309292e3589284ee87681"),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--beta", "0.5",
+              "--grid", "0:1:16"],
+             "4c52f672788533d946fd41854f1ad59f17b312e9ab8fc6d9a1be1fd9e722924a"),
             (["--family", "poisson", "--mode", "event", "--start", "1", "--horizon", "4"],
              "ee4a048d980196194132de25c22d033f897b2f2d051183847629150bd416609b"),
         ],
-        ids=["grid-poisson", "grid-gamma", "grid-compound", "event-poisson"],
+        ids=["grid-poisson", "grid-gamma", "grid-compound", "grid-drift", "event-poisson"],
     )
     def test_golden_digests(self, tmp_path, argv, digest):
         """The same argv writes the same bytes, release after release.
@@ -382,12 +385,12 @@ class TestNumericFailures:
     @pytest.mark.parametrize(
         "argv",
         [
-            # a ln sigma <= 1/2: the gamma density is infinite at the grid's
-            # node sigma x, and the quadrature chases it to a node whose
-            # variance t (1 - e^-u) is subnormal.  At t = 1.001 the first
-            # panel's nodes u = w**(1/alpha) are 0 already, so the step is
-            # refused as too short on a grid without sigma x too.  Like an
-            # overflow, each is reported without numpy warnings
+            # a ln sigma <= 1/2: the gamma density is infinite at the default
+            # grid's node sigma x = 0, which is refused before any
+            # quadrature.  On a grid without sigma x, t = 1.001 is refused as
+            # too short: the first panel's nodes u = w**(1/alpha) are 0, and
+            # so is their variance t (1 - e^-u).  Like an overflow, each is
+            # reported without numpy warnings
             *(pytest.param(a, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
               for a in (["kernel", "--family", "gamma", "--s", "1", "--t", "1.05"],
                         ["kernel", "--family", "gamma", "--s", "1", "--t", "1.001"],
@@ -402,7 +405,9 @@ class TestNumericFailures:
         assert execute(argv + ["--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ")
-        if "1.001" in argv:
+        if argv[-2:] in (["--t", "1.05"], ["--t", "1.001"]):
+            assert f"t = {argv[-1]} is infinite at y = sigma x = 0.0" in err
+        elif "1.001" in argv:
             assert "the step s = 1.0 -> t = 1.001 is too short" in err
         if argv in _OVERFLOWS:
             named = set(re.findall(r"--[\w-]+", err))

@@ -17,6 +17,7 @@ from gaussmart import (
     GridSpec,
     LatticeError,
     Polynomial,
+    QuadratureError,
     brownian_family,
     calibrate,
     ck_residual,
@@ -149,15 +150,21 @@ class TestGammaKernel:
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("t", [1.05, 1.001])
     def test_infinite_density_node_fails_at_once(self, gamma_fam, t):
-        # a ln sigma <= 1/2: the density is infinite at sigma x = 0, and no
-        # subdivision can converge.  The panels chase it toward u = 0 until
-        # the variance t (1 - e^-u) of a node is subnormal, which is refused
-        # before it is divided by; at t = 1.001 the first panel's nodes
-        # already sit at u = 0, whatever the grid
+        # a ln sigma <= 1/2: the density is infinite at the grid's node
+        # sigma x = 0, where the integrand grows like u**(a ln sigma - 3/2)
+        # as u -> 0; the block is refused before any quadrature
         assert gamma_fam.a * math.log(math.sqrt(t)) <= 0.5
         ev = kernel_eval(gamma_fam, 1.0, t, 0.0)
-        with pytest.raises(FloatingPointError, match=f"t = {t} is too short"):
+        with pytest.raises(QuadratureError, match=rf"t = {t} is infinite at y = sigma x = 0\.0"):
             ev.density(np.linspace(-1.0, 1.0, 5))
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_short_step_off_the_node_fails_at_once(self, gamma_fam):
+        # no node at sigma x = 0, but the first panel's nodes u = w**(1/alpha)
+        # underflow to 0, where the variance t (1 - e^-u) is 0
+        ev = kernel_eval(gamma_fam, 1.0, 1.001, 0.0)
+        with pytest.raises(FloatingPointError, match="t = 1.001 is too short"):
+            ev.density(np.linspace(-1.0, 1.0, 4))
 
     def test_small_sigma_shape_below_one(self, gamma_fam):
         # a ln(sigma) < 1 triggers the singular-substitution branch

@@ -27,7 +27,7 @@ from gaussmart import (
     simulate_grid_ensemble,
     transition_pairs,
 )
-from gaussmart import sampler
+from gaussmart import pathsim, sampler
 from gaussmart.pathsim import (
     _MIN_CHUNK,
     EVENT_JUMP_LIMIT,
@@ -128,6 +128,106 @@ class TestStreamLayout3:
         assert calls == [None]
 
 
+def _signed_zero_starts(n):
+    """Start values of mixed signs, with +0.0 and -0.0 among them."""
+    sv = np.random.default_rng(5).standard_normal(n)
+    sv[::7], sv[3::7] = 0.0, -0.0
+    return sv
+
+
+def _dense_grid_values(family, times, bundle, start_values=None):
+    """The grid recursion with every lane taking the full Gaussian step at
+    every step: the reference the shortened updates match bit for bit."""
+    n = len(bundle)
+    vals = np.empty((times.size, n))
+    if times[0] == 0.0:
+        vals[0] = 0.0
+        vals[1] = math.sqrt(times[1]) * bundle.normals()
+        k0 = 2
+    else:
+        vals[0] = np.broadcast_to(np.asarray(start_values, dtype=float), (n,))
+        k0 = 1
+    for k in range(k0, times.size):
+        s, t = times[k - 1], times[k]
+        sigma = math.sqrt(t / s)
+        first = bundle.blocks()
+        u = sample_subordinator_increment(family, sigma, bundle, first)
+        xi = sampler.to_normals(first[3])
+        vals[k] = sigma * (np.exp(-0.5 * u) * vals[k - 1]
+                           + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
+    return vals.T
+
+
+class TestNoJumpLanes:
+    """Lanes whose increment stayed at its no-jump value take a shorter
+    update, with the same bits as the full step."""
+
+    GRIDS = {
+        "origin-21": np.linspace(0.0, 1.0, 21),
+        "origin-257": np.linspace(0.0, 1.0, 257),
+        "origin-3": np.array([0.0, 0.5, 3.0]),
+        "start": np.linspace(1.0, 2.0, 9),
+        "tiny-steps": np.linspace(1.0, 1.0001, 5),
+        # the scale of the middle step rounds to 1
+        "unit-scale": np.array([1.0, 1.0 + 2.0**-52, 2.0]),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "drift", "brownian", "gamma"])
+    def test_bits_match_the_dense_step(self, kind, grid, request):
+        fam = request.getfixturevalue(f"{kind}_fam")
+        times, n = self.GRIDS[grid], 3000
+        sv = None if times[0] == 0.0 else _signed_zero_starts(n)
+        got = _grid_values(fam, times, path_bundle(9, n), start_values=sv)
+        want = _dense_grid_values(fam, times, path_bundle(9, n), start_values=sv)
+        # bytes, not values: np.array_equal takes -0.0 for 0.0
+        assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_take_the_full_step(self, poisson_fam):
+        # a lane that does not jump from +-0 gets x + (+-0) xi: the sign of
+        # xi decides that of -0.0 + 0 xi, so the flow sigma x would be wrong
+        times, n = np.array([1.0, 1.01]), 4000
+        sv = np.full(n, -0.0)
+        want = _dense_grid_values(poisson_fam, times, path_bundle(2, n), start_values=sv)[:, 1]
+        got = _grid_values(poisson_fam, times, path_bundle(2, n), start_values=sv)[:, 1]
+        zeros = want == 0.0
+        assert 0 < np.count_nonzero(np.signbit(want[zeros])) < np.count_nonzero(zeros)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("times", [np.linspace(1.0, 1.0001, 5),
+                                       np.array([1.0, 1.0 + 2.0**-52])],
+                             ids=["tiny-shape", "unit-scale"])
+    def test_gamma_increments_at_zero_skip_the_normal(self, gamma_fam, times, monkeypatch):
+        # shapes a ln sigma this small underflow U to 0 on most lanes
+        normals = []
+        monkeypatch.setattr(pathsim, "to_normals",
+                            lambda words: normals.append(words.size) or sampler.to_normals(words))
+        n = 10_000
+        sv = _signed_zero_starts(n)
+        got = _grid_values(gamma_fam, times, path_bundle(4, n), start_values=sv)
+        want = _dense_grid_values(gamma_fam, times, path_bundle(4, n), start_values=sv)
+        assert got.tobytes() == want.tobytes()
+        assert len(normals) == times.size - 1
+        assert max(normals) < n // 2
+
+    def test_normals_only_for_moved_and_zero_lanes(self, poisson_fam, monkeypatch):
+        # a fine grid: few lanes jump on each step
+        times, n = np.linspace(1.0, 2.0, 65), 5000
+        sv = np.random.default_rng(6).standard_normal(n)
+        sv[:50], sv[50:100] = 0.0, -0.0
+        normals, increments = [], []
+        monkeypatch.setattr(pathsim, "to_normals",
+                            lambda words: normals.append(words.size) or sampler.to_normals(words))
+        monkeypatch.setattr(pathsim, "sample_subordinator_increment",
+                            lambda *a: increments.append(sample_subordinator_increment(*a))
+                            or increments[-1])
+        vals = _grid_values(poisson_fam, times, path_bundle(6, n), start_values=sv)
+        want = [np.count_nonzero((u != 0.0) | (x == 0.0))
+                for u, x in zip(increments, vals[:, :-1].T)]
+        assert normals == want
+        assert sum(want) < 0.1 * n * (times.size - 1)
+
+
 class TestGrid:
     def test_first_step_exactly_gaussian(self, poisson_fam):
         vals = simulate_grid_ensemble(poisson_fam, [0.0, 1.0], 3, 100_000)
@@ -158,17 +258,24 @@ class TestGrid:
         vals = simulate_grid_ensemble(gamma_fam, times, 9, 5, stream_base=0)
         assert np.array_equal(path, vals[3])
 
-    @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
-    def test_threading_does_not_change_values(self, kind, monkeypatch, request):
-        # four chunks whatever the host; gamma and compound retry per lane
+    @pytest.mark.parametrize("kind, start", [
+        pytest.param(kind, start, id=kind + ("" if start == "origin" else "-start"))
+        for start in ("origin", "values") for kind in ("poisson", "gamma", "compound", "drift")
+    ])
+    def test_threading_does_not_change_values(self, kind, start, monkeypatch, request):
+        # four chunks whatever the host; gamma and compound retry per lane,
+        # and each chunk decides alone which lanes take the full step
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         fam = request.getfixturevalue(f"{kind}_fam")
-        times = np.linspace(0.0, 1.0, 11)
         n = 20_000
+        if start == "origin":
+            times, sv = np.linspace(0.0, 1.0, 11), None
+        else:
+            times, sv = np.linspace(1.0, 2.0, 11), _signed_zero_starts(n)
         assert len(_chunks(n, 4)) == 4
-        a = simulate_grid_ensemble(fam, times, 7, n, threads=1)
-        b = simulate_grid_ensemble(fam, times, 7, n, threads=4)
-        assert np.array_equal(a, b)
+        a = simulate_grid_ensemble(fam, times, 7, n, threads=1, start_values=sv)
+        b = simulate_grid_ensemble(fam, times, 7, n, threads=4, start_values=sv)
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_chunks_cap_workers_at_cpus(self, cpus, monkeypatch):

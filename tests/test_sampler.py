@@ -386,6 +386,18 @@ class TestSubordinatorIncrement:
         u = sample_subordinator_increment(brownian_fam, 2.0, path_bundle(1, 100))
         assert np.allclose(u, 2.0 * math.log(2.0))
 
+    @pytest.mark.parametrize("kind", ["poisson", "compound", "drift", "brownian"])
+    @pytest.mark.parametrize("sigma", [1.0, 1.01, 1.2])
+    def test_no_jump_increment_is_the_least_draw(self, kind, sigma, request):
+        # the lanes where no atom fires hold exactly the no-jump value
+        fam = request.getfixturevalue(f"{kind}_fam")
+        u = sample_subordinator_increment(fam, sigma, path_bundle(2, 2000))
+        assert u.min() == sampler.no_jump_increment(fam, sigma)
+        assert np.count_nonzero(u == u.min()) > 0.2 * u.size
+
+    def test_no_jump_increment_of_gamma_is_zero(self, gamma_fam):
+        assert sampler.no_jump_increment(gamma_fam, 2.0) == 0.0
+
 
 class TestDistributionalSemigroup:
     @pytest.mark.parametrize("kind", ["poisson", "gamma"])
