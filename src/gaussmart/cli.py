@@ -20,7 +20,7 @@ stream layout (``"stream_layout": 3``) at top level; ``verify`` and
 ``generator-check`` reports record the calibrated family parameters.  Bulk
 paths go to CSV in the formats declared by the path simulator; the
 ``kernel`` and ``jump-times`` tables are written in ``repr`` form too, a
-block of rows per write.
+block of rows made into text at once by :mod:`gaussmart.csvtext` per write.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, csvtext
 from .errors import DomainError, FamilyError
 from .generator import Polynomial, generator_check
 from .kernel import _simpson_weights, kernel_eval, kernel_moment
@@ -256,18 +256,14 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-#: table rows made into text per write
-_TABLE_ROWS = 2**16
-
-
 def _write_table(path: str, header: str, *columns) -> None:
     """A CSV of equal-length numeric columns, each value in ``repr`` form (an
-    exact round trip), ``_TABLE_ROWS`` rows per write."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _TABLE_ROWS):
-            texts = [map(repr, c[lo:lo + _TABLE_ROWS].tolist()) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+    exact round trip), made into text ``csvtext.CSV_BLOCK`` rows at a time."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for lo in range(0, len(columns[0]), csvtext.CSV_BLOCK):
+            texts = [csvtext.text_block(c[lo:lo + csvtext.CSV_BLOCK]) for c in columns]
+            fh.write(csvtext.csv_rows(texts[0].shape[:1], *texts))
 
 
 def _cmd_simulate(opts: dict) -> int:

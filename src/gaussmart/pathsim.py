@@ -31,11 +31,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import csvtext
 from .errors import DomainError, FamilyError
 from .sampler import (
     StreamBundle,
@@ -377,38 +377,48 @@ def simulate_event_terminals(
 
 def write_grid_csv(path, times, values) -> None:
     """Rows ``path_id,time,value`` in ``repr`` form (exact round-trip, so the
-    bytes are stable), one path at a time: memory stays flat in the path
-    count.  Values not of shape (paths, times >= 1) raise before any write."""
+    bytes are stable), made into text a block of whole paths at a time
+    (``csvtext.CSV_BLOCK`` rows, or one path if it is longer), each
+    distinct time once: memory stays flat in the path count.  Values not of
+    shape (paths, times >= 1) raise before any write."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     times = np.asarray(times, dtype=float)
     if values.ndim != 2 or times.ndim != 1 or not 0 < times.size == values.shape[1]:
         raise DomainError(f"grid values {values.shape} do not fit {times.size} times")
-    cells = [f",{t!r}," for t in times.tolist()]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("path_id,time,value\n")
-        for i, row in enumerate(values):
-            # every line starts with the path id, so the id joins the lines
-            pid = str(i)
-            fh.write(pid + f"\n{pid}".join(map(add, cells, map(repr, row.tolist()))) + "\n")
-
-
-#: event rows made into text at once (1M jumps: 33 MiB peak, 281 MiB all at once)
-_CSV_ROWS = 2**16
+    time_text = csvtext.text_block(times)
+    block = max(1, csvtext.CSV_BLOCK // times.size)
+    # the ids of several blocks' paths at once, as a block of few paths pays
+    # more per call than its ids cost; a sixteenth of a block's rows bounds
+    # their memory
+    id_block = block * max(1, csvtext.CSV_BLOCK // 16 // block)
+    with open(path, "wb") as fh:
+        fh.write(b"path_id,time,value\n")
+        for lo in range(0, len(values), block):
+            if lo % id_block == 0:
+                ids = csvtext.text_block(np.arange(lo, min(lo + id_block, len(values))))
+            rows = values[lo:lo + block]
+            fh.write(csvtext.csv_rows(
+                rows.shape, ids[lo % id_block:][:len(rows), None], time_text,
+                csvtext.text_block(rows.ravel()).reshape(rows.shape + (-1,))))
 
 
 def write_event_csv(path, records) -> int:
     """Rows ``path_id,event_index,time,pre_value,post_value``, one per jump of
     each :class:`EventPaths` in ``records`` (``path_id`` is the lane's stream
-    id), made into text ``_CSV_ROWS`` at a time; returns the row count."""
+    id), made into text ``csvtext.CSV_BLOCK`` rows at a time; returns the
+    row count."""
     rows = 0
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("path_id,event_index,time,pre_value,post_value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"path_id,event_index,time,pre_value,post_value\n")
         for rec in records:
             lanes = rec.lanes
-            index = np.arange(lanes.size) - np.searchsorted(lanes, lanes)
-            cols = (rec.path_ids[lanes], index, rec.jump_times, rec.pre_values, rec.post_values)
-            for lo in range(0, lanes.size, _CSV_ROWS):
-                fh.write("".join([f"{i},{j},{t!r},{a!r},{b!r}\n" for i, j, t, a, b
-                                  in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in cols))]))
+            for lo in range(0, lanes.size, csvtext.CSV_BLOCK):
+                part = lanes[lo:lo + csvtext.CSV_BLOCK]
+                hi = lo + part.size
+                index = np.arange(lo, hi) - np.searchsorted(lanes, part)
+                texts = [csvtext.text_block(c) for c in (
+                    rec.path_ids[part], index, rec.jump_times[lo:hi], rec.pre_values[lo:hi],
+                    rec.post_values[lo:hi])]
+                fh.write(csvtext.csv_rows(part.shape, *texts))
             rows += lanes.size
     return rows

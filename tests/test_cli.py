@@ -19,6 +19,7 @@ from gaussmart import (
     calibrate,
     cli,
     compound_family,
+    csvtext,
     gamma_family,
     poisson_family,
 )
@@ -708,7 +709,7 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("rows", [1, 3, 7], ids=lambda r: f"block{r}")
     def test_bytes_match_per_row_form(self, tmp_path, monkeypatch, rows):
-        monkeypatch.setattr(cli, "_TABLE_ROWS", rows)  # a table of several blocks
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", rows)  # a table of several blocks
         ys = np.array(_AWKWARD)
         dens = np.array(_AWKWARD[::-1])
         cli._write_table(str(tmp_path / "k.csv"), "y,density", ys, dens)
@@ -719,6 +720,20 @@ class TestTableWriter:
         want = "sample_id,first_jump_time\n" + "".join(
             f"{i},{float(v)!r}\n" for i, v in enumerate(ys))
         assert (tmp_path / "j.csv").read_bytes() == want.encode("ascii")
+
+    def test_memory_flat_in_row_count(self, tmp_path):
+        # a block of rows is made into text at a time: 200,000 rows peak
+        # near where 20,000 do
+        peaks = []
+        for n in (20_000, 200_000):
+            ids, ys = np.arange(n), np.random.default_rng(1).standard_normal(n)
+            tracemalloc.start()
+            try:
+                cli._write_table(str(tmp_path / "t.csv"), "sample_id,value", ids, ys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     def test_jump_times_table(self, tmp_path):
         out = tmp_path / "jt.csv"

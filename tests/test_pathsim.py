@@ -27,10 +27,11 @@ from gaussmart import (
     simulate_grid_ensemble,
     transition_pairs,
 )
-from gaussmart import pathsim, sampler
+from gaussmart import csvtext, pathsim, sampler
 from gaussmart.pathsim import (
     _MIN_CHUNK,
     EVENT_JUMP_LIMIT,
+    EventPaths,
     _chunks,
     _grid_values,
     write_event_csv,
@@ -701,15 +702,56 @@ class TestCsv:
         got = [(int(r[0]), int(r[1]), *map(float, r[2:])) for r in rows]
         assert got == want
 
+    def test_event_bytes_match_reference(self, tmp_path, poisson_fam, monkeypatch):
+        # two records, the second of 19-digit stream ids, in blocks of 7 rows
+        # that end inside records and inside paths
+        monkeypatch.setattr(csvtext, "CSV_BLOCK", 7)
+        records = [simulate_events(poisson_fam, 1.0, 0.5, 4.0, path_bundle(3, 6)),
+                   simulate_events(poisson_fam, 1.0, -0.5, 4.0,
+                                   path_bundle(3, 6, stream_base=2**63 - 5))]
+        out = tmp_path / "events.csv"
+        want = ["path_id,event_index,time,pre_value,post_value\n"]
+        for rec in records:
+            seen = {}
+            for lane, t, a, b in zip(rec.lanes.tolist(), rec.jump_times.tolist(),
+                                     rec.pre_values.tolist(), rec.post_values.tolist()):
+                i, j = int(rec.path_ids[lane]), seen.get(lane, 0)
+                seen[lane] = j + 1
+                want.append(f"{i},{j},{t!r},{a!r},{b!r}\n")
+        assert write_event_csv(out, records) == len(want) - 1 > 14
+        assert len(str(records[1].path_ids[0])) == 19
+        assert out.read_bytes() == "".join(want).encode("ascii")
+
+    def test_event_memory_flat_in_row_count(self, tmp_path):
+        # a block of rows is made into text at a time, even within one
+        # record: 200,000 jumps peak near where 20,000 do
+        peaks = []
+        for n in (20_000, 200_000):
+            rng = np.random.default_rng(2)
+            lanes = np.repeat(np.arange(n // 4), 4)
+            rec = EventPaths(1.0, 4.0, np.arange(n // 4, dtype=np.uint64) + 2**40,
+                             np.zeros(n // 4), np.zeros(n // 4), lanes,
+                             *rng.standard_normal((3, n)))
+            tracemalloc.start()
+            try:
+                assert write_event_csv(tmp_path / "ev.csv", [rec]) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
     @pytest.mark.parametrize("kind", ["poisson", "gamma", "compound"])
     def test_grid_bytes_match_reference(self, tmp_path, kind, poisson_fam, gamma_fam,
-                                        compound_fam):
+                                        compound_fam, monkeypatch):
         fam = {"poisson": poisson_fam, "gamma": gamma_fam, "compound": compound_fam}[kind]
         times = np.linspace(0.0, 2.0, 33)
         vals = simulate_grid_ensemble(fam, times, 4, 25)
-        write_grid_csv(tmp_path / "new.csv", times, vals)
         _reference_grid_csv(tmp_path / "ref.csv", times, vals)
-        assert _sha256(tmp_path / "new.csv") == _sha256(tmp_path / "ref.csv")
+        # blocks of one path (fewer rows than a path has), of 3 paths, of all
+        for block in (1, 100, csvtext.CSV_BLOCK):
+            monkeypatch.setattr(csvtext, "CSV_BLOCK", block)
+            write_grid_csv(tmp_path / "new.csv", times, vals)
+            assert _sha256(tmp_path / "new.csv") == _sha256(tmp_path / "ref.csv")
 
     @pytest.mark.parametrize(
         "times, values",
@@ -745,8 +787,9 @@ class TestCsv:
         assert not out.exists()
 
     def test_grid_memory_flat_in_path_count(self, tmp_path):
-        # one path's row is converted at a time: ~0.03 MiB here, where
-        # converting the whole 4000 x 65 array at once peaks near 8 MiB
+        # a block of about 4,096 values is made into text at a time: ~0.6 MiB
+        # here, where converting the whole 4000 x 65 array at once peaks
+        # near 8 MiB
         times = np.linspace(0.0, 1.0, 65)
         vals = np.random.default_rng(0).standard_normal((4000, 65))
         tracemalloc.start()
