@@ -10,7 +10,8 @@ and so are family parameters that do not belong to the chosen kind.  Flags
 and config values share one conversion, so a bad value fails alike from
 either: every bad value prints ``error: ...`` and exits 2.  ``--threads``
 defaults to one worker per CPU.  Exit codes: 0 success / all gated checks
-pass, 1 gated test failure, 2 usage error, 3 numeric failure (a quadrature
+pass, 1 gated test failure, 2 usage error (a size too large to allocate
+among them, with the option to lower named), 3 numeric failure (a quadrature
 that cannot converge, finite atoms on no lattice fine enough for an
 accurate law, a float overflow, or a step whose conditional variance is
 below the smallest normal float).
@@ -26,6 +27,7 @@ block of rows made into text at once by :mod:`gaussmart.csvtext` per write.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -176,16 +178,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _memory_for(key: str, value):
+    """A MemoryError inside the block becomes a usage error that names option
+    ``key`` as the one to lower."""
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(f"--{key} {value} needs more memory than is available; "
+                          f"lower --{key}") from None
+
+
 def _value(key: str, raw, kind):
     """Option ``key`` converted by ``kind``; a malformed, non-finite or
     boolean value, an int option's float or a str option's non-string is a
-    usage error."""
+    usage error, and so is a grid too large to allocate."""
     if isinstance(raw, bool) or (kind in (int, str) and not isinstance(raw, (kind, str))):
         raise DomainError(f"bad value for {key}: {raw!r}")
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"bad value for {key}: {raw!r}") from exc
+    with _memory_for(key, raw):
+        try:
+            value = kind(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"bad value for {key}: {raw!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise DomainError(f"bad value for {key}: {raw!r} (must be finite)")
     return value
@@ -382,15 +396,18 @@ def verify_report(family, seed: int, reports) -> dict:
 
 def _cmd_verify(opts: dict) -> int:
     family = _family(opts)
-    reports = standard_battery(
-        family,
-        opts["seed"],
-        n_paths=opts["paths"],
-        n_qv=opts["qv-paths"],
-        n_jumps=opts["jumps"],
-        n_mode=opts["mode-paths"],
-        threads=opts["threads"],
-    )
+    # the largest sample is the one to lower when the battery runs out of memory
+    largest = max(("paths", "qv-paths", "jumps", "mode-paths"), key=opts.get)
+    with _memory_for(largest, opts[largest]):
+        reports = standard_battery(
+            family,
+            opts["seed"],
+            n_paths=opts["paths"],
+            n_qv=opts["qv-paths"],
+            n_jumps=opts["jumps"],
+            n_mode=opts["mode-paths"],
+            threads=opts["threads"],
+        )
     _write_json(opts["report"], verify_report(family, opts["seed"], reports))
     all_pass = True
     for r in reports:
@@ -403,9 +420,11 @@ def _cmd_verify(opts: dict) -> int:
 def _cmd_jump_times(opts: dict) -> int:
     family = _family(opts)
     seed, s = opts["seed"], opts["s"]
-    times = first_jump_times(family, s, path_bundle(derive_seed(seed, "jump-times"), opts["n"]))
     # the gate runs before any file is written, so a refused sample leaves none
-    report = test_jump_times(times, s, family, seed=seed)
+    with _memory_for("n", opts["n"]):
+        times = first_jump_times(family, s,
+                                 path_bundle(derive_seed(seed, "jump-times"), opts["n"]))
+        report = test_jump_times(times, s, family, seed=seed)
     if opts["out"]:
         _write_table(opts["out"], "sample_id,first_jump_time", np.arange(times.size), times)
     _write_json(opts["report"], {**_HEADER, "report": report.to_dict()})

@@ -35,9 +35,10 @@ and the step from s = 0 is exactly Gaussian.
   starts from one panel.
 
 One evaluator per step (``_ac_law``) serves a whole table of start values
-and evaluation points: :func:`kernel_eval` reads its single row and the
-Chapman-Kolmogorov check its matrix.  Both kinds fill the table in one
-loop over cache-sized (start value, point) blocks of at most
+and evaluation points: :func:`kernel_eval` reads its single row, and the
+Chapman-Kolmogorov check a weighted sum of its rows, each block added in
+as it is made, so the check never holds the table.  Both kinds fill the
+table in one loop over cache-sized (start value, point) blocks of at most
 ``_MIXTURE_CELLS`` cells counting every component, so memory is flat in
 the table's size.  Each block's Gaussians are one (component, start
 value, point) array (:func:`_gaussians`), the exponent formed in place;
@@ -307,14 +308,18 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
 
     Returns ``(meta, density)``: ``density(xs, ys)[i, j]`` is the AC
     density of the step (s, xs[i]) -> t at ys[j], for start values |xs[i]|
-    <= ``x_abs`` (the bound of a rounded lattice holds up to it).  Given
-    the mixing increment u > 0 the step is Gaussian with mean ``sigma
-    e^{-u/2} x`` and variance ``t (1 - e^{-u})``.  The table is filled in
-    (start value, point) blocks of at most ``_MIXTURE_CELLS`` cells
-    counting every component, so memory is flat in the table's size.
-    Finite atoms sum one Gaussian per kept lattice point of
-    :func:`_lattice_law` (the ``u = 0`` point is the atom and is left out),
-    contracting each block with the normalised weights.  Gamma integrates
+    <= ``x_abs`` (the bound of a rounded lattice holds up to it).
+    ``density(xs, ys, weights)`` is ``weights @ density(xs, ys)``, each
+    block's rows weighted and summed into it as soon as the block is made:
+    the same cells, only their sum over start values grouped by block, and
+    no more than one block held.  Given the mixing increment u > 0 the step
+    is Gaussian with mean ``sigma e^{-u/2} x`` and variance ``t (1 -
+    e^{-u})``.  The table is filled in (start value, point) blocks of at
+    most ``_MIXTURE_CELLS`` cells counting every component, so memory is
+    flat in the table's size.  Finite atoms sum one Gaussian per kept
+    lattice point of :func:`_lattice_law` (the ``u = 0`` point is the atom
+    and is left out), contracting each block with the normalised weights.
+    Gamma integrates
     the mixing density with one subdivision per block, its 15 Kronrod
     nodes the block's components, nodes first; each block starts from the
     previous block's final subdivision, pruned, as
@@ -364,8 +369,8 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         def fill(xs, ys, subdivision):  # one exact sum: nothing to carry
             return np.tensordot(w_norm, _gaussians(scale, var, xs, ys), 1)
 
-    def density(xs, ys):
-        out = np.empty((xs.size, ys.size))
+    def density(xs, ys, weights=None):
+        out = np.empty((xs.size, ys.size)) if weights is None else np.zeros(ys.size)
         cols = max(1, min(ys.size, _MIXTURE_CELLS // components))
         rows = max(1, _MIXTURE_CELLS // (cols * components))
         subdivision = []  # gamma: each block starts from the last one's, pruned
@@ -374,8 +379,11 @@ def _ac_law(family: SubordinatorFamily, s: float, t: float, x_abs: float):
         with np.errstate(over="ignore"):
             for lo in range(0, xs.size, rows):
                 for c in range(0, ys.size, cols):
-                    out[lo:lo + rows, c:c + cols] = fill(xs[lo:lo + rows], ys[c:c + cols],
-                                                         subdivision)
+                    block = fill(xs[lo:lo + rows], ys[c:c + cols], subdivision)
+                    if weights is None:
+                        out[lo:lo + rows, c:c + cols] = block
+                    else:
+                        out[c:c + cols] += weights[lo:lo + rows] @ block
         return out
 
     return meta, density
@@ -467,9 +475,12 @@ def kernel_moment_rate(family: SubordinatorFamily, s: float, x: float, k: int) -
     return _in_powers(c.tolist(), s, x, k, shift=-1)
 
 
-def _density_matrix(family, s: float, t: float, ygrid, zgrid):
-    """Matrix D[i, j] = AC density of the step (s, y_i) -> t evaluated at z_j."""
-    return _ac_law(family, s, t, float(np.max(np.abs(ygrid), initial=0.0)))[1](ygrid, zgrid)
+def _density_matrix(family, s: float, t: float, ygrid, zgrid, weights=None):
+    """Matrix D[i, j] = AC density of the step (s, y_i) -> t evaluated at
+    z_j, or with ``weights`` the vector ``weights @ D``, each block of D
+    contracted as it is made, so D is never held."""
+    x_abs = float(np.max(np.abs(ygrid), initial=0.0))
+    return _ac_law(family, s, t, x_abs)[1](ygrid, zgrid, weights)
 
 
 def _poisson_isf(p: float, lam: float) -> float:
@@ -511,7 +522,10 @@ def ck_residual(
     and the mismatch of the composed atom weight.  The composition handles
     all four cross terms: atom*atom stays an atom, atom*density and
     density*atom rescale, density*density is integrated by Simpson's rule
-    on the shared y grid of at least three nodes.
+    on the shared y grid of at least three nodes.  That integral contracts
+    each block of the (t, u) density table with its Simpson weights times
+    the first density as the block is made, so memory is O(nodes), where
+    the matrix would be O(nodes**2), 32 MiB at 2,048 nodes.
     """
     if not 0.0 <= s < t < u < math.inf:
         raise DomainError(f"need 0 <= s < t < u < inf, got s = {s}, t = {t}, u = {u}")
@@ -528,10 +542,10 @@ def ck_residual(
 
     first = kernel_eval(family, s, t, x)
     f1 = first.density(ygrid)
-    f2 = _density_matrix(family, t, u, ygrid, zgrid)
+    weights = _simpson_weights(ygrid.size, 2.0 * reach / (ygrid.size - 1)) * f1
+    composed = _density_matrix(family, t, u, ygrid, zgrid, weights)
     direct = kernel_eval(family, s, u, x).density(zgrid)
 
-    composed = (_simpson_weights(ygrid.size, 2.0 * reach / (ygrid.size - 1)) * f1) @ f2
     if s > 0.0:
         g_sigma = gamma_atom(family, math.sqrt(t / s))
         g_both = gamma_atom(family, math.sqrt(u / s))

@@ -352,6 +352,32 @@ class TestNonFiniteInputs:
         assert ("--paths" if paths < 2**63 else "2**63") in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["kernel", "--y", "0:1:10000000000000"], "--y"),
+            (["jump-times", "--n", "10000000000000"], "--n"),
+            (["verify", "--paths", "10000000000000"], "--paths"),
+            (["verify", "--paths", "100000", "--qv-paths", "10000000000000"], "--qv-paths"),
+            (["verify", "--paths", "100000", "--qv-paths", "2", "--jumps", "10000000000000"],
+             "--jumps"),
+            (["verify", "--paths", "100000", "--qv-paths", "2", "--mode-paths", "10000000000000"],
+             "--mode-paths"),
+        ],
+        ids=["kernel-y", "jump-times-n", "verify-paths", "verify-qv-paths", "verify-jumps",
+             "verify-mode-paths"],
+    )
+    def test_sizes_beyond_memory_exit_two(self, tmp_path, capsys, argv, flag):
+        # 10**13 values fail to allocate at once: a usage error that names
+        # the option to lower, with no traceback and no table or report
+        out = {"verify": ["--report"], "jump-times": ["--out", "--report"]}.get(argv[0], ["--out"])
+        assert execute(argv + [a for i, f in enumerate(out)
+                               for a in (f, str(tmp_path / f"out{i}"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"needs more memory than is available; lower {flag}")
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("config", ['{"horizon": Infinity}', '{"paths": 1e400}'])
     def test_non_finite_config_values_exit_two(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -763,6 +789,32 @@ class TestKernel:
         assert sidecar["moment_checks"]["k1"]["abs_error"] < 1e-8
         assert sidecar["moment_checks"]["k2"]["abs_error"] < 1e-8
         assert out.read_text().splitlines()[0] == "y,density"
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--family", "poisson"],
+             "f07b77d847442e247a8515ea0c82cf23a974ce6d7e75d85ba06e0d5c1f8d4d10"),
+            (["--family", "gamma"],
+             "31cdf9680e2330733bfc83b0f1d509f597e5d6913c75028020f55594959b4c4d"),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25"],
+             "e53c335b4550791bfb96dfe4f6ac1447b0465f13b8afb564357e5a749899f59e"),
+            (["--family", "gamma", "--x", "0.7"],
+             "79e5aa6f3dbdc52d30a1f61c171de584780447257f87e5cac8b121c8eea71c6f"),
+            (["--family", "poisson", "--x", "-1.3", "--s", "1", "--t", "3"],
+             "9fe05e24645533ddf58250ba75809e39537b2b0f2980dcf266edcff72bc77856"),
+            (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--y=-4:4:301"],
+             "3ca125b5969efae11af7156ddab1ec2de6c13905e3b78d97e3aaf1934cd46cba"),
+        ],
+        ids=["poisson", "gamma", "compound", "gamma-x", "poisson-x", "compound-y"],
+    )
+    def test_golden_digests(self, tmp_path, argv, digest):
+        """The same argv writes the same table bytes, release after release:
+        a speed-up or a refactor of the transition-law evaluator that
+        changes one has changed the densities."""
+        out = tmp_path / "d.csv"
+        assert execute(["kernel", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_start_from_zero(self, tmp_path):
         out = tmp_path / "d0.csv"
