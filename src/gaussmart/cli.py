@@ -180,11 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _memory_for(key: str, value):
-    """A MemoryError inside the block becomes a usage error that names option
+    """A MemoryError inside the block, or numpy's ValueError for an array
+    larger than it can address, becomes a usage error that names option
     ``key`` as the one to lower."""
     try:
         yield
-    except MemoryError:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+            raise
         raise DomainError(f"--{key} {value} needs more memory than is available; "
                           f"lower --{key}") from None
 
@@ -287,15 +290,8 @@ def _cmd_simulate(opts: dict) -> int:
         raise DomainError(f"path count must be in [0, 2**63], got {n_paths}")
     if opts["mode"] == "grid":
         times = opts["grid"]
-        nbytes = n_paths * times.size * 8
-        try:
-            if nbytes > sys.maxsize:  # numpy cannot even describe the array
-                raise MemoryError
+        with _memory_for("paths", n_paths):
             values = simulate_grid_ensemble(family, times, seed, n_paths, threads=opts["threads"])
-        except MemoryError:
-            raise DomainError(f"--paths {n_paths} on {times.size} grid times needs "
-                              f"{nbytes / 2**30:.3g} GiB of memory, more than is available; "
-                              "lower --paths") from None
         write_grid_csv(out, times, values)
         what = f"grid paths on {times.size} times (seed {seed})"
     elif opts["mode"] == "event":

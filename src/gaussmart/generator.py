@@ -10,10 +10,11 @@ For a drift-free family the generator at (s, x) acts on a polynomial f as
 
 with Z_w Gaussian of mean ``(e^{-w/2} - 1) x`` and variance
 ``s (1 - e^{-w})``.  Finite-atom families evaluate the jump measure as an
-exact finite sum; the gamma kind needs the full integral
-against ``a w^{-1} e^{-b w} dw``, whose infinite activity near 0 is handled
-by an exact small-jump reduction (exponential-integral closed forms for the
-quadratic part of the bracket) plus adaptive panel quadrature on the rest.
+exact finite sum; the gamma kind integrates the bracket against
+``a w^{-1} e^{-b w} dw`` over (0, 50/b] with one adaptive panel quadrature.
+Its infinite activity near 0 needs no special treatment: the bracket is a
+polynomial in the jump's mean and variance, both O(w), so the integrand is
+analytic at w = 0.
 Gaussian expectations of polynomials always use the two-term moment
 recursion :func:`gaussmart.kernel.gaussian_moments`, never sampling.
 :func:`generator_check` compares the result with the independent route of
@@ -27,15 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import DomainError, FamilyError
 from .kernel import MAX_DEGREE, gaussian_moments, kernel_moment, kernel_moment_rate
 from .quadrature import adaptive_panels, gamma_expectation
 from .semigroup import GAMMA, SubordinatorFamily, require_calibrated
-
-#: the jump integral over (0, SMALL_JUMP_CUTOFF] is evaluated in closed form
-SMALL_JUMP_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -92,31 +89,6 @@ def _jump_mean_var(omega, x: float, s: float):
     return mean, var
 
 
-def _small_jump_closed_form(f: Polynomial, x: float, s: float, a: float, b: float):
-    """Exact integral of the quadratic bracket expansion over (0, cutoff].
-
-    With F(lam) = int_0^eps (1 - e^{-lam w}) w^{-1} e^{-b w} dw
-               = ln(1 + lam/b) + E1((b + lam) eps) - E1(b eps),
-    the bracket terms f'(x) m(w), f''(x)/2 * (v(w) + m(w)^2) integrate to
-    exponential-integral combinations; the remainder is O(w^2) against
-    w^{-1} e^{-bw}, i.e. O(eps^2), dominated by third-derivative terms that
-    vanish for quadratics.
-    """
-    eps = SMALL_JUMP_CUTOFF
-
-    def big_f(lam: float) -> float:
-        return math.log1p(lam / b) + exp1((b + lam) * eps) - exp1(b * eps)
-
-    f1 = big_f(0.5)
-    f2 = big_f(1.0)
-    fp = float(f.derivative()(x))
-    fpp = float(f.derivative().derivative()(x))
-    # m(w) = -x (1 - e^{-w/2}); m^2 = x^2 (2 (1-e^{-w/2}) - (1-e^{-w}))
-    mean_part = fp * x * -f1
-    var_part = 0.5 * fpp * (s * f2 + x * x * (2.0 * f1 - f2))
-    return a * (mean_part + var_part)
-
-
 def apply_generator(
     family: SubordinatorFamily, f: Polynomial, s: float, x: float
 ) -> float:
@@ -129,29 +101,24 @@ def apply_generator(
     drift = x / (2.0 * s) * float(f.derivative()(x))
     fx = float(f(x))
 
+    def bracket(omega):
+        mean, var = _jump_mean_var(omega, x, s)
+        return f.gaussian_expectation(x + mean, var) - fx
+
     if family.kind == GAMMA:
         a, b = family.a, family.b
-
-        def integrand(omega):
-            mean, var = _jump_mean_var(omega, x, s)
-            bracket = f.gaussian_expectation(x + mean, var) - fx
-            return bracket * a * np.exp(-b * omega) / omega
-
-        tail, _ = adaptive_panels(
-            integrand,
-            SMALL_JUMP_CUTOFF,
-            SMALL_JUMP_CUTOFF + 50.0 / b,
+        jump_total, _ = adaptive_panels(
+            lambda omega: bracket(omega) * a * np.exp(-b * omega) / omega,
+            0.0,
+            50.0 / b,
             rel_tol=1e-11,
             abs_tol=1e-13,
         )
-        jump_total = _small_jump_closed_form(f, x, s, a, b) + float(tail)
-        return drift + jump_total / (2.0 * s)
-
-    jump_total = 0.0
-    for omega, weight in family.atoms:
-        mean, var = _jump_mean_var(omega, x, s)
-        jump_total += weight * (float(f.gaussian_expectation(x + mean, var)) - fx)
-    return drift + jump_total / (2.0 * s)
+    else:
+        jump_total = 0.0
+        for omega, weight in family.atoms:
+            jump_total += weight * float(bracket(omega))
+    return drift + float(jump_total) / (2.0 * s)
 
 
 def difference_quotient(  # traced by perfbench; ROADMAP 6

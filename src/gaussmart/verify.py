@@ -370,7 +370,9 @@ def test_jump_times(
     at one seed the poisson and compound batteries report the same
     statistic: the gate checks the waiting-time inversion, which
     :func:`first_jump_times` shares with the event simulator's first jump,
-    not the families' jumps.  Jump sizes are gated by ``mode_agreement``.
+    not the families' jumps.  Jump sizes are not gated yet: ``mode_agreement``
+    compares terminal values, which are N(0, t) for any atom set (ROADMAP
+    items 1(b) and 16(c)).
     """
     require_calibrated(family)
     if not compound_poisson(family):

@@ -363,13 +363,16 @@ class TestNonFiniteInputs:
              "--jumps"),
             (["verify", "--paths", "100000", "--qv-paths", "2", "--mode-paths", "10000000000000"],
              "--mode-paths"),
+            (["jump-times", "--n", str(2**62)], "--n"),
+            (["verify", "--paths", str(2**62)], "--paths"),
         ],
         ids=["kernel-y", "jump-times-n", "verify-paths", "verify-qv-paths", "verify-jumps",
-             "verify-mode-paths"],
+             "verify-mode-paths", "jump-times-n-2**62", "verify-paths-2**62"],
     )
     def test_sizes_beyond_memory_exit_two(self, tmp_path, capsys, argv, flag):
-        # 10**13 values fail to allocate at once: a usage error that names
-        # the option to lower, with no traceback and no table or report
+        # 10**13 values fail to allocate at once and 2**62 exceed what numpy
+        # can address: a usage error that names the option to lower, with
+        # no traceback and no table or report
         out = {"verify": ["--report"], "jump-times": ["--out", "--report"]}.get(argv[0], ["--out"])
         assert execute(argv + [a for i, f in enumerate(out)
                                for a in (f, str(tmp_path / f"out{i}"))]) == 2
