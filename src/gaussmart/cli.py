@@ -9,11 +9,11 @@ and top-level keys the family object.  Unknown config keys are rejected,
 and so are family parameters that do not belong to the chosen kind.  Flags
 and config values share one conversion, so a bad value fails alike from
 either: every bad value prints ``error: ...`` and exits 2.  ``--threads``
-defaults to one worker per CPU.  Exit codes: 0 success / all gated checks
-pass, 1 gated test failure, 2 usage error (a size too large to allocate
-among them, with the option to lower named), 3 numeric failure (a quadrature
-that cannot converge, finite atoms on no lattice fine enough for an
-accurate law, a float overflow, or a step whose conditional variance is
+(at least 1) defaults to one worker per CPU.  Exit codes: 0 success / all
+gated checks pass, 1 gated test failure, 2 usage error (a size too large to
+allocate among them, with the option to lower named), 3 numeric failure (a
+quadrature that cannot converge, finite atoms on no lattice fine enough for
+an accurate law, a float overflow, or a step whose conditional variance is
 below the smallest normal float).
 
 Report files and sidecars carry ``"schema": "gaussmart/4"`` and the random
@@ -84,6 +84,14 @@ def _time_grid(spec) -> np.ndarray:
     return times
 
 
+def _threads(raw) -> int:
+    """A worker count: an int option that is at least 1."""
+    n = _value("threads", raw, int)
+    if n < 1:
+        raise ValueError(raw)
+    return n
+
+
 def _atoms(spec) -> tuple:
     """``loc:weight,...`` or a JSON list of [loc, weight] pairs as a tuple of
     float pairs, each number converted as a float option is."""
@@ -125,7 +133,7 @@ _OPTIONS = {
         "x0": (float, 0.0, "event mode: start value"),
         "horizon": (float, 2.0, "event mode: end time"),
         "seed": (int, 0, "base seed"),
-        "threads": (int, None, "worker threads (default one per CPU)"),
+        "threads": (_threads, None, "worker threads >= 1 (default one per CPU)"),
         "out": (str, "paths.csv", "output CSV path"),
     }),
     "kernel": ("emit a transition density table", {
@@ -148,7 +156,7 @@ _OPTIONS = {
         "jumps": (int, 100_000, "first-jump sample size"),
         "mode-paths": (int, 10_000, "paths per mode-agreement sample"),
         "seed": (int, 0, "base seed"),
-        "threads": (int, None, "worker threads (default one per CPU)"),
+        "threads": (_threads, None, "worker threads >= 1 (default one per CPU)"),
         "report": (str, "report.json", "JSON report path"),
     }),
     "jump-times": ("sample first jump times and test their law", {
@@ -178,6 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: how numpy's ValueError for an array larger than it can address begins
+_TOO_BIG = "array is too big"
+
+
 @contextlib.contextmanager
 def _memory_for(key: str, value):
     """A MemoryError inside the block, or numpy's ValueError for an array
@@ -186,7 +198,7 @@ def _memory_for(key: str, value):
     try:
         yield
     except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith("array is too big"):
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
             raise
         raise DomainError(f"--{key} {value} needs more memory than is available; "
                           f"lower --{key}") from None
@@ -202,6 +214,8 @@ def _value(key: str, raw, kind):
         try:
             value = kind(raw)
         except (TypeError, ValueError, OverflowError) as exc:
+            if str(exc).startswith(_TOO_BIG):
+                raise  # a grid numpy cannot address: _memory_for's message
             raise DomainError(f"bad value for {key}: {raw!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise DomainError(f"bad value for {key}: {raw!r} (must be finite)")

@@ -544,13 +544,10 @@ def ck_residual(
     f1 = first.density(ygrid)
     weights = _simpson_weights(ygrid.size, 2.0 * reach / (ygrid.size - 1)) * f1
     composed = _density_matrix(family, t, u, ygrid, zgrid, weights)
-    direct = kernel_eval(family, s, u, x).density(zgrid)
+    direct = kernel_eval(family, s, u, x)
 
-    if s > 0.0:
-        g_sigma = gamma_atom(family, math.sqrt(t / s))
-        g_both = gamma_atom(family, math.sqrt(u / s))
-    else:  # from time 0 the first step is Gaussian: no atom
-        g_sigma = g_both = 0.0
+    # from time 0 the first step is Gaussian: both atom weights are 0
+    g_sigma, g_both = first.atom_weight, direct.atom_weight
     g_tau = gamma_atom(family, tau)
     if g_sigma > 0.0:
         composed = composed + g_sigma * kernel_eval(
@@ -560,5 +557,5 @@ def ck_residual(
         composed = composed + g_tau * first.density(zgrid / tau) / tau
     atom_residual = abs(g_sigma * g_tau - g_both)
 
-    sup_residual = float(np.max(np.abs(composed - direct)))
+    sup_residual = float(np.max(np.abs(composed - direct.density(zgrid))))
     return sup_residual, atom_residual

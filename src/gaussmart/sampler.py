@@ -31,10 +31,9 @@ Words per block.  A draw reads these words of each lane's block:
 - Marsaglia-Tsang: words 0-2 of every round;
 - an event candidate: word 0 (waiting time), 1 (jump normal), 2 (atom);
 - a grid step after the first (``pathsim``) opens one site and draws its
-  attempt-0 block first: the step normal is word 3, and the increment's
-  first sampler reads its words 0-2 from the same block instead of
-  opening a site of its own.  A Brownian step, or one whose scale rounds
-  to 1, opens that one site for the normal alone, and a finite-atom step
+  attempt-0 block: the step normal is word 3, and the increment's first
+  sampler reads words 0-2.  A Brownian step, or one whose scale rounds
+  to 1, uses that site for the normal alone, and a finite-atom step
   opens one more site for each atom after the first.  Word 3 is drawn by
   every lane but evaluated only where the step uses it: a drift-free
   step skips it on lanes whose increment stayed at 0 (unless their value
@@ -49,9 +48,10 @@ Stream assignment policy
 - ``stream_id = 2**64 - 1`` is refused: its counter word would wrap into
   ``site``.
 
-Each sampler draws the whole bundle at one scalar parameter and opens one
-new site per call, or takes the site whose attempt-0 blocks its caller
-passes as ``first``.  Sampling algorithms are chosen for stream determinism:
+Each sampler draws the whole bundle at one scalar parameter.  Its first
+round is the block its caller drew, ``first``, and only its retries draw
+more, as further attempts at that site.  Sampling algorithms are chosen
+for stream determinism:
 
 - finite-atom increments ``beta ln sigma + sum_i x_i N_i`` with independent
   ``N_i ~ Poisson(w_i ln sigma)``, one whole-bundle Poisson draw per atom;
@@ -276,14 +276,7 @@ def _poisson_table_inversion(u: np.ndarray, mean: float) -> np.ndarray:
     return k
 
 
-def _first_uniforms(bundle: StreamBundle, first, n_words: int) -> np.ndarray:
-    """(n_words, lanes) uniforms of a sampler's first round: the attempt-0
-    block of every lane, ``first`` (at a site the caller opened) or else
-    drawn at a new site."""
-    return _to_unit((bundle.blocks() if first is None else first)[:n_words])
-
-
-def _poisson_ptrs(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
+def _poisson_ptrs(bundle: StreamBundle, mean: float, first: np.ndarray) -> np.ndarray:
     """Hormann's PTRS transformed rejection; two uniforms per round per lane."""
     # numpy's sqrt and log on float64, not math's: they fix the last bit
     mu = np.float64(mean)
@@ -293,7 +286,7 @@ def _poisson_ptrs(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_mu = np.log(mu)
     out = np.zeros(len(bundle), dtype=np.int64)
-    uu, pend = _first_uniforms(bundle, first, 2), np.arange(len(bundle))
+    uu, pend = _to_unit(first[:2]), np.arange(len(bundle))
     while True:
         u = uu[0] - 0.5
         v = uu[1]
@@ -313,23 +306,21 @@ def _poisson_ptrs(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
         uu = bundle.uniforms(2, pend)
 
 
-def poisson_draw(bundle: StreamBundle, mean: float, first=None) -> np.ndarray:
-    """Poisson(mean) deviates, one per lane, at a new site of the bundle, or
-    at the site whose attempt-0 blocks ``first`` the caller drew."""
+def poisson_draw(bundle: StreamBundle, mean: float, first: np.ndarray) -> np.ndarray:
+    """Poisson(mean) deviates, one per lane, from the caller's blocks ``first``."""
     mean = float(mean)
     if not 0.0 <= mean < np.inf:  # NaN fails both
         raise DomainError("poisson mean must be finite and >= 0")
     if mean > POISSON_MEAN_LIMIT:
         raise DomainError(f"poisson mean {mean:.6g} is above 2**62: its counts overflow int64")
     if mean <= 10.0:
-        return _poisson_table_inversion(_first_uniforms(bundle, first, 1)[0], mean)
+        return _poisson_table_inversion(_to_unit(first[0]), mean)
     return _poisson_ptrs(bundle, mean, first)
 
 
-def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0, first=None) -> np.ndarray:
-    """Gamma(shape, rate) deviates via Marsaglia-Tsang, one per lane, at a
-    new site of the bundle (or at the site of ``first``, as in
-    :func:`poisson_draw`); three uniforms per round per lane.
+def gamma_draw(bundle: StreamBundle, shape: float, rate: float, first: np.ndarray) -> np.ndarray:
+    """Gamma(shape, rate) deviates via Marsaglia-Tsang, one per lane, from
+    the caller's blocks ``first``; three uniforms per round per lane.
 
     Word 0 feeds the inversion normal, word 1 the acceptance test, word 2
     the ``U**(1/shape)`` boost used when shape < 1.
@@ -341,7 +332,7 @@ def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0, first=None
     d = np.float64(shape + 1.0 if boost else shape) - 1.0 / 3.0
     cc = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(len(bundle), dtype=float)
-    uu, pend = _first_uniforms(bundle, first, 3), np.arange(len(bundle))
+    uu, pend = _to_unit(first[:3]), np.arange(len(bundle))
     while True:
         x = ndtri(uu[0])
         v = (1.0 + cc * x) ** 3
@@ -361,14 +352,13 @@ def gamma_draw(bundle: StreamBundle, shape: float, rate: float = 1.0, first=None
 
 
 def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: StreamBundle,
-                                  first=None):
+                                  first: np.ndarray):
     """Draw U_sigma = -ln R_sigma, one value per lane, for scale sigma >= 1.
 
-    sigma = 1 returns exactly 0 without consuming any randomness; any other
-    sigma opens one site per atom, or one for gamma or pure drift.  Given
-    ``first``, the attempt-0 blocks of a site the caller opened, the first
-    of those sites is that one.  Callers recover the mixing variable as
-    R = exp(-U).
+    ``first`` is the attempt-0 blocks of a site the caller opened: the
+    first sampler's first round reads them, and each atom after the first
+    draws its own at a new site.  sigma = 1 and pure drift read nothing.
+    Callers recover the mixing variable as R = exp(-U).
     """
     require_calibrated(family)
     sig = float(sigma)
@@ -381,11 +371,8 @@ def sample_subordinator_increment(family: SubordinatorFamily, sigma, bundle: Str
     if family.kind == GAMMA:
         return gamma_draw(bundle, family.a * log_sigma, family.b, first)
     out = np.full(n, no_jump_increment(family, sig))
-    if not family.atoms and first is None:
-        bundle.new_site()  # pure drift draws nothing, but takes its site
-    for x, w in family.atoms:
-        out += x * poisson_draw(bundle, w * log_sigma, first)
-        first = None
+    for i, (x, w) in enumerate(family.atoms):
+        out += x * poisson_draw(bundle, w * log_sigma, bundle.blocks() if i else first)
     return out
 
 

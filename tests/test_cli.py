@@ -119,10 +119,14 @@ class TestSimulate:
             (["--family", "compound", "--atoms", "0.5:1,2:0.25", "--beta", "0.5",
               "--grid", "0:1:16"],
              "4c52f672788533d946fd41854f1ad59f17b312e9ab8fc6d9a1be1fd9e722924a"),
+            (["--family", "compound", "--atoms", "0.5:1,1:1,2:0.25", "--beta", "0.5",
+              "--grid", "0:1:16"],
+             "106aa89c4200da74a48462b4bf2bbb1e084e6a70af29af8be9b6189487a587c9"),
             (["--family", "poisson", "--mode", "event", "--start", "1", "--horizon", "4"],
              "ee4a048d980196194132de25c22d033f897b2f2d051183847629150bd416609b"),
         ],
-        ids=["grid-poisson", "grid-gamma", "grid-compound", "grid-drift", "event-poisson"],
+        ids=["grid-poisson", "grid-gamma", "grid-compound", "grid-drift", "grid-three-atoms",
+             "event-poisson"],
     )
     def test_golden_digests(self, tmp_path, argv, digest):
         """The same argv writes the same bytes, release after release.
@@ -365,9 +369,12 @@ class TestNonFiniteInputs:
              "--mode-paths"),
             (["jump-times", "--n", str(2**62)], "--n"),
             (["verify", "--paths", str(2**62)], "--paths"),
+            (["kernel", "--y", f"0:1:{2**62}"], "--y"),
+            (["simulate", "--grid", f"0:1:{2**62}"], "--grid"),
         ],
         ids=["kernel-y", "jump-times-n", "verify-paths", "verify-qv-paths", "verify-jumps",
-             "verify-mode-paths", "jump-times-n-2**62", "verify-paths-2**62"],
+             "verify-mode-paths", "jump-times-n-2**62", "verify-paths-2**62", "kernel-y-2**62",
+             "simulate-grid-2**62"],
     )
     def test_sizes_beyond_memory_exit_two(self, tmp_path, capsys, argv, flag):
         # 10**13 values fail to allocate at once and 2**62 exceed what numpy
@@ -640,6 +647,7 @@ _SAMPLES = {
     cli._time_grid: ("0:2:8", "1:2:4"),
     cli._linspace: ("-1:1:5", "1:-1:5"),
     cli._atoms: ("0.5:1,2:0.25", "1:x"),
+    cli._threads: ("2", "0"),
 }
 #: options whose values a command checks itself
 _KEY_SAMPLES = {"mode": ("event", "jump"), "family": ("gamma", "stable")}

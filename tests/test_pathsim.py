@@ -43,7 +43,7 @@ from gaussmart.sampler import gamma_draw, philox_block, sample_subordinator_incr
 def recursion_step(family, s, t, x, bundle):
     """Independent one-step oracle: draw (U, xi) and apply the identity."""
     sigma = math.sqrt(t / s)
-    u = sample_subordinator_increment(family, sigma, bundle)
+    u = sample_subordinator_increment(family, sigma, bundle, bundle.blocks())
     xi = bundle.normals()
     return sigma * (np.exp(-0.5 * u) * x + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
 
@@ -66,7 +66,7 @@ def _layout3_oracle(family, seed, stream_id, s, t):
     if family.kind == "gamma":
         bundle = StreamBundle(seed, [stream_id])
         bundle.new_site()  # the origin's site
-        u = gamma_draw(bundle, family.a * log_sigma, family.b)
+        u = gamma_draw(bundle, family.a * log_sigma, family.b, bundle.blocks())
     else:
         u = np.full(1, family.beta * log_sigma)
         for site, (x, w) in enumerate(family.atoms, start=2):
@@ -93,6 +93,18 @@ class TestStreamLayout3:
         assert u > 0.0  # the step normal enters the value
         assert vals.tolist() == [0.0, x_s, x_t]
         assert x_t == value  # recorded at stream layout 3
+
+    def test_ptrs_step_known_answers(self, poisson_fam):
+        # the second step's count mean c ln 100 is above 10, so PTRS reads
+        # words 0-1 of the block whose word 3 is the step normal
+        assert poisson_fam.atoms[0][1] * math.log(100.0) > 10.0
+        vals = simulate_grid_ensemble(poisson_fam, [0.0, 1e-4, 1.0], 11, 4)
+        assert vals.tolist() == [  # recorded at stream layout 3
+            [0.0, -0.00847178460774702, 0.09688243127150778],
+            [0.0, -0.004652206399684423, -1.6345232436976003],
+            [0.0, 0.011272386717492866, 0.6316064140180859],
+            [0.0, -0.007691878889099856, -0.49272648770977623],
+        ]
 
     @pytest.mark.parametrize("kind, sites", [
         ("poisson", 1), ("gamma", 1), ("compound", 2), ("brownian", 1), ("three_atoms", 3),

@@ -337,34 +337,38 @@ class TestGaussian:
         assert stats.kstest(z, "norm").pvalue > 0.001
 
 
+def _increment(fam, sigma, bundle):
+    """U_sigma over every lane of ``bundle``, from the blocks of a site
+    opened for it, as a grid step opens one."""
+    return sample_subordinator_increment(fam, sigma, bundle, bundle.blocks())
+
+
 class TestSubordinatorIncrement:
     def test_sigma_one_is_zero(self, poisson_fam, gamma_fam, compound_fam):
         for fam in (poisson_fam, gamma_fam, compound_fam):
-            assert np.array_equal(
-                sample_subordinator_increment(fam, 1.0, RandomStream(0, 0)), [0.0]
-            )
+            assert np.array_equal(_increment(fam, 1.0, RandomStream(0, 0)), [0.0])
 
     def test_sigma_below_one_rejected(self, poisson_fam):
         with pytest.raises(DomainError):
-            sample_subordinator_increment(poisson_fam, 0.99, RandomStream(0, 0))
+            _increment(poisson_fam, 0.99, RandomStream(0, 0))
 
     def test_poisson_mean(self, poisson_fam):
-        u = sample_subordinator_increment(poisson_fam, math.e, path_bundle(5, 1_000_000))
+        u = _increment(poisson_fam, math.e, path_bundle(5, 1_000_000))
         c = nu_total(poisson_fam)
         assert abs(u.mean() - c) < 3.0 * math.sqrt(c / u.size)
 
     def test_poisson_support_integers(self, poisson_fam):
-        u = sample_subordinator_increment(poisson_fam, 2.0, path_bundle(6, 10_000))
+        u = _increment(poisson_fam, 2.0, path_bundle(6, 10_000))
         assert np.all(u >= 0) and np.all(u == np.round(u))
 
     def test_gamma_mean(self, gamma_fam):
-        u = sample_subordinator_increment(gamma_fam, math.e, path_bundle(7, 1_000_000))
+        u = _increment(gamma_fam, math.e, path_bundle(7, 1_000_000))
         mean = gamma_fam.a / gamma_fam.b
         var = gamma_fam.a / gamma_fam.b**2
         assert abs(u.mean() - mean) < 3.0 * math.sqrt(var / u.size)
 
     def test_gamma_distribution(self, gamma_fam):
-        u = sample_subordinator_increment(gamma_fam, math.e, path_bundle(8, 100_000))
+        u = _increment(gamma_fam, math.e, path_bundle(8, 100_000))
         shape = gamma_fam.a
         assert stats.kstest(u, "gamma", args=(shape, 0, 1 / gamma_fam.b)).pvalue > 0.001
 
@@ -373,17 +377,17 @@ class TestSubordinatorIncrement:
         sigma = 1.05
         shape = gamma_fam.a * math.log(sigma)
         assert shape < 0.5
-        u = sample_subordinator_increment(gamma_fam, sigma, path_bundle(9, 100_000))
+        u = _increment(gamma_fam, sigma, path_bundle(9, 100_000))
         assert np.all(u >= 0.0)
         assert stats.kstest(u, "gamma", args=(shape, 0, 1 / gamma_fam.b)).pvalue > 0.001
 
     def test_compound_mean(self, compound_fam):
-        u = sample_subordinator_increment(compound_fam, math.e, path_bundle(10, 400_000))
+        u = _increment(compound_fam, math.e, path_bundle(10, 400_000))
         mean = sum(x * w for x, w in compound_fam.atoms) + compound_fam.beta
         assert u.mean() == pytest.approx(mean, abs=4.0 * u.std() / math.sqrt(u.size))
 
     def test_brownian_increment_deterministic(self, brownian_fam):
-        u = sample_subordinator_increment(brownian_fam, 2.0, path_bundle(1, 100))
+        u = _increment(brownian_fam, 2.0, path_bundle(1, 100))
         assert np.allclose(u, 2.0 * math.log(2.0))
 
     @pytest.mark.parametrize("kind", ["poisson", "compound", "drift", "brownian"])
@@ -391,7 +395,7 @@ class TestSubordinatorIncrement:
     def test_no_jump_increment_is_the_least_draw(self, kind, sigma, request):
         # the lanes where no atom fires hold exactly the no-jump value
         fam = request.getfixturevalue(f"{kind}_fam")
-        u = sample_subordinator_increment(fam, sigma, path_bundle(2, 2000))
+        u = _increment(fam, sigma, path_bundle(2, 2000))
         assert u.min() == sampler.no_jump_increment(fam, sigma)
         assert np.count_nonzero(u == u.min()) > 0.2 * u.size
 
@@ -406,16 +410,16 @@ class TestDistributionalSemigroup:
         fam = poisson_fam if kind == "poisson" else gamma_fam
         n = 100_000
         sigma, tau = 1.7, 2.4
-        a = sample_subordinator_increment(fam, sigma, path_bundle(21, n))
-        b = sample_subordinator_increment(fam, tau, path_bundle(22, n))
-        c = sample_subordinator_increment(fam, sigma * tau, path_bundle(23, n))
+        a = _increment(fam, sigma, path_bundle(21, n))
+        b = _increment(fam, tau, path_bundle(22, n))
+        c = _increment(fam, sigma * tau, path_bundle(23, n))
         assert stats.ks_2samp(a + b, c).pvalue > 0.001
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_laplace_transform_matches(self, poisson_fam, gamma_fam, compound_fam, lam):
         n = 100_000
         for seed, fam in enumerate((poisson_fam, gamma_fam, compound_fam)):
-            u = sample_subordinator_increment(fam, 2.0, path_bundle(31 + seed, n))
+            u = _increment(fam, 2.0, path_bundle(31 + seed, n))
             w = np.exp(-lam * u)
             target = laplace(fam, 2.0, lam)
             se = w.std() / math.sqrt(n)
@@ -425,13 +429,14 @@ class TestDistributionalSemigroup:
 class TestLowLevelSamplers:
     def test_poisson_large_mean_ptrs(self):
         b = path_bundle(44, 200_000)
-        k = poisson_draw(b, 42.0)
+        k = poisson_draw(b, 42.0, b.blocks())
         assert abs(k.mean() - 42.0) < 4.0 * math.sqrt(42.0 / k.size)
         assert abs(k.var() - 42.0) < 5.0 * 42.0 * math.sqrt(2.0 / k.size)
 
     def test_poisson_large_mean_distribution(self):
         # exact discreteness defeats KS, so bin and chi-square instead
-        k = poisson_draw(path_bundle(45, 100_000), 37.5)
+        b = path_bundle(45, 100_000)
+        k = poisson_draw(b, 37.5, b.blocks())
         grid = np.arange(0, 200)
         obs = np.bincount(k, minlength=200)[:200]
         expected = stats.poisson.pmf(grid, 37.5) * k.size
@@ -441,7 +446,8 @@ class TestLowLevelSamplers:
         assert p > 0.001
 
     def test_gamma_large_shape(self):
-        g = gamma_draw(path_bundle(46, 200_000), 25.0, 2.0)
+        b = path_bundle(46, 200_000)
+        g = gamma_draw(b, 25.0, 2.0, b.blocks())
         assert abs(g.mean() - 12.5) < 4.0 * math.sqrt(25.0 / 4.0 / g.size)
         assert stats.kstest(g[:100_000], "gamma", args=(25.0, 0, 0.5)).pvalue > 0.001
 
@@ -451,8 +457,8 @@ class TestLowLevelSamplers:
         a, b = 300, 1700
         full = path_bundle(48, 2000)
         part = StreamBundle(48, np.arange(a, b))
-        g_full = gamma_draw(full, 0.05)
-        g_part = gamma_draw(part, 0.05)
+        g_full = gamma_draw(full, 0.05, 1.0, full.blocks())
+        g_part = gamma_draw(part, 0.05, 1.0, part.blocks())
         assert int(part._attempt.max()) > 1  # some lane retried
         assert np.array_equal(g_full[a:b], g_part)
         assert np.array_equal(full.normals()[a:b], part.normals())
@@ -488,21 +494,27 @@ class TestLowLevelSamplers:
     )
     def test_gamma_known_answers(self, shape, values):
         # values recorded at stream layout 3; shape 0.05 takes the boost
-        assert gamma_draw(path_bundle(7, 16), shape, 2.0).tolist() == values
+        b = path_bundle(7, 16)
+        assert gamma_draw(b, shape, 2.0, b.blocks()).tolist() == values
 
     @pytest.mark.parametrize(
-        "draw",
+        "draw, retries",
         [
-            lambda b: poisson_draw(b, 2.5),
-            lambda b: poisson_draw(b, 42.0),
-            lambda b: gamma_draw(b, 0.5),
+            (lambda b, first: poisson_draw(b, 2.5, first), False),
+            (lambda b, first: poisson_draw(b, 42.0, first), True),
+            (lambda b, first: gamma_draw(b, 0.05, 1.0, first), True),
         ],
         ids=["poisson-table", "poisson-ptrs", "gamma"],
     )
-    def test_empty_bundle_opens_one_site(self, draw):
-        b = path_bundle(0, 0)
-        assert draw(b).shape == (0,)
-        assert b._site == 1
+    def test_draw_stays_at_the_callers_site(self, draw, retries):
+        # the first round is the caller's block and each retry a further
+        # attempt at that site, so a draw opens no site of its own
+        for lanes in (0, 2000):
+            b = path_bundle(0, lanes)
+            first = b.blocks()
+            assert draw(b, first).shape == (lanes,)
+            assert b._site == 1
+        assert (int(b._attempt.max()) > 1) == retries
 
 
 def _sequential_search(u, mean):
@@ -568,7 +580,8 @@ class TestPoissonInversion:
     def test_known_answers(self, mean, counts):
         # counts recorded from the sequential search at stream layout 2; the
         # open uniforms of layout 3 leave every one of them unchanged
-        assert poisson_draw(path_bundle(7, 16), mean).tolist() == counts
+        b = path_bundle(7, 16)
+        assert poisson_draw(b, mean, b.blocks()).tolist() == counts
 
     def test_whole_bundle_draw_is_one_block_call(self, monkeypatch):
         calls = []
@@ -579,7 +592,8 @@ class TestPoissonInversion:
             return blocks(self, idx)
 
         monkeypatch.setattr(StreamBundle, "blocks", counted)
-        poisson_draw(path_bundle(3, 50), 2.5)
+        b = path_bundle(3, 50)
+        poisson_draw(b, 2.5, b.blocks())
         assert calls == [None]
 
 
@@ -587,15 +601,18 @@ class TestNonFiniteParameters:
     @pytest.mark.usefixtures("time_limit")
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
     def test_poisson_mean(self, mean):
+        b = path_bundle(1, 10)
         with pytest.raises(DomainError):
-            poisson_draw(path_bundle(1, 10), mean)
+            poisson_draw(b, mean, b.blocks())
 
     def test_poisson_mean_past_the_limit(self):
         # a count of 2**63 or more would not fit int64 (it used to turn into
         # a negative number or NaN); refused, with the mean named
+        b = path_bundle(1, 10)
         with pytest.raises(DomainError, match=r"poisson mean 9\.3e\+18 is above 2\*\*62"):
-            poisson_draw(path_bundle(1, 10), 9.3e18)
-        k = poisson_draw(path_bundle(1, 1000), POISSON_MEAN_LIMIT)
+            poisson_draw(b, 9.3e18, b.blocks())
+        b = path_bundle(1, 1000)
+        k = poisson_draw(b, POISSON_MEAN_LIMIT, b.blocks())
         assert np.all(np.abs(k - POISSON_MEAN_LIMIT) < 10.0 * math.sqrt(POISSON_MEAN_LIMIT))
 
     @pytest.mark.usefixtures("time_limit")
@@ -603,5 +620,6 @@ class TestNonFiniteParameters:
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
     ])
     def test_gamma_shape_and_rate(self, shape, rate):
+        b = path_bundle(1, 10)
         with pytest.raises(DomainError):
-            gamma_draw(path_bundle(1, 10), shape, rate)
+            gamma_draw(b, shape, rate, b.blocks())

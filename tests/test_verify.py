@@ -114,7 +114,7 @@ class TestCrossMoment:
         b = path_bundle(9, 1_000_000)
         xs = math.sqrt(s) * b.normals()
         sigma = math.sqrt(t / s)
-        u = sample_subordinator_increment(poisson_fam, sigma, b)
+        u = sample_subordinator_increment(poisson_fam, sigma, b, b.blocks())
         xi = b.normals()
         xt = sigma * (np.exp(-0.5 * u) * xs + math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi)
         w = xs**2 * xt**2
@@ -157,7 +157,7 @@ class TestConditionalKurtosis:
         s, t = 1.0, 4.0
         sigma = 2.0
         b = path_bundle(12, 400_000)
-        u = sample_subordinator_increment(poisson_fam, sigma, b)
+        u = sample_subordinator_increment(poisson_fam, sigma, b, b.blocks())
         xi = b.normals()
         xt = sigma * math.sqrt(s) * np.sqrt(-np.expm1(-u)) * xi
         kurt = np.mean(xt**4) / np.mean(xt**2) ** 2
